@@ -95,12 +95,30 @@ class Trajectory:
 
     @property
     def final_alignment(self) -> float:
-        """Best-neuron alignment at the last checkpoint (nan if diverged)."""
+        """Best-neuron alignment at the last checkpoint.
+
+        A diverged run records the alignment of the step that blew up, which
+        is finite unless that step overflowed; read ``diverged`` before
+        taking this as a result.
+        """
         return float(np.max(self.alignments[-1]))
 
     @property
     def total_samples(self) -> int:
         return int(self.samples_seen[-1])
+
+
+def recovery_alignment(final_alignment: float, diverged) -> float:
+    """A run's final alignment as the recovery rule reads it.
+
+    A diverged run counts as alignment -1, whatever it recorded, so a run is
+    recovered exactly when it did not diverge and its final alignment clears
+    the weak threshold. Sweep cells, summaries, the plot grid and the
+    sample-size search all read runs through this one rule.
+    """
+    if diverged or not math.isfinite(final_alignment):
+        return -1.0
+    return final_alignment
 
 
 def _first_crossing(steps: np.ndarray, series: np.ndarray, level: float) -> int | None:
@@ -125,12 +143,13 @@ def run(config: RunConfig) -> Trajectory:
         oracle.activation,
         config.init_mode,
         config.seed.child(ROLE_INIT).rng(),
+        theta_star=teacher.theta_star,
     )
     data_rng = config.seed.child(ROLE_DATA).rng()
     n_steps = config.n_steps
     bsz = config.batch_size
-    link_c = teacher.link.coeffs
     theta = teacher.theta_star
+    a_vals = [float(a) for a in net.a]
 
     rec_steps = [0]
     rec_kappa = [alignment(net, teacher)]
@@ -143,20 +162,16 @@ def run(config: RunConfig) -> Trajectory:
     while step < n_steps:
         n_block = min(block, n_steps - step)
         x_all = data_rng.standard_normal((n_block * bsz, teacher.d))
-        z_all = x_all @ theta
-        acc = np.full_like(z_all, link_c[-1])
-        for coef in reversed(link_c[:-1]):
-            acc = acc * z_all + coef
-        y_all = acc if teacher.noise.is_none else acc + teacher.noise.draw(
-            data_rng, n_block * bsz
-        )
+        y_all = teacher.link(x_all @ theta)
+        if not teacher.noise.is_none:
+            y_all = y_all + teacher.noise.draw(data_rng, n_block * bsz)
         for s in range(n_block):
             x = x_all[s * bsz : (s + 1) * bsz]
             y = y_all[s * bsz : (s + 1) * bsz]
             bad = False
             for j in range(config.n_neurons):
                 w_before = net.W[j]
-                res = apply_step(w_before, x, y, oracle, a=float(net.a[j]))
+                res = apply_step(w_before, x, y, oracle, a=a_vals[j])
                 if res.rejected:
                     rejected += 1
                 if not math.isfinite(res.prenorm) or res.prenorm >= DIVERGENCE_NORM:
@@ -268,7 +283,8 @@ def weak_recovery_sample_size(
     use_mean: bool = False,
 ) -> int | None:
     """Smallest grid n whose median (or mean) final alignment clears the
-    weak threshold, or None when no grid point recovers.
+    weak threshold, or None when no grid point recovers. Diverged runs count
+    as alignment -1 (see recovery_alignment).
 
     Binary search over the grid assumes recovery is monotone in n and reuses
     evaluated levels; full_scan evaluates every level instead.
@@ -283,8 +299,9 @@ def weak_recovery_sample_size(
             finals = []
             for rep in range(replicates):
                 cfg = replace(config, n=n_grid[idx], seed=config.seed.child(idx, rep))
-                finals.append(run(cfg).final_alignment)
-            agg = np.nanmean(finals) if use_mean else np.nanmedian(finals)
+                traj = run(cfg)
+                finals.append(recovery_alignment(traj.final_alignment, traj.diverged))
+            agg = np.mean(finals) if use_mean else np.median(finals)
             cache[idx] = bool(agg >= config.weak_threshold)
         return cache[idx]
 

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import RunConfig, run
+from .dynamics import RunConfig, recovery_alignment, run
 from .model import NoiseSpec, SeedTree, TeacherSpec
 from .oracles import MuTable, OracleSpec, mu_table
 from .theory import gamma_auto, phase_boundaries
@@ -127,6 +127,16 @@ def _cell_gamma(spec: SweepSpec, eta: float) -> float:
     return float(spec.gamma_mode)
 
 
+def _aggregated(spec: SweepSpec, cells: Sequence[Cell]) -> dict[tuple[int, int], float]:
+    """Replicate-aggregated recovery alignment per (eta index, n index)."""
+    groups: dict[tuple[int, int], list[float]] = {}
+    for c in cells:
+        val = recovery_alignment(c.final_alignment, c.diverged)
+        groups.setdefault((c.eta_index, c.n_index), []).append(val)
+    agg = np.mean if spec.use_mean else np.median
+    return {key: agg(vals) for key, vals in groups.items()}
+
+
 def _run_cell(payload) -> Cell:
     base, ei, eta, gamma, ni, n, rep, grid_is_gamma = payload
     seed = base.seed.child(ei, ni, rep)
@@ -142,7 +152,7 @@ def _run_cell(payload) -> Cell:
         n=n,
         seed=seed.digest(),
         final_alignment=final,
-        recovered=int(final >= cfg.weak_threshold),
+        recovered=int(recovery_alignment(final, traj.diverged) >= cfg.weak_threshold),
         samples_seen=traj.total_samples,
         diverged=int(traj.diverged),
     )
@@ -152,18 +162,14 @@ def summarize(
     spec: SweepSpec, cells: Sequence[Cell]
 ) -> tuple[tuple[float, int | None], ...]:
     """Per-eta minimal grid n whose replicate-aggregated final alignment
-    clears the weak threshold (diverged replicates count as alignment -1)."""
-    byeta: dict[int, dict[int, list[float]]] = {}
-    for c in cells:
-        val = c.final_alignment if math.isfinite(c.final_alignment) else -1.0
-        byeta.setdefault(c.eta_index, {}).setdefault(c.n_index, []).append(val)
-    agg = np.mean if spec.use_mean else np.median
+    clears the weak threshold (diverged replicates count as alignment -1,
+    see recovery_alignment)."""
+    agg = _aggregated(spec, cells)
     summary = []
     for ei, eta in enumerate(spec.eta_grid):
         n_star = None
         for ni, n in enumerate(spec.n_grid):
-            vals = byeta.get(ei, {}).get(ni, [])
-            if vals and agg(vals) >= spec.base.weak_threshold:
+            if agg.get((ei, ni), -math.inf) >= spec.base.weak_threshold:
                 n_star = n
                 break
         summary.append((eta, n_star))
@@ -301,17 +307,13 @@ def emit(result: SweepResult, out_dir: str, formats: Sequence[str] = ("csv", "pl
                 fh.write(f"{eta:.10g},{'' if n_star is None else n_star}\n")
         paths += [cells_path, summary_path]
     if "plotdata" in formats:
-        agg = np.mean if spec.use_mean else np.median
-        byeta: dict[tuple[int, int], list[float]] = {}
-        for c in result.cells:
-            val = c.final_alignment if math.isfinite(c.final_alignment) else -1.0
-            byeta.setdefault((c.eta_index, c.n_index), []).append(val)
+        agg = _aggregated(spec, result.cells)
         grid_path = os.path.join(out_dir, "grid.plotdata")
         with open(grid_path, "w") as fh:
             fh.write("eta " + " ".join(str(n) for n in spec.n_grid) + "\n")
             for ei, eta in enumerate(spec.eta_grid):
                 row = [
-                    str(int(agg(byeta[(ei, ni)]) >= spec.base.weak_threshold))
+                    str(int(agg[(ei, ni)] >= spec.base.weak_threshold))
                     for ni in range(len(spec.n_grid))
                 ]
                 fh.write(f"{eta:.10g} " + " ".join(row) + "\n")

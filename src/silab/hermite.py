@@ -97,10 +97,22 @@ class MonomialPoly:
         return self.degree == 0
 
     def __call__(self, z):
-        """Evaluate by Horner's rule; works on scalars and numpy arrays."""
-        acc = np.zeros_like(np.asarray(z, dtype=float)) + self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * z + c
+        """Evaluate by Horner's rule; works on scalars and numpy arrays.
+
+        Scalars give a Python float, arrays an array of z's shape. Python
+        floats (the per-sample step) and arrays of rank >= 1 skip the
+        broadcasting set-up; the bits are the same, because the leading
+        coefficient c_n is nonzero and so z * c_n equals (0 + c_n) * z.
+        """
+        c = self.coeffs
+        if len(c) > 1 and (type(z) is float or isinstance(z, np.ndarray) and z.ndim):
+            acc = z * c[-1] + c[-2]
+            for v in c[-3::-1]:
+                acc = acc * z + v
+            return acc
+        acc = np.zeros_like(np.asarray(z, dtype=float)) + c[-1]
+        for v in c[-2::-1]:
+            acc = acc * z + v
         if np.isscalar(z):
             return float(acc)
         return acc

@@ -20,7 +20,6 @@ NoiseFamily = Literal["none", "gaussian", "laplace"]
 # SeedTree stream roles, appended as the last path element.
 ROLE_INIT = 0
 ROLE_DATA = 1
-ROLE_FIT = 2
 
 
 @dataclass(frozen=True)
@@ -168,11 +167,6 @@ class NetworkSpec:
     def d(self) -> int:
         return self.W.shape[1]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Network output for a batch of inputs, shape (batch,)."""
-        pre = np.atleast_2d(x) @ self.W.T + self.b
-        return (self.activation(pre) @ self.a) / self.n_neurons
-
 
 InitMode = Literal["uniform_sphere", "pinned_alignment"]
 
@@ -183,12 +177,17 @@ def init_network(
     activation: MonomialPoly,
     init_mode: InitMode,
     rng: np.random.Generator,
+    theta_star: np.ndarray | None = None,
 ) -> NetworkSpec:
     """Initialize unit rows; a_j = 1, b_j = 0.
 
     uniform_sphere: rows i.i.d. uniform on the unit sphere. pinned_alignment:
-    first coordinate exactly d**-0.5, remainder uniform on the sphere of
-    radius sqrt(1 - 1/d) so every run starts at the same alignment with e_1.
+    every row has alignment d**-0.5 with theta_star (default e_1),
+    the remainder uniform on the sphere of radius sqrt(1 - 1/d) in the
+    orthogonal complement, so every run starts at the same alignment. The
+    rows are built against e_1 and, for any other theta_star, mapped by the
+    Householder reflection that swaps e_1 and theta_star; with e_1 the rows
+    are untouched.
     """
     if d < 2:
         raise ValueError("need dimension at least 2")
@@ -201,6 +200,10 @@ def init_network(
         w = np.empty((n_neurons, d))
         w[:, 0] = 1.0 / math.sqrt(d)
         w[:, 1:] = rest * math.sqrt(1.0 - 1.0 / d)
+        e1 = unit_vector(d)
+        if theta_star is not None and not np.array_equal(theta_star, e1):
+            v = e1 - theta_star  # reflect across v's hyperplane: e_1 <-> theta_star
+            w -= np.outer(w @ v, v * (2.0 / (v @ v)))
     else:
         raise ValueError(f"unknown init mode {init_mode!r}")
     return NetworkSpec(W=w, a=np.ones(n_neurons), b=np.zeros(n_neurons), activation=activation)

@@ -52,14 +52,6 @@ OracleKind = Literal["online", "batch_reuse", "alternating", "deep_alternating"]
 ORACLE_KINDS = ("online", "batch_reuse", "alternating", "deep_alternating")
 
 
-def _peval(coeffs: tuple[float, ...], z: np.ndarray) -> np.ndarray:
-    """Horner evaluation of monomial coefficients on an array."""
-    acc = np.full_like(z, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
-
-
 @dataclass
 class OracleSpec:
     """Which update rule is in force, plus its hyperparameters.
@@ -92,16 +84,8 @@ class OracleSpec:
             raise ValueError("degree_bound must be a positive integer")
 
     @cached_property
-    def _sigma_c(self) -> tuple[float, ...]:
-        return self.activation.coeffs
-
-    @cached_property
     def _sigma_prime(self) -> MonomialPoly:
         return self.activation.derivative()
-
-    @cached_property
-    def _sigma_prime_c(self) -> tuple[float, ...]:
-        return self._sigma_prime.coeffs
 
 
 @dataclass(frozen=True)
@@ -129,7 +113,7 @@ class Psi:
         z = np.asarray(z, dtype=float)
         acc = np.zeros(np.broadcast_shapes(y.shape, z.shape))
         for k, q in self.terms:
-            acc = acc + y**k * _peval(q.coeffs, z)
+            acc = acc + y**k * q(z)
         return acc
 
 
@@ -205,9 +189,6 @@ class MuTable:
     def mu(self, i: int) -> float:
         """mu_i, with indices past the table length identically zero."""
         return self.mus[i - 1] if i <= len(self.mus) else 0.0
-
-    def as_function_of_eta(self):  # pragma: no cover - convenience alias
-        raise TypeError("MuTable is a fixed table; build one per eta instead")
 
 
 def _istar_set(mus, d: int) -> tuple[int, ...]:
@@ -560,11 +541,49 @@ def _as_batch(x, y):
     return xb, yb
 
 
-def _mean_projected(x: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # Projection is linear, so projecting the batch mean equals the mean of
-    # per-sample projected updates.
-    v = x.T @ c / c.shape[0]
-    return v - w * (w @ v)
+# Per-sample step coefficients c(y, z, a): the literal update moves w along
+# mean(c x), projected onto the tangent space at w. Each one runs unchanged
+# on Python floats (one sample) and on arrays (a batch). xsq is |x|^2 per
+# sample, computed only for batch_reuse.
+
+
+def _c_online(spec: OracleSpec, y, z, a, xsq):
+    return y * spec._sigma_prime(z)
+
+
+def _c_batch_reuse(spec: OracleSpec, y, z, a, xsq):
+    # <x, w~> for the per-sample intermediate w~ = w + eta y sigma'(z) P_w x
+    t = z + spec.eta * y * spec._sigma_prime(z) * (xsq - z * z)
+    return y * spec._sigma_prime(t)
+
+
+def _c_alternating(spec: OracleSpec, y, z, a, xsq):
+    atilde = a + spec.eta * y * spec.activation(z)
+    return (y * atilde) * spec._sigma_prime(z)
+
+
+def _c_deep_alternating(spec: OracleSpec, y, z, a, xsq):
+    depth = spec.depth
+    f_vals = [z]
+    for _ in range(1, depth):
+        f_vals.append(spec.activation(f_vals[-1]))
+    sp_vals = [spec._sigma_prime(f_vals[i - 1]) for i in range(1, depth)]
+    c = y
+    for i in range(1, depth):
+        tail = 1.0
+        for j in range(i + 1, depth):
+            tail = tail * sp_vals[j - 1]
+        atilde = 1.0 + spec.eta * y * tail * f_vals[i]
+        c = (c * atilde) * sp_vals[i - 1]
+    return c
+
+
+_COEFFICIENTS = {
+    "online": _c_online,
+    "batch_reuse": _c_batch_reuse,
+    "alternating": _c_alternating,
+    "deep_alternating": _c_deep_alternating,
+}
 
 
 def _normalize_step(w: np.ndarray, g: np.ndarray, gamma: float) -> StepResult:
@@ -572,34 +591,43 @@ def _normalize_step(w: np.ndarray, g: np.ndarray, gamma: float) -> StepResult:
         # exact no-op; w is already unit so renormalizing would only add noise
         return StepResult(w=w, raw_update=g, prenorm=1.0, rejected=False)
     v = w + gamma * g
-    prenorm = float(np.linalg.norm(v))
+    prenorm = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a vector
     if prenorm == 0.0:
         return StepResult(w=w, raw_update=g, prenorm=prenorm, rejected=True)
     return StepResult(w=v / prenorm, raw_update=g, prenorm=prenorm, rejected=False)
 
 
-def step_online(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
-    """Spherical correlation-loss SGD step; batches average the raw updates."""
+def _step(w: np.ndarray, x, y, spec: OracleSpec, coef, a: float = 1.0) -> StepResult:
+    """The step shared by every oracle: coefficients, projected mean, normalization.
+
+    With one sample the coefficient is scalar arithmetic on Python floats,
+    and the mean update is x c; with a batch it is the same arithmetic on
+    arrays. Both give the bits of the batched array formulas.
+    """
     xb, yb = _as_batch(x, y)
     z = xb @ w
-    c = yb * _peval(spec._sigma_prime_c, z)
-    g = _mean_projected(xb, c, w)
-    return _normalize_step(w, g, spec.gamma)
+    xsq = np.einsum("ij,ij->i", xb, xb) if coef is _c_batch_reuse else None
+    if xb.shape[0] == 1:
+        c = coef(spec, float(yb[0]), float(z[0]), a, None if xsq is None else float(xsq[0]))
+        v = xb[0] * c
+    else:
+        c = coef(spec, yb, z, a, xsq)
+        v = xb.T @ c / c.shape[0]
+    # Projection is linear, so projecting the batch mean equals the mean of
+    # per-sample projected updates.
+    return _normalize_step(w, v - w * (w @ v), spec.gamma)
+
+
+def step_online(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
+    """Spherical correlation-loss SGD step; batches average the raw updates."""
+    return _step(w, x, y, spec, _c_online)
 
 
 def step_batch_reuse(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
     """Literal two-pass step: an eta-step preactivation shift on the same
     sample, then the gamma-step. Both gradient evaluations reuse the sample;
     no Taylor surrogate is involved here."""
-    xb, yb = _as_batch(x, y)
-    z = xb @ w
-    sp = _peval(spec._sigma_prime_c, z)
-    # <x, w~> for the per-sample intermediate w~ = w + eta y sigma'(z) P_w x
-    proj_sq = np.einsum("ij,ij->i", xb, xb) - z * z
-    t = z + spec.eta * yb * sp * proj_sq
-    c = yb * _peval(spec._sigma_prime_c, t)
-    g = _mean_projected(xb, c, w)
-    return _normalize_step(w, g, spec.gamma)
+    return _step(w, x, y, spec, _c_batch_reuse)
 
 
 def step_alternating(w: np.ndarray, a: float, x, y, spec: OracleSpec):
@@ -608,12 +636,7 @@ def step_alternating(w: np.ndarray, a: float, x, y, spec: OracleSpec):
     The trial value a~ = a + eta y sigma(z) is used only inside this update;
     the persistent second-layer weight is returned unchanged.
     """
-    xb, yb = _as_batch(x, y)
-    z = xb @ w
-    atilde = a + spec.eta * yb * _peval(spec._sigma_c, z)
-    c = (yb * atilde) * _peval(spec._sigma_prime_c, z)
-    g = _mean_projected(xb, c, w)
-    return _normalize_step(w, g, spec.gamma), a
+    return _step(w, x, y, spec, _c_alternating, a), a
 
 
 def step_deep_alternating(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
@@ -623,31 +646,9 @@ def step_deep_alternating(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
     (persistent scalars stay at 1), and the first-layer step uses the product
     of a~_i sigma'(F_{i-1}).
     """
-    xb, yb = _as_batch(x, y)
-    z = xb @ w
-    depth = spec.depth
-    f_vals = [z]
-    for _ in range(1, depth):
-        f_vals.append(_peval(spec._sigma_c, f_vals[-1]))
-    sp_vals = [_peval(spec._sigma_prime_c, f_vals[i - 1]) for i in range(1, depth)]
-    c = yb
-    for i in range(1, depth):
-        tail = np.ones_like(z)
-        for j in range(i + 1, depth):
-            tail = tail * sp_vals[j - 1]
-        atilde = 1.0 + spec.eta * yb * tail * f_vals[i]
-        c = (c * atilde) * sp_vals[i - 1]
-    g = _mean_projected(xb, c, w)
-    return _normalize_step(w, g, spec.gamma)
+    return _step(w, x, y, spec, _c_deep_alternating)
 
 
 def apply_step(w: np.ndarray, x, y, spec: OracleSpec, a: float = 1.0) -> StepResult:
     """Dispatch one update of the configured oracle."""
-    if spec.kind == "online":
-        return step_online(w, x, y, spec)
-    if spec.kind == "batch_reuse":
-        return step_batch_reuse(w, x, y, spec)
-    if spec.kind == "alternating":
-        res, _ = step_alternating(w, a, x, y, spec)
-        return res
-    return step_deep_alternating(w, x, y, spec)
+    return _step(w, x, y, spec, _COEFFICIENTS[spec.kind], a)

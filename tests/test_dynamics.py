@@ -54,6 +54,15 @@ class TestRun:
         assert np.all(traj.alignments == traj.alignments[0])
         assert traj.weak_recovery_step is None  # threshold 0.5 > 1/sqrt(25)
 
+    def test_initial_alignment_pinned_against_theta_star(self):
+        d = 10
+        theta = np.random.default_rng(11).standard_normal(d)
+        theta /= np.linalg.norm(theta)
+        cfg = make_config(d=d, n=256, gamma=0.0)
+        cfg.teacher = TeacherSpec(d=d, link=HE3, theta_star=theta)
+        traj = run(cfg)
+        np.testing.assert_allclose(traj.alignments[0], d**-0.5, rtol=0, atol=1e-12)
+
     def test_seed_determinism(self):
         cfg1 = make_config(gamma=0.002, n=6400, seed=7)
         cfg2 = make_config(gamma=0.002, n=6400, seed=7)
@@ -201,6 +210,12 @@ class TestWeakRecoverySampleSize:
         grid = [100, 400, 1600, 6400, 25_600]
         n_star = weak_recovery_sample_size(cfg, grid, replicates=5)
         assert n_star in grid
+
+    def test_diverged_runs_never_recover(self):
+        # every replicate blows up; several still end above the threshold
+        cfg = make_config(kind="alternating", d=10, eta=1.0, gamma=1e9, n=64, batch=32,
+                          record_every=10, weak_threshold=0.3)
+        assert weak_recovery_sample_size(cfg, [1024], replicates=5) is None
 
     def test_full_scan_agrees_with_bisection(self):
         cfg = make_config(

@@ -86,8 +86,23 @@ class TestSweep:
     def test_recovered_flag_semantics(self):
         res = sweep(tiny_spec())
         for c in res.cells:
-            expected = int(math.isfinite(c.final_alignment) and c.final_alignment >= 0.5)
+            expected = int(not c.diverged and c.final_alignment >= 0.5)
             assert c.recovered == expected
+
+    def test_diverged_cell_never_recovered(self, tmp_path):
+        spec = tiny_spec(replicates=6)
+        spec.eta_grid = (1.0,)
+        spec.n_grid = (64, 1024)
+        spec.gamma_mode = 1e9
+        res = sweep(spec)
+        diverged = [c for c in res.cells if c.diverged]
+        # the rule is exercised: a diverged run ends above the threshold
+        assert any(c.final_alignment >= 0.5 for c in diverged)
+        assert all(c.recovered == 0 for c in diverged)
+        assert res.summary == ((1.0, None),)
+        emit(res, str(tmp_path), formats=("plotdata",))
+        with open(tmp_path / "grid.plotdata") as fh:
+            assert fh.read().splitlines()[1] == "1 0 0"
 
     def test_summary_recomputable_from_cells(self):
         spec = tiny_spec()

@@ -14,6 +14,7 @@ from silab import (
     hermite_poly,
     init_network,
 )
+from silab.model import unit_vector
 
 
 def he3_teacher(d=10, noise=NoiseSpec()):
@@ -128,6 +129,22 @@ class TestInitNetwork:
         t = he3_teacher(d=50)
         net = init_network(50, 3, hermite_poly(3), "pinned_alignment", SeedTree(7).rng())
         np.testing.assert_allclose(alignment(net, t), 1 / math.sqrt(50), atol=1e-14)
+
+    def test_pinned_against_random_theta_star(self):
+        d = 10
+        theta = np.random.default_rng(5).standard_normal(d)
+        theta /= np.linalg.norm(theta)
+        t = TeacherSpec(d=d, link=hermite_poly(3), theta_star=theta)
+        net = init_network(d, 4, hermite_poly(3), "pinned_alignment", SeedTree(6).rng(),
+                           theta_star=theta)
+        np.testing.assert_allclose(alignment(net, t), d**-0.5, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(net.W, axis=1), 1.0, atol=1e-12)
+
+    def test_pinned_e1_theta_star_is_default(self):
+        default = init_network(10, 3, hermite_poly(3), "pinned_alignment", SeedTree(6).rng())
+        pinned = init_network(10, 3, hermite_poly(3), "pinned_alignment", SeedTree(6).rng(),
+                              theta_star=unit_vector(10))
+        assert np.array_equal(default.W, pinned.W)
 
     def test_unit_rows(self):
         for mode in ("uniform_sphere", "pinned_alignment"):

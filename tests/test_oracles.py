@@ -18,7 +18,7 @@ from silab import (
     step_deep_alternating,
     step_online,
 )
-from silab.oracles import MuTable, alignment_gain_monte_carlo, mu_monte_carlo
+from silab.oracles import MuTable, alignment_gain_monte_carlo, apply_step, mu_monte_carlo
 
 HE3 = hermite_poly(3)
 NOISELESS = NoiseSpec()
@@ -283,6 +283,99 @@ class TestSteps:
         batched = step_online(self.w, xs, ys, spec)
         singles = [step_online(self.w, xs[i], ys[i], spec).raw_update for i in range(4)]
         np.testing.assert_allclose(batched.raw_update, np.mean(singles, axis=0), atol=1e-14)
+
+
+def _array_horner(coeffs, z):
+    acc = np.full_like(z, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    return acc
+
+
+def _array_reference_step(w, x, y, spec, a):
+    """One step written as whole-batch array formulas: z = x w, the per-sample
+    coefficient c, the mean x^T c / B, the projection and np.linalg.norm."""
+    xb = np.atleast_2d(np.asarray(x, dtype=float))
+    yb = np.atleast_1d(np.asarray(y, dtype=float))
+    sig = spec.activation.coeffs
+    sp = spec.activation.derivative().coeffs
+    z = xb @ w
+    if spec.kind == "online":
+        c = yb * _array_horner(sp, z)
+    elif spec.kind == "batch_reuse":
+        proj_sq = np.einsum("ij,ij->i", xb, xb) - z * z
+        t = z + spec.eta * yb * _array_horner(sp, z) * proj_sq
+        c = yb * _array_horner(sp, t)
+    elif spec.kind == "alternating":
+        atilde = a + spec.eta * yb * _array_horner(sig, z)
+        c = (yb * atilde) * _array_horner(sp, z)
+    else:
+        f_vals = [z]
+        for _ in range(1, spec.depth):
+            f_vals.append(_array_horner(sig, f_vals[-1]))
+        sp_vals = [_array_horner(sp, f_vals[i - 1]) for i in range(1, spec.depth)]
+        c = yb
+        for i in range(1, spec.depth):
+            tail = np.ones_like(z)
+            for j in range(i + 1, spec.depth):
+                tail = tail * sp_vals[j - 1]
+            atilde = 1.0 + spec.eta * yb * tail * f_vals[i]
+            c = (c * atilde) * sp_vals[i - 1]
+    v = xb.T @ c / c.shape[0]
+    g = v - w * (w @ v)
+    u = w + spec.gamma * g
+    prenorm = float(np.linalg.norm(u))
+    return u / prenorm, g, prenorm
+
+
+class TestStepCoreBitIdentity:
+    SPECS = [
+        OracleSpec(kind="online", activation=HE3, gamma=0.05),
+        OracleSpec(kind="batch_reuse", activation=HE3, gamma=0.05, eta=1e-3),
+        OracleSpec(kind="alternating", activation=HE3, gamma=0.05, eta=0.5),
+        OracleSpec(kind="deep_alternating", activation=MonomialPoly.monomial(2),
+                   gamma=0.05, eta=0.5, depth=3),
+        OracleSpec(kind="deep_alternating", activation=HE3, gamma=0.05, eta=0.5, depth=2),
+    ]
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-depth{s.depth}")
+    def test_apply_step_matches_array_formulas(self, spec, batch):
+        rng = np.random.default_rng(2024)
+        d = 25
+        for trial in range(20):
+            w = unit(rng.standard_normal(d))
+            x = rng.standard_normal((batch, d))
+            y = HE3(x @ unit(rng.standard_normal(d)))
+            a = 1.0 + 0.1 * trial
+            res = apply_step(w, x, y, spec, a=a)
+            w_ref, g_ref, prenorm_ref = _array_reference_step(w, x, y, spec, a)
+            assert np.array_equal(res.w, w_ref)
+            assert np.array_equal(res.raw_update, g_ref)
+            assert res.prenorm == prenorm_ref
+            assert not res.rejected
+            if batch == 1:  # a bare vector and a scalar label take the same path
+                single = apply_step(w, x[0], float(y[0]), spec, a=a)
+                assert np.array_equal(single.w, w_ref)
+                assert single.prenorm == prenorm_ref
+
+    @pytest.mark.parametrize(
+        "poly",
+        [HE3, HE3.derivative(), MonomialPoly.monomial(2), MonomialPoly.monomial(1),
+         MonomialPoly.const(2.5), MonomialPoly.zero()],
+        ids=["He3", "He3'", "z2", "z", "const", "zero"],
+    )
+    def test_poly_call_matches_general_horner(self, poly):
+        def general(z):
+            acc = np.zeros_like(np.asarray(z, dtype=float)) + poly.coeffs[-1]
+            for c in reversed(poly.coeffs[:-1]):
+                acc = acc * z + c
+            return float(acc) if np.isscalar(z) else acc
+
+        for z in (1.37, -2, np.asarray(0.61), np.array([-1.3, 0.0, 0.7, 2.9])):
+            got, want = poly(z), general(z)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
 
 
 class TestExactIntegrandMoments:
