@@ -12,17 +12,10 @@ import csv
 import sys
 
 from .dynamics import RunConfig, run
-from .harness import (
-    CONFIG_DEFAULTS,
-    emit,
-    fit_boundary_slope,
-    parse_config,
-    spec_from_config,
-    sweep,
-)
+from .harness import CONFIG, emit, parse_config, spec_from_config, sweep
 from .hermite import MonomialPoly, expand, exponent_report, hermite_poly
 from .model import NoiseSpec, SeedTree, TeacherSpec, draw_batch
-from .oracles import ORACLE_KINDS, OracleSpec, check_sign_assumption, mu_table
+from .oracles import ORACLE_KINDS, OracleSpec, check_sign_assumption, mu_of_eta, mu_table
 from .theory import gamma_auto, phase_boundaries, predict_T
 
 
@@ -38,8 +31,8 @@ def parse_poly(text: str) -> MonomialPoly:
     return MonomialPoly.from_coeffs(float(p) for p in parts)
 
 
-def _noise_from_args(args) -> NoiseSpec:
-    return NoiseSpec(args.noise, args.tau)
+def _teacher_from_args(args) -> TeacherSpec:
+    return TeacherSpec(d=args.d, link=parse_poly(args.link), noise=NoiseSpec(args.noise, args.tau))
 
 
 def _oracle_from_args(args, eta=None, gamma=0.0) -> OracleSpec:
@@ -68,7 +61,7 @@ def _cmd_hermite(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    teacher = TeacherSpec(d=args.d, link=parse_poly(args.link), noise=_noise_from_args(args))
+    teacher = _teacher_from_args(args)
     x, y = draw_batch(teacher, args.n, SeedTree(args.seed).rng())
     out = csv.writer(sys.stdout)
     out.writerow([f"x_{j + 1}" for j in range(args.d)] + ["y"])
@@ -78,8 +71,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_mu(args) -> int:
-    spec = _oracle_from_args(args)
-    mu = mu_table(spec, parse_poly(args.link), _noise_from_args(args), args.d)
+    teacher = _teacher_from_args(args)
+    mu = mu_table(_oracle_from_args(args), teacher.link, teacher.noise, teacher.d)
     try:
         verdict = check_sign_assumption(mu)
         print(f"# sign_assumption={'pass' if verdict.passed else 'fail'} "
@@ -95,15 +88,17 @@ def _cmd_mu(args) -> int:
     return 0
 
 
-def _resolve_gamma(args, spec: OracleSpec, teacher: TeacherSpec) -> float:
-    if args.gamma == "auto":
+def _resolve_gamma(args, spec: OracleSpec, teacher: TeacherSpec, mu=None) -> float:
+    """args.gamma as a float; 'auto' uses mu (computed here if not given)."""
+    if args.gamma != "auto":
+        return float(args.gamma)
+    if mu is None:
         mu = mu_table(spec, teacher.link, teacher.noise, teacher.d)
-        return gamma_auto(spec, mu, teacher.d)
-    return float(args.gamma)
+    return gamma_auto(spec, mu, teacher.d)
 
 
 def _cmd_simulate(args) -> int:
-    teacher = TeacherSpec(d=args.d, link=parse_poly(args.link), noise=_noise_from_args(args))
+    teacher = _teacher_from_args(args)
     spec = _oracle_from_args(args)
     spec.gamma = _resolve_gamma(args, spec, teacher)
     config = RunConfig(
@@ -147,10 +142,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    teacher = TeacherSpec(d=args.d, link=parse_poly(args.link), noise=_noise_from_args(args))
+    teacher = _teacher_from_args(args)
     spec = _oracle_from_args(args)
     mu = mu_table(spec, teacher.link, teacher.noise, args.d)
-    gamma = _resolve_gamma(args, spec, teacher)
+    gamma = _resolve_gamma(args, spec, teacher, mu)
     pred = predict_T(mu, gamma, args.d)
     print(f"# T={pred.t:.12g} dominant_i={pred.dominant_i} gamma={gamma:.12g} "
           f"gamma_max={pred.gamma_max:.12g}")
@@ -162,14 +157,11 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_phase(args) -> int:
-    teacher = TeacherSpec(d=args.d, link=parse_poly(args.link), noise=_noise_from_args(args))
+    teacher = _teacher_from_args(args)
     spec = _oracle_from_args(args, eta=0.0)
-
-    def mu_of_eta(eta: float):
-        probe = _oracle_from_args(args, eta=eta)
-        return mu_table(probe, teacher.link, teacher.noise, args.d)
-
-    bounds = phase_boundaries(mu_of_eta, args.d, (args.eta_min, args.eta_max), spec=spec)
+    bounds = phase_boundaries(
+        mu_of_eta(spec, teacher), args.d, (args.eta_min, args.eta_max), spec=spec
+    )
     out = csv.writer(sys.stdout)
     out.writerow(["i", "j", "eta_star", "exponent_if_known"])
     for b in bounds:
@@ -184,20 +176,15 @@ def _cmd_sweep(args) -> int:
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
-    for key in CONFIG_DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
+    cfg.update({k: v for k, v in vars(args).items() if k in CONFIG and v is not None})
     spec = spec_from_config(cfg, parse_poly)
     result = sweep(spec)
-    out_dir = cfg.get("out", CONFIG_DEFAULTS["out"])
-    paths = emit(result, out_dir)
+    paths = emit(result, cfg.get("out", CONFIG["out"][1]))
     if spec.slope_window is not None:
-        try:
-            slope, stderr = fit_boundary_slope(result, spec.slope_window)
-            print(f"# slope={slope:.6g} stderr={stderr:.6g}")
-        except ValueError as err:
-            print(f"# slope=unavailable ({err})")
+        if result.slope_fit is None:
+            print("# slope=unavailable (fewer than 4 recovering grid points in the eta window)")
+        else:
+            print("# slope={:.6g} stderr={:.6g}".format(*result.slope_fit))
     for path in paths:
         print(path)
     return 0
@@ -284,34 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid sweep per config file")
     p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--oracle", default=None, choices=list(ORACLE_KINDS))
-    p.add_argument("--link", default=None)
-    p.add_argument("--act", default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--noise", default=None, choices=["none", "gaussian", "laplace"])
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--eta-min", dest="eta_min", type=float, default=None)
-    p.add_argument("--eta-max", dest="eta_max", type=float, default=None)
-    p.add_argument("--eta-count", dest="eta_count", type=int, default=None)
-    p.add_argument("--n-min", dest="n_min", type=int, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--n-count", dest="n_count", type=int, default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--neurons", type=int, default=None)
-    p.add_argument("--master-seed", dest="master_seed", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--record-every", dest="record_every", type=int, default=None)
-    p.add_argument("--gamma", default=None)
-    p.add_argument("--init", default=None,
-                   choices=["pinned_alignment", "uniform_sphere"])
-    p.add_argument("--window-min", dest="window_min", type=float, default=None)
-    p.add_argument("--window-max", dest="window_max", type=float, default=None)
-    p.add_argument("--mean-mode", dest="mean_mode", action="store_const", const=True,
-                   default=None)
+    for key, (typ, _) in CONFIG.items():  # every config key, as --key-with-dashes
+        flag = "--" + key.replace("_", "-")
+        if typ is bool:
+            p.add_argument(flag, action="store_const", const=True, default=None)
+        else:
+            p.add_argument(flag, type=typ, default=None)
     p.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import get_args
 
 import numpy as np
 
@@ -54,6 +55,8 @@ class RunConfig:
             raise ValueError("strong_eps must lie in (0, 1)")
         if self.record_every < 1:
             raise ValueError("record_every must be positive")
+        if self.init_mode not in get_args(InitMode):
+            raise ValueError(f"unknown init mode {self.init_mode!r}")
 
     @property
     def n_steps(self) -> int:
@@ -161,10 +164,7 @@ def run(config: RunConfig) -> Trajectory:
     step = 0
     while step < n_steps:
         n_block = min(block, n_steps - step)
-        x_all = data_rng.standard_normal((n_block * bsz, teacher.d))
-        y_all = teacher.link(x_all @ theta)
-        if not teacher.noise.is_none:
-            y_all = y_all + teacher.noise.draw(data_rng, n_block * bsz)
+        x_all, y_all = draw_batch(teacher, n_block * bsz, data_rng)
         for s in range(n_block):
             x = x_all[s * bsz : (s + 1) * bsz]
             y = y_all[s * bsz : (s + 1) * bsz]

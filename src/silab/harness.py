@@ -7,7 +7,8 @@ recovering sample size (median rule by default) and the log-log boundary
 slope are recomputable from the cells table alone.
 
 Sweep config files are line-oriented ``key = value`` text; '#' starts a
-comment. Recognized keys (CLI flags override file values):
+comment. Recognized keys (each is also a ``silab sweep`` flag, spelled
+``--key-with-dashes``, whose value overrides the file's):
 
     oracle       online | batch_reuse | alternating | deep_alternating
     link, act    polynomial spec: HeK, zK, or comma-separated monomial coeffs
@@ -21,6 +22,7 @@ comment. Recognized keys (CLI flags override file values):
     neurons      hidden width N
     master_seed  sweep seed
     threshold    weak-recovery alignment threshold
+    strong_eps   strong recovery at alignment 1 - strong_eps
     record_every checkpoint stride
     gamma        'auto' or a float
     init         pinned_alignment | uniform_sphere
@@ -42,7 +44,7 @@ import numpy as np
 
 from .dynamics import RunConfig, recovery_alignment, run
 from .model import NoiseSpec, SeedTree, TeacherSpec
-from .oracles import MuTable, OracleSpec, mu_table
+from .oracles import OracleSpec, mu_of_eta
 from .theory import gamma_auto, phase_boundaries
 
 
@@ -119,9 +121,8 @@ class SweepResult:
 def _cell_gamma(spec: SweepSpec, eta: float) -> float:
     base = spec.base
     if spec.gamma_mode == "auto":
-        oracle = replace(base.oracle, eta=eta)
-        mu = mu_table(oracle, base.teacher.link, base.teacher.noise, base.teacher.d)
-        return gamma_auto(oracle, mu, base.teacher.d)
+        mu = mu_of_eta(base.oracle, base.teacher)(eta)
+        return gamma_auto(replace(base.oracle, eta=eta), mu, base.teacher.d)
     if spec.gamma_mode == "eta_as_gamma":
         return eta
     return float(spec.gamma_mode)
@@ -270,16 +271,6 @@ def knee_eta(
     return None
 
 
-def _mu_of_eta(spec: SweepSpec):
-    base = spec.base
-
-    def fn(eta: float) -> MuTable:
-        oracle = replace(base.oracle, eta=eta)
-        return mu_table(oracle, base.teacher.link, base.teacher.noise, base.teacher.d)
-
-    return fn
-
-
 def emit(result: SweepResult, out_dir: str, formats: Sequence[str] = ("csv", "plotdata")):
     """Write sweep artifacts; returns the paths written.
 
@@ -323,7 +314,7 @@ def emit(result: SweepResult, out_dir: str, formats: Sequence[str] = ("csv", "pl
             fh.write("i,j,eta_star,exponent\n")
             if spec.base.oracle.kind != "online" and eta_lo < eta_hi:
                 bounds = phase_boundaries(
-                    _mu_of_eta(spec),
+                    mu_of_eta(spec.base.oracle, spec.base.teacher),
                     spec.base.teacher.d,
                     (eta_lo, eta_hi),
                     spec=spec.base.oracle,
@@ -339,64 +330,34 @@ def emit(result: SweepResult, out_dir: str, formats: Sequence[str] = ("csv", "pl
 # Config files
 # ---------------------------------------------------------------------------
 
-CONFIG_SCHEMA = {
-    "oracle": str,
-    "link": str,
-    "act": str,
-    "d": int,
-    "depth": int,
-    "noise": str,
-    "tau": float,
-    "eta_min": float,
-    "eta_max": float,
-    "eta_count": int,
-    "n_min": int,
-    "n_max": int,
-    "n_count": int,
-    "replicates": int,
-    "batch": int,
-    "neurons": int,
-    "master_seed": int,
-    "threshold": float,
-    "strong_eps": float,
-    "record_every": int,
-    "gamma": str,
-    "init": str,
-    "jobs": int,
-    "out": str,
-    "window_min": float,
-    "window_max": float,
-    "mean_mode": bool,
-}
-
-CONFIG_DEFAULTS = {
-    "oracle": "alternating",
-    "link": "He3",
-    "act": "He3",
-    "d": 50,
-    "depth": 2,
-    "noise": "none",
-    "tau": 0.0,
-    "eta_min": 1e-3,
-    "eta_max": 1.0,
-    "eta_count": 50,
-    "n_min": 256,
-    "n_max": 500_000,
-    "n_count": 20,
-    "replicates": 10,
-    "batch": 128,
-    "neurons": 1,
-    "master_seed": 0,
-    "threshold": 0.5,
-    "strong_eps": 0.1,
-    "record_every": 100,
-    "gamma": "auto",
-    "init": "pinned_alignment",
-    "jobs": 1,
-    "out": "sweep_out",
-    "window_min": None,
-    "window_max": None,
-    "mean_mode": False,
+CONFIG = {  # key: (type, default)
+    "oracle": (str, "alternating"),
+    "link": (str, "He3"),
+    "act": (str, "He3"),
+    "d": (int, 50),
+    "depth": (int, 2),
+    "noise": (str, "none"),
+    "tau": (float, 0.0),
+    "eta_min": (float, 1e-3),
+    "eta_max": (float, 1.0),
+    "eta_count": (int, 50),
+    "n_min": (int, 256),
+    "n_max": (int, 500_000),
+    "n_count": (int, 20),
+    "replicates": (int, 10),
+    "batch": (int, 128),
+    "neurons": (int, 1),
+    "master_seed": (int, 0),
+    "threshold": (float, 0.5),
+    "strong_eps": (float, 0.1),
+    "record_every": (int, 100),
+    "gamma": (str, "auto"),
+    "init": (str, "pinned_alignment"),
+    "jobs": (int, 1),
+    "out": (str, "sweep_out"),
+    "window_min": (float, None),
+    "window_max": (float, None),
+    "mean_mode": (bool, False),
 }
 
 
@@ -410,9 +371,9 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_SCHEMA:
+        if key not in CONFIG:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        typ = CONFIG_SCHEMA[key]
+        typ = CONFIG[key][0]
         if typ is bool:
             out[key] = value.lower() in ("1", "true", "yes", "on")
         else:
@@ -426,7 +387,7 @@ def spec_from_config(cfg: dict, parse_poly) -> SweepSpec:
     parse_poly converts a polynomial spec string to a MonomialPoly (supplied
     by the CLI layer so the shorthand lives in one place).
     """
-    merged = dict(CONFIG_DEFAULTS)
+    merged = {key: default for key, (_, default) in CONFIG.items()}
     merged.update({k: v for k, v in cfg.items() if v is not None})
     teacher = TeacherSpec(
         d=merged["d"],
@@ -450,9 +411,9 @@ def spec_from_config(cfg: dict, parse_poly) -> SweepSpec:
         strong_eps=merged["strong_eps"],
         record_every=merged["record_every"],
     )
-    window = None
-    if merged["window_min"] is not None and merged["window_max"] is not None:
-        window = (merged["window_min"], merged["window_max"])
+    lo, hi = merged["window_min"], merged["window_max"]
+    if (lo is None) != (hi is None):
+        raise ValueError("window_min and window_max must be given together")
     gamma_mode = merged["gamma"]
     if gamma_mode not in ("auto", "eta_as_gamma"):
         gamma_mode = float(gamma_mode)
@@ -464,5 +425,5 @@ def spec_from_config(cfg: dict, parse_poly) -> SweepSpec:
         jobs=merged["jobs"],
         gamma_mode=gamma_mode,
         use_mean=merged["mean_mode"],
-        slope_window=window,
+        slope_window=None if lo is None else (lo, hi),
     )

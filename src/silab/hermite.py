@@ -217,7 +217,7 @@ def hermite_poly(k: int) -> MonomialPoly:
 
 
 @lru_cache(maxsize=None)
-def _gaussian_moment(m: int) -> int:
+def gaussian_moment(m: int) -> int:
     """E[z^m] for z ~ N(0,1): (m-1)!! for even m, 0 for odd m."""
     if m % 2 == 1:
         return 0
@@ -232,7 +232,7 @@ def _moment_zj_hek(j: int, k: int) -> int:
     """E[z^j He_k(z)], exact, from the double-factorial moment table."""
     if (j + k) % 2 == 1 or j < k:
         return 0
-    return sum(c * _gaussian_moment(i + j) for i, c in enumerate(_hermite_int_coeffs(k)))
+    return sum(c * gaussian_moment(i + j) for i, c in enumerate(_hermite_int_coeffs(k)))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Literal
 
 import numpy as np
 
-from .hermite import MonomialPoly
+from .hermite import MonomialPoly, gaussian_moment
 
 NoiseFamily = Literal["none", "gaussian", "laplace"]
 
@@ -77,10 +77,7 @@ class NoiseSpec:
         if self.is_none or j % 2 == 1:
             return 0.0
         if self.family == "gaussian":
-            dfact = 1
-            for v in range(j - 1, 0, -2):
-                dfact *= v
-            return self.tau**j * dfact
+            return self.tau**j * gaussian_moment(j)
         return self.tau**j * math.factorial(j)
 
     def draw(self, rng: np.random.Generator, size: int):
@@ -127,8 +124,9 @@ class Sample:
 def draw_batch(teacher: TeacherSpec, size: int, rng: np.random.Generator):
     """Draw `size` i.i.d. samples; returns (X, y) with X of shape (size, d)."""
     x = rng.standard_normal((size, teacher.d))
-    z = x @ teacher.theta_star
-    y = teacher.link(z) + teacher.noise.draw(rng, size)
+    y = teacher.link(x @ teacher.theta_star)
+    if not teacher.noise.is_none:
+        y = y + teacher.noise.draw(rng, size)
     return x, y
 
 

@@ -38,14 +38,14 @@ arithmetic); mu_monte_carlo provides the independent sampling route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Literal
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable, Literal
 
 import numpy as np
 
-from .hermite import MonomialPoly, expand, hermite_poly
-from .model import NoiseSpec
+from .hermite import MonomialPoly, expand, gaussian_moment, hermite_poly
+from .model import NoiseSpec, TeacherSpec
 
 OracleKind = Literal["online", "batch_reuse", "alternating", "deep_alternating"]
 
@@ -221,12 +221,7 @@ def mu_table(
     mus = np.zeros(r)
     for k, q in psi.terms:
         u_q = expand(q)
-        ypoly = MonomialPoly.zero()
-        for l in range(k + 1):
-            m = noise.moment(k - l)
-            if m != 0.0:
-                ypoly = ypoly + link.power(l).scale(math.comb(k, l) * m)
-        u_y = expand(ypoly)
+        u_y = expand(_noise_folded_power(link, noise, k))
         contrib = tuple(u_y[i] * u_q[i - 1] for i in range(1, r + 1))
         components.append((k, contrib))
         mus += np.array(contrib)
@@ -236,6 +231,11 @@ def mu_table(
         istar=_istar_set(mus, d),
         components=tuple(components),
     )
+
+
+def mu_of_eta(spec: OracleSpec, teacher: TeacherSpec) -> Callable[[float], MuTable]:
+    """The map eta -> mu table of spec (at that eta) against the teacher."""
+    return lambda eta: mu_table(replace(spec, eta=eta), teacher.link, teacher.noise, teacher.d)
 
 
 @dataclass(frozen=True)
@@ -316,22 +316,12 @@ def mu_integrand_moments(
     return np.array(means), np.array(variances)
 
 
-@lru_cache(maxsize=None)
-def _std_moment(m: int) -> int:
-    if m % 2 == 1:
-        return 0
-    out = 1
-    for v in range(m - 1, 0, -2):
-        out *= v
-    return out
-
-
 def _corr_moment(m: int, n: int, rho: float) -> float:
     """E[s^m z^n] for jointly standard normal (s, z) with correlation rho."""
     total = 0.0
     for j in range(m + 1):
-        em = _std_moment(m - j)
-        en = _std_moment(j + n)
+        em = gaussian_moment(m - j)
+        en = gaussian_moment(j + n)
         if em and en:
             total += (
                 math.comb(m, j)

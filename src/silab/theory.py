@@ -432,9 +432,7 @@ def gamma_auto(
         p_k = _first_nonzero(contrib)
         if p_k is None:
             continue
-        if spec.kind == "alternating":
-            scale = spec.eta ** (k - 1)
-        elif spec.kind == "deep_alternating":
+        if spec.kind in ("alternating", "deep_alternating"):
             scale = spec.eta ** (k - 1)
         else:  # batch_reuse
             scale = (spec.eta * d) ** (k - 1)

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from silab.cli import main, parse_poly
+from silab import cli, harness
+from silab.cli import build_parser, main, parse_poly
+from silab.harness import CONFIG
 from silab.hermite import hermite_poly
 
 
@@ -137,3 +139,76 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 1
         assert "unknown key" in err
+
+
+# Online He1 at a fixed gamma: every eta recovers at the smallest n, so all
+# grid points of the window are recovering.
+QUICK_SWEEP = (
+    "sweep", "--oracle", "online", "--link", "He1", "--act", "He1",
+    "--gamma", "0.1", "--n-min", "512", "--n-max", "512", "--n-count", "1",
+    "--replicates", "1", "--batch", "32", "--window-min", "1e-3", "--window-max", "1",
+    "--d", "10",
+)
+
+
+@pytest.fixture
+def captured_specs(monkeypatch):
+    """SweepSpecs handed to sweep() by the CLI, in call order."""
+    specs = []
+    real = cli.sweep
+
+    def spy(spec):
+        specs.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(cli, "sweep", spy)
+    return specs
+
+
+class TestSweepFlags:
+    def test_every_config_key_has_a_flag(self):
+        assert len(CONFIG) == 27
+        parser = build_parser()
+        for key, (typ, _) in CONFIG.items():
+            flag = "--" + key.replace("_", "-")
+            args = parser.parse_args(["sweep", flag] + ([] if typ is bool else ["1"]))
+            assert getattr(args, key) == (True if typ is bool else typ("1")), key
+
+    def test_flag_overrides_config_file(self, capsys, tmp_path, captured_specs):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("d = 10\n")
+        code, _, _ = run_cli(capsys, *QUICK_SWEEP[:-2], "--config", str(cfg), "--d", "12",
+                             "--eta-count", "1", "--out", str(tmp_path))
+        assert code == 0
+        assert captured_specs[0].base.teacher.d == 12
+
+    def test_mean_mode_sets_use_mean(self, capsys, tmp_path, captured_specs):
+        code, _, _ = run_cli(capsys, *QUICK_SWEEP, "--eta-count", "1", "--mean-mode",
+                             "--out", str(tmp_path))
+        assert code == 0
+        assert captured_specs[0].use_mean
+
+    def test_bad_oracle_exits_1(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "sweep", "--oracle", "bogus", "--out", str(tmp_path))
+        assert code == 1
+        assert "error:" in err and "unknown oracle kind" in err
+
+    def test_bad_init_exits_1_before_any_cell(self, capsys, tmp_path, monkeypatch):
+        cells = []
+        monkeypatch.setattr(harness, "run", lambda cfg: cells.append(cfg))
+        code, _, err = run_cli(capsys, *QUICK_SWEEP, "--init", "bogus", "--out", str(tmp_path))
+        assert code == 1
+        assert "error: unknown init mode" in err
+        assert cells == []
+
+    def test_slope_printed(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, *QUICK_SWEEP, "--eta-count", "4", "--out", str(tmp_path))
+        assert code == 0
+        line = next(l for l in out.splitlines() if l.startswith("# slope="))
+        slope = float(line.split()[1].split("=")[1])
+        assert abs(slope) < 1e-9  # n* is the same at every eta
+
+    def test_slope_unavailable_below_four_points(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, *QUICK_SWEEP, "--eta-count", "3", "--out", str(tmp_path))
+        assert code == 0
+        assert any(l.startswith("# slope=unavailable") for l in out.splitlines())

@@ -18,6 +18,8 @@ from silab import (
     run,
     weak_recovery_sample_size,
 )
+from silab.model import ROLE_DATA, ROLE_INIT, draw_batch, init_network
+from silab.oracles import apply_step
 
 HE3 = hermite_poly(3)
 
@@ -282,3 +284,32 @@ class TestConfigValidation:
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             make_config(weak_threshold=1.5)
+
+    def test_unknown_init_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown init mode"):
+            make_config(init_mode="bogus")
+
+
+class TestNoisyDataStream:
+    """run() draws each block with draw_batch: x first, then the label noise.
+
+    At B = 1 one block is 4096 samples, so a 4096-step run reads exactly one.
+    """
+
+    @pytest.mark.parametrize("noise", [NoiseSpec("gaussian", 0.5), NoiseSpec("laplace", 0.3)])
+    @pytest.mark.parametrize("kind", ["online", "alternating"])
+    def test_matches_hand_replay(self, noise, kind):
+        steps = 4096
+        cfg = make_config(kind=kind, d=10, gamma=0.05, eta=0.2, n=steps, batch=1,
+                          seed=3, record_every=1, noise=noise)
+        traj = run(cfg)
+        teacher = cfg.teacher
+        x, y = draw_batch(teacher, 4096, cfg.seed.child(ROLE_DATA).rng())
+        net = init_network(teacher.d, 1, cfg.oracle.activation, cfg.init_mode,
+                           cfg.seed.child(ROLE_INIT).rng(), theta_star=teacher.theta_star)
+        W = net.W.copy()
+        kappas = [W @ teacher.theta_star]
+        for s in range(steps):
+            W[0] = apply_step(W[0], x[s : s + 1], y[s : s + 1], cfg.oracle, a=1.0).w
+            kappas.append(W @ teacher.theta_star)
+        assert np.array_equal(traj.alignments, np.asarray(kappas))

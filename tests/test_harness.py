@@ -258,6 +258,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config("bogus = 1")
 
+    @pytest.mark.parametrize("key", ["window_min", "window_max"])
+    def test_lone_window_bound_rejected(self, key):
+        from silab.cli import parse_poly
+
+        with pytest.raises(ValueError, match="must be given together"):
+            spec_from_config({key: 0.1}, parse_poly)
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_config("just some words")
