@@ -49,6 +49,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not (self.n >= self.batch_size >= 1):
             raise ValueError("need n >= batch_size >= 1")
+        if self.n_neurons < 1:
+            raise ValueError("need at least one neuron")
+        if self.teacher.d < 2:
+            raise ValueError("need dimension at least 2")
         if not 0.0 < self.weak_threshold < 1.0:
             raise ValueError("weak threshold must lie in (0, 1)")
         if not 0.0 < self.strong_eps < 1.0:

@@ -93,6 +93,8 @@ class SweepSpec:
             raise ValueError("smallest grid n must cover one batch")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        if self.jobs < 1:
+            raise ValueError("jobs must be a positive integer")
 
 
 @dataclass(frozen=True)

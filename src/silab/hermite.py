@@ -280,13 +280,19 @@ class HermiteExpansion:
 
 
 def expand(p: MonomialPoly) -> HermiteExpansion:
-    """Exact change of basis: u_k = E[p(z) He_k(z)] from Gaussian moments."""
-    q = p.degree
+    """Exact change of basis: u_k = E[p(z) He_k(z)] from Gaussian moments.
+
+    Only the pairs with E[z^j He_k] != 0 (j >= k, j + k even) and c_j != 0
+    are summed. For finite coefficients each skipped product is an exact
+    zero, and adding a zero to the running sum (which starts at +0.0 and so
+    is never -0.0) leaves its bits unchanged.
+    """
+    terms = [(j, c) for j, c in enumerate(p.coeffs) if c != 0.0]
     coeffs = []
-    for k in range(q + 1):
+    for k in range(p.degree + 1):
         u = 0.0
-        for j, c in enumerate(p.coeffs):
-            if c != 0.0:
+        for j, c in terms:
+            if j >= k and (j - k) % 2 == 0:
                 u += c * _moment_zj_hek(j, k)
         coeffs.append(u)
     return HermiteExpansion(tuple(coeffs))

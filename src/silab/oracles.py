@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Literal
 
 import numpy as np
 
-from .hermite import MonomialPoly, expand, gaussian_moment, hermite_poly
+from .hermite import HermiteExpansion, MonomialPoly, expand, gaussian_moment, hermite_poly
 from .model import NoiseSpec, TeacherSpec
 
 OracleKind = Literal["online", "batch_reuse", "alternating", "deep_alternating"]
@@ -127,39 +127,71 @@ def _bivariate_product(a: dict[int, MonomialPoly], b: dict[int, MonomialPoly]):
     return out
 
 
+@lru_cache(maxsize=None)
+def _psi_polys(activation: MonomialPoly, kind: str, depth: int) -> tuple[MonomialPoly, ...]:
+    """The eta-free polynomials of effective_psi, before any scale.
+
+    online: (sigma',); alternating: (sigma', sigma sigma'); batch_reuse:
+    (sigma', sigma^(k) sigma'^(k-1) for k = 2..deg sigma); deep_alternating:
+    for each layer i = 1..depth-1, sigma'(F_{i-1}) followed by
+    tail_i F_i sigma'(F_{i-1}), with tail_i the product of sigma'(F_{j-1})
+    over j > i.
+    """
+    sp = activation.derivative()
+    if kind == "online":
+        return (sp,)
+    if kind == "alternating":
+        return (sp, activation * sp)
+    if kind == "batch_reuse":
+        return (sp,) + tuple(
+            activation.derivative(k) * sp.power(k - 1) for k in range(2, activation.degree + 1)
+        )
+    # deep_alternating, unit layer scalars
+    f_levels = [MonomialPoly.monomial(1)]
+    for _ in range(1, depth):
+        f_levels.append(activation.compose(f_levels[-1]))
+    sp_levels = [sp.compose(f_levels[i - 1]) for i in range(1, depth)]
+    out: list[MonomialPoly] = []
+    for i in range(1, depth):
+        tail = MonomialPoly.const(1.0)
+        for j in range(i + 1, depth):
+            tail = tail * sp_levels[j - 1]
+        out += [sp_levels[i - 1], tail * f_levels[i] * sp_levels[i - 1]]
+    return tuple(out)
+
+
 def effective_psi(spec: OracleSpec, d: int, a: float = 1.0) -> Psi:
     """The single-step polynomial oracle used by the theory layer.
 
     For batch_reuse this is the Taylor surrogate in which the squared
     projected norm of x is replaced by its order, d. Terms with zero
     coefficient polynomials are dropped.
+
+    The eta-free polynomials (sigma', sigma sigma', sigma^(k) sigma'^(k-1),
+    and the deep recurrence's sigma'(F_{i-1}) and tail_i F_i sigma'(F_{i-1}))
+    are memoized per (activation, kind, depth) in _psi_polys; each call only
+    scales them by a, eta or (eta d)^(k-1)/(k-1)! and, for deep_alternating,
+    forms the bivariate product over the layers. Those are the operations,
+    in the order, that a fresh construction applies to the same products,
+    so the result is bit for bit the same. (Keys compare by value: two
+    activations that differ only in the sign of a zero coefficient share an
+    entry, and so may differ in the signs of zero coefficients of psi, never
+    in a mu table, whose expansions skip zero coefficients.)
     """
-    sigma = spec.activation
-    sp = sigma.derivative()
+    parts = _psi_polys(spec.activation, spec.kind, spec.depth)
     if spec.kind == "online":
-        raw = {1: sp.scale(a)}
+        raw = {1: parts[0].scale(a)}
     elif spec.kind == "alternating":
-        raw = {1: sp.scale(a), 2: (sigma * sp).scale(spec.eta)}
+        raw = {1: parts[0].scale(a), 2: parts[1].scale(spec.eta)}
     elif spec.kind == "batch_reuse":
-        raw = {1: sp}
-        for k in range(2, sigma.degree + 1):
+        raw = {1: parts[0]}
+        for k in range(2, len(parts) + 1):
             coeff = (spec.eta * d) ** (k - 1) / math.factorial(k - 1)
-            raw[k] = (sigma.derivative(k) * sp.power(k - 1)).scale(coeff)
-    else:  # deep_alternating, unit layer scalars
-        f_levels = [MonomialPoly.monomial(1)]
-        for _ in range(1, spec.depth):
-            f_levels.append(sigma.compose(f_levels[-1]))
-        sp_levels = [sp.compose(f_levels[i - 1]) for i in range(1, spec.depth)]
+            raw[k] = parts[k - 1].scale(coeff)
+    else:  # deep_alternating: one factor a~_i sigma'(F_{i-1}) per layer
         acc = {0: MonomialPoly.const(1.0)}
-        for i in range(1, spec.depth):
-            tail = MonomialPoly.const(1.0)
-            for j in range(i + 1, spec.depth):
-                tail = tail * sp_levels[j - 1]
-            factor = {
-                0: sp_levels[i - 1],
-                1: (tail * f_levels[i] * sp_levels[i - 1]).scale(spec.eta),
-            }
-            acc = _bivariate_product(acc, factor)
+        for sp_level, eta_part in zip(parts[::2], parts[1::2]):
+            acc = _bivariate_product(acc, {0: sp_level, 1: eta_part.scale(spec.eta)})
         raw = {k + 1: q for k, q in acc.items()}  # leading y of the w-step
     terms = tuple(sorted((k, q) for k, q in raw.items() if not q.is_zero))
     if not terms:
@@ -214,14 +246,24 @@ def mu_table(
     The label marginal folds the noise in exactly: E_zeta[(link(s)+zeta)^k]
     is expanded binomially with the noise family's exact central moments, so
     each term contributes u_i(E_zeta[(link+zeta)^k]) * u_{i-1}(q_k).
+
+    Only q_k depends on eta. The label side's Hermite expansion is memoized
+    per (link, noise, k) (_folded_expansion) and the unscaled oracle
+    polynomials per (activation, kind, depth) (see effective_psi); both keys
+    are frozen values, and a cached value is the one a fresh construction
+    returns, so a table is bit for bit what it would be without the caches.
+    An index past an expansion's length reads 0.0 and still enters the
+    product, which keeps the sign of a zero component.
     """
     psi = effective_psi(spec, d, a)
     r = spec.degree_bound if spec.degree_bound is not None else psi.z_degree + 1
     components = []
     mus = np.zeros(r)
     for k, q in psi.terms:
-        u_q = expand(q)
-        u_y = expand(_noise_folded_power(link, noise, k))
+        u_q = expand(q).coeffs
+        u_q += (0.0,) * (r - len(u_q))
+        u_y = _folded_expansion(link, noise, k).coeffs
+        u_y += (0.0,) * (r + 1 - len(u_y))
         contrib = tuple(u_y[i] * u_q[i - 1] for i in range(1, r + 1))
         components.append((k, contrib))
         mus += np.array(contrib)
@@ -270,14 +312,21 @@ def expected_alignment_gain(mu: MuTable, kappa: float) -> float:
     return total * (1.0 - kappa**2)
 
 
+@lru_cache(maxsize=None)
 def _noise_folded_power(link: MonomialPoly, noise: NoiseSpec, k: int) -> MonomialPoly:
-    """E_zeta[(link(s) + zeta)^k] as an exact polynomial in s."""
+    """E_zeta[(link(s) + zeta)^k] as an exact polynomial in s, memoized."""
     out = MonomialPoly.zero()
     for l in range(k + 1):
         m = noise.moment(k - l)
         if m != 0.0:
             out = out + link.power(l).scale(math.comb(k, l) * m)
     return out
+
+
+@lru_cache(maxsize=None)
+def _folded_expansion(link: MonomialPoly, noise: NoiseSpec, k: int) -> HermiteExpansion:
+    """Hermite expansion of E_zeta[(link(s) + zeta)^k], memoized."""
+    return expand(_noise_folded_power(link, noise, k))
 
 
 def mu_integrand_moments(

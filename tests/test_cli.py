@@ -201,6 +201,20 @@ class TestSweepFlags:
         assert "error: unknown init mode" in err
         assert cells == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--neurons", "0"), "error: need at least one neuron"),
+        (("--d", "1"), "error: need dimension at least 2"),
+        (("--jobs", "-2"), "error: jobs must be a positive integer"),
+    ])
+    def test_bad_shape_exits_1_before_any_gamma(self, capsys, tmp_path, monkeypatch,
+                                                flags, message):
+        gammas = []
+        monkeypatch.setattr(harness, "_cell_gamma", lambda spec, eta: gammas.append(eta))
+        code, _, err = run_cli(capsys, *QUICK_SWEEP, *flags, "--out", str(tmp_path))
+        assert code == 1
+        assert message in err
+        assert gammas == []
+
     def test_slope_printed(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, *QUICK_SWEEP, "--eta-count", "4", "--out", str(tmp_path))
         assert code == 0

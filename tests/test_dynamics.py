@@ -289,6 +289,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown init mode"):
             make_config(init_mode="bogus")
 
+    @pytest.mark.parametrize("neurons", [0, -1])
+    def test_no_neurons_rejected(self, neurons):
+        with pytest.raises(ValueError, match="at least one neuron"):
+            make_config(n_neurons=neurons)
+
+    def test_dimension_one_rejected(self):
+        with pytest.raises(ValueError, match="dimension at least 2"):
+            make_config(d=1)
+
+    def test_smallest_valid_shape_accepted(self):
+        assert make_config(d=2, n_neurons=1).teacher.d == 2
+
 
 class TestNoisyDataStream:
     """run() draws each block with draw_batch: x first, then the label noise.

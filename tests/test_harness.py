@@ -258,6 +258,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config("bogus = 1")
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be a positive integer"):
+            tiny_spec(jobs=jobs)
+
     @pytest.mark.parametrize("key", ["window_min", "window_max"])
     def test_lone_window_bound_rejected(self, key):
         from silab.cli import parse_poly

@@ -18,7 +18,17 @@ from silab import (
     step_deep_alternating,
     step_online,
 )
-from silab.oracles import MuTable, alignment_gain_monte_carlo, apply_step, mu_monte_carlo
+from silab.hermite import HermiteExpansion, _moment_zj_hek, expand
+from silab.oracles import (
+    MuTable,
+    _bivariate_product,
+    _corr_moment,
+    _cross_expect,
+    _istar_set,
+    alignment_gain_monte_carlo,
+    apply_step,
+    mu_monte_carlo,
+)
 
 HE3 = hermite_poly(3)
 NOISELESS = NoiseSpec()
@@ -431,3 +441,211 @@ class TestSteinIdentity:
         k = 0.5
         expected = (2.0 + 3.0 * k + 24.0 * k**2 / 2.0) * (1 - k**2)
         assert expected_alignment_gain(mu, k) == pytest.approx(expected)
+
+
+# The exact theory written out without memoization: each call rebuilds the
+# eta-free polynomials, folds the noise into the label power inline and sums
+# every (j, k) pair of the change of basis.
+
+
+def _reference_expand(p):
+    coeffs = []
+    for k in range(p.degree + 1):
+        u = 0.0
+        for j, c in enumerate(p.coeffs):
+            if c != 0.0:
+                u += c * _moment_zj_hek(j, k)
+        coeffs.append(u)
+    return HermiteExpansion(tuple(coeffs))
+
+
+def _reference_folded_power(link, noise, k):
+    out = MonomialPoly.zero()
+    for l in range(k + 1):
+        m = noise.moment(k - l)
+        if m != 0.0:
+            out = out + link.power(l).scale(math.comb(k, l) * m)
+    return out
+
+
+def _reference_psi(spec, d, a):
+    sigma = spec.activation
+    sp = sigma.derivative()
+    if spec.kind == "online":
+        raw = {1: sp.scale(a)}
+    elif spec.kind == "alternating":
+        raw = {1: sp.scale(a), 2: (sigma * sp).scale(spec.eta)}
+    elif spec.kind == "batch_reuse":
+        raw = {1: sp}
+        for k in range(2, sigma.degree + 1):
+            coeff = (spec.eta * d) ** (k - 1) / math.factorial(k - 1)
+            raw[k] = (sigma.derivative(k) * sp.power(k - 1)).scale(coeff)
+    else:
+        f_levels = [MonomialPoly.monomial(1)]
+        for _ in range(1, spec.depth):
+            f_levels.append(sigma.compose(f_levels[-1]))
+        sp_levels = [sp.compose(f_levels[i - 1]) for i in range(1, spec.depth)]
+        acc = {0: MonomialPoly.const(1.0)}
+        for i in range(1, spec.depth):
+            tail = MonomialPoly.const(1.0)
+            for j in range(i + 1, spec.depth):
+                tail = tail * sp_levels[j - 1]
+            factor = {
+                0: sp_levels[i - 1],
+                1: (tail * f_levels[i] * sp_levels[i - 1]).scale(spec.eta),
+            }
+            acc = _bivariate_product(acc, factor)
+        raw = {k + 1: q for k, q in acc.items()}
+    terms = tuple(sorted((k, q) for k, q in raw.items() if not q.is_zero))
+    return terms or ((1, MonomialPoly.zero()),)
+
+
+def _reference_r(spec, terms):
+    return spec.degree_bound or max(q.degree for _, q in terms) + 1
+
+
+def _reference_mu_table(spec, link, noise, d, a):
+    terms = _reference_psi(spec, d, a)
+    r = _reference_r(spec, terms)
+    components = []
+    mus = np.zeros(r)
+    for k, q in terms:
+        u_q = _reference_expand(q)
+        u_y = _reference_expand(_reference_folded_power(link, noise, k))
+        contrib = tuple(u_y[i] * u_q[i - 1] for i in range(1, r + 1))
+        components.append((k, contrib))
+        mus += np.array(contrib)
+    return tuple(float(v) for v in mus), _istar_set(mus, d), tuple(components)
+
+
+def _reference_integrand_moments(spec, link, noise, d, a):
+    terms = _reference_psi(spec, d, a)
+    means, variances = [], []
+    for i in range(1, _reference_r(spec, terms) + 1):
+        hei, heim1 = hermite_poly(i), hermite_poly(i - 1)
+        mean = second = 0.0
+        for k, qk in terms:
+            mean += (_reference_expand(_reference_folded_power(link, noise, k) * hei)[0]
+                     * _reference_expand(qk * heim1)[0])
+        for k, qk in terms:
+            for l, ql in terms:
+                e_s = _reference_expand(_reference_folded_power(link, noise, k + l) * hei * hei)[0]
+                e_b = _reference_expand(qk * ql * heim1 * heim1)[0]
+                second += e_s * e_b
+        means.append(mean)
+        variances.append(max(second - mean * mean, 0.0))
+    return means, variances
+
+
+def _reference_gain_moments(spec, link, noise, d, kappa, a):
+    terms = _reference_psi(spec, d, a)
+    mean = 0.0
+    for k, qk in terms:
+        for alpha, ca in enumerate(_reference_folded_power(link, noise, k).coeffs):
+            if ca == 0.0:
+                continue
+            for beta, cb in enumerate(qk.coeffs):
+                if cb == 0.0:
+                    continue
+                mean += ca * cb * (_corr_moment(alpha + 1, beta, kappa)
+                                   - kappa * _corr_moment(alpha, beta + 1, kappa))
+    second = 0.0
+    for k, qk in terms:
+        for l, ql in terms:
+            second += _cross_expect(_reference_folded_power(link, noise, k + l), qk * ql, kappa)
+    return mean, max(second - mean * mean, 0.0)
+
+
+HE2 = hermite_poly(2)
+NEG_HE3 = HE3.scale(-1.0)
+FRAC = MonomialPoly((0.2, -1.1, 0.35, 0.45))
+FRAC2 = MonomialPoly((-0.1, 0.7, 0.3))
+ACT_NAMES = {HE3: "He3", NEG_HE3: "-He3", HE2: "He2", FRAC: "frac3", FRAC2: "frac2"}
+NOISES = [NOISELESS, NoiseSpec("gaussian", 0.5), NoiseSpec("laplace", 0.3)]
+ETAS = (0.0, 1e-3, 0.21, 1.0)
+
+
+class TestMemoizedTheoryBitIdentity:
+    """mu_table and the exact moments equal the unmemoized formulas bit for bit."""
+
+    # (kind, activation, depth, d, a); the inexact coefficients of FRAC and
+    # FRAC2 make the products' rounding, and so their order, show in the bits
+    CASES = [
+        ("online", HE3, 2, 50, 1.0),
+        ("online", NEG_HE3, 2, 50, 0.7),
+        ("alternating", HE3, 2, 50, 1.0),
+        ("alternating", FRAC, 2, 25, 0.7),
+        ("batch_reuse", HE3, 2, 10, 1.0),
+        ("batch_reuse", FRAC, 2, 100, 1.0),
+        ("deep_alternating", HE3, 2, 50, 1.0),
+        ("deep_alternating", HE2, 3, 50, 1.0),
+        ("deep_alternating", FRAC2, 3, 25, 1.0),
+    ]
+    IDS = [f"{k}-{ACT_NAMES[s]}"
+           f"-depth{D}-d{d}-a{a}" for k, s, D, d, a in CASES]
+
+    @pytest.mark.parametrize("link", [HE3, HE2], ids=["He3", "He2"])
+    @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.family)
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_mu_table(self, case, noise, link):
+        kind, act, depth, d, a = case
+        for eta in ETAS:
+            spec = OracleSpec(kind=kind, activation=act, eta=eta, depth=depth)
+            mus, istar, components = _reference_mu_table(spec, link, noise, d, a)
+            tab = mu_table(spec, link, noise, d, a)
+            assert effective_psi(spec, d, a).terms == _reference_psi(spec, d, a)
+            assert tab.mus == mus
+            assert tab.istar == istar
+            assert tab.components == components
+            assert repr(tab.components) == repr(components)  # signed zeros too
+
+    @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.family)
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_exact_moments(self, case, noise):
+        from silab.oracles import alignment_gain_moments, mu_integrand_moments
+
+        kind, act, depth, d, a = case
+        for eta in ETAS[1:3]:
+            spec = OracleSpec(kind=kind, activation=act, eta=eta, depth=depth)
+            means, variances = mu_integrand_moments(spec, HE3, noise, d, a)
+            ref_means, ref_variances = _reference_integrand_moments(spec, HE3, noise, d, a)
+            assert means.tolist() == ref_means
+            assert variances.tolist() == ref_variances
+            for kappa in (0.05, 0.5):
+                got = alignment_gain_moments(spec, HE3, noise, d, kappa, a)
+                assert got == _reference_gain_moments(spec, HE3, noise, d, kappa, a)
+
+    @pytest.mark.parametrize("first, second", [
+        (OracleSpec(kind="alternating", activation=HE3, eta=0.3),
+         OracleSpec(kind="alternating", activation=HE2 + HE3, eta=0.3)),
+        (OracleSpec(kind="deep_alternating", activation=HE2, eta=0.3, depth=2),
+         OracleSpec(kind="deep_alternating", activation=HE2, eta=0.3, depth=3)),
+    ], ids=["activation", "depth"])
+    def test_specs_differing_in_one_key_get_their_own_tables(self, first, second):
+        d = 50
+        tables = [mu_table(spec, HE3, NOISELESS, d) for spec in (first, second, first, second)]
+        assert tables[0].mus != tables[1].mus
+        for spec, tab in zip((first, second) * 2, tables):
+            assert tab.mus == _reference_mu_table(spec, HE3, NOISELESS, d, 1.0)[0]
+
+    def test_noise_scales_get_their_own_label_expansions(self):
+        # the y^3 term sees tau through E[(link + zeta)^3] = link^3 + 3 tau^2 link
+        spec = OracleSpec(kind="batch_reuse", activation=HE3, eta=0.3)
+        for tau in (0.5, 0.25, 0.5):
+            noise = NoiseSpec("gaussian", tau)
+            assert mu_table(spec, HE3, noise, 50).mus == _reference_mu_table(
+                spec, HE3, noise, 50, 1.0)[0]
+
+    @pytest.mark.parametrize("coeffs", [
+        (0.0,),
+        (0.0, 1.5, 0.0, -2.0, 0.0, 0.25),
+        (3.0, 0.0, -1.0, 0.0, 0.5),
+        (-0.1, 0.2, -0.3, 0.4, -0.5, 0.6, -0.7),
+        (0.0, 0.0, 0.0, -4.0),
+        (1e-300, -1e300, 0.0, 3.5, -0.0, 1e-17, 2.0),
+    ], ids=["zero", "odd", "even", "mixed-signs", "monomial", "wide-range"])
+    def test_expand_matches_full_double_loop(self, coeffs):
+        p = MonomialPoly(coeffs)
+        got, want = expand(p), _reference_expand(p)
+        assert got.coeffs == want.coeffs
+        assert repr(got.coeffs) == repr(want.coeffs)
