@@ -141,6 +141,12 @@ def run(config: RunConfig) -> Trajectory:
     replaced by the trial values. Samples are drawn in blocks (values and
     order identical for identical seeds regardless of block size in the
     noiseless case; the blocking itself is a fixed implementation constant).
+
+    Each step hands apply_step, called through this module's global, a
+    C-contiguous (B, d) row slice of the drawn block and its 1-D label slice,
+    both float64, which the step core takes as they are. The loop reads the
+    config and each step's result once, and records with W.dot(theta), the
+    same BLAS call as W @ theta, so its bits are those of the plain loop.
     """
     teacher = config.teacher
     oracle = config.oracle
@@ -155,12 +161,16 @@ def run(config: RunConfig) -> Trajectory:
     data_rng = config.seed.child(ROLE_DATA).rng()
     n_steps = config.n_steps
     bsz = config.batch_size
+    n_neurons = config.n_neurons
+    record_every = config.record_every
+    audit = config.audit
     theta = teacher.theta_star
+    W = net.W
     a_vals = [float(a) for a in net.a]
 
     rec_steps = [0]
     rec_kappa = [alignment(net, teacher)]
-    audit_rows: list[tuple] = [] if config.audit else None
+    audit_rows: list[tuple] = [] if audit else None
     diverged = False
     rejected = 0
 
@@ -169,39 +179,42 @@ def run(config: RunConfig) -> Trajectory:
     while step < n_steps:
         n_block = min(block, n_steps - step)
         x_all, y_all = draw_batch(teacher, n_block * bsz, data_rng)
-        for s in range(n_block):
-            x = x_all[s * bsz : (s + 1) * bsz]
-            y = y_all[s * bsz : (s + 1) * bsz]
+        for lo in range(0, n_block * bsz, bsz):
+            x = x_all[lo : lo + bsz]
+            y = y_all[lo : lo + bsz]
             bad = False
-            for j in range(config.n_neurons):
-                w_before = net.W[j]
-                res = apply_step(w_before, x, y, oracle, a=a_vals[j])
+            for j in range(n_neurons):
+                w_before = W[j]
+                res = apply_step(w_before, x, y, oracle, a_vals[j])
+                w_new = res.w
+                prenorm = res.prenorm
                 if res.rejected:
                     rejected += 1
-                if not math.isfinite(res.prenorm) or res.prenorm >= DIVERGENCE_NORM:
+                if not math.isfinite(prenorm) or prenorm >= DIVERGENCE_NORM:
                     bad = True
-                if config.audit:
+                if audit:
                     # capture before the row buffer is overwritten below
+                    g = res.raw_update
                     audit_rows.append(
                         (
                             step,
                             j,
-                            float(theta @ w_before),
-                            float(theta @ res.w),
-                            float(theta @ res.raw_update),
-                            float(res.raw_update @ res.raw_update),
+                            float(theta.dot(w_before)),
+                            float(theta.dot(w_new)),
+                            float(theta.dot(g)),
+                            float(g.dot(g)),
                         )
                     )
-                net.W[j] = res.w
+                W[j] = w_new
             step += 1
             if bad:
                 diverged = True
                 rec_steps.append(step)
-                rec_kappa.append(net.W @ theta)
+                rec_kappa.append(W.dot(theta))
                 break
-            if step % config.record_every == 0 or step == n_steps:
+            if step % record_every == 0 or step == n_steps:
                 rec_steps.append(step)
-                rec_kappa.append(net.W @ theta)
+                rec_kappa.append(W.dot(theta))
         if diverged:
             break
 
@@ -212,10 +225,10 @@ def run(config: RunConfig) -> Trajectory:
     strong = None if diverged else _first_crossing(steps_arr, best, 1.0 - config.strong_eps)
 
     trace = None
-    if config.audit and audit_rows:
+    if audit and audit_rows:
         arr = np.asarray(audit_rows)
-        n_rows = len(audit_rows) // config.n_neurons
-        shape = (n_rows, config.n_neurons)
+        n_rows = len(audit_rows) // n_neurons
+        shape = (n_rows, n_neurons)
         trace = AuditTrace(
             kappa_before=arr[:, 2].reshape(shape),
             kappa_after=arr[:, 3].reshape(shape),

@@ -570,7 +570,27 @@ class StepResult:
     rejected: bool
 
 
+_FLOAT64 = np.dtype(float)
+
+
 def _as_batch(x, y):
+    """x as a (B, d) float array and y as a (B,) one.
+
+    A 2-D float64 ndarray x with a 1-D float64 ndarray y, which is what run()
+    passes (a row block of the drawn data and its label slice), comes back as
+    the very same objects: np.asarray(..., dtype=float) would return them
+    unchanged too, so skipping it cannot change a bit. Anything else (lists,
+    other dtypes, ndarray subclasses, a single sample) goes through np.asarray.
+    """
+    if (
+        type(x) is np.ndarray
+        and type(y) is np.ndarray
+        and x.dtype is _FLOAT64
+        and y.dtype is _FLOAT64
+        and x.ndim == 2
+        and y.ndim == 1
+    ):
+        return x, y
     xb = np.asarray(x, dtype=float)
     if xb.ndim == 1:
         xb = xb[None, :]
@@ -628,12 +648,13 @@ _COEFFICIENTS = {
 def _normalize_step(w: np.ndarray, g: np.ndarray, gamma: float) -> StepResult:
     if gamma == 0.0:
         # exact no-op; w is already unit so renormalizing would only add noise
-        return StepResult(w=w, raw_update=g, prenorm=1.0, rejected=False)
+        return StepResult(w, g, 1.0, False)
     v = w + gamma * g
     prenorm = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a vector
     if prenorm == 0.0:
-        return StepResult(w=w, raw_update=g, prenorm=prenorm, rejected=True)
-    return StepResult(w=v / prenorm, raw_update=g, prenorm=prenorm, rejected=False)
+        return StepResult(w, g, prenorm, True)
+    v /= prenorm  # v is fresh; in place gives the bits of v / prenorm
+    return StepResult(v, g, prenorm, False)
 
 
 def _step(w: np.ndarray, x, y, spec: OracleSpec, coef, a: float = 1.0) -> StepResult:
@@ -642,19 +663,27 @@ def _step(w: np.ndarray, x, y, spec: OracleSpec, coef, a: float = 1.0) -> StepRe
     With one sample the coefficient is scalar arithmetic on Python floats,
     and the mean update is x c; with a batch it is the same arithmetic on
     arrays. Both give the bits of the batched array formulas.
+
+    xb w and w v are taken with ndarray.dot, which costs less dispatch than
+    @. On a block whose rows BLAS can address, which includes every C-order
+    float64 block and so everything run() passes, both make the same BLAS
+    call (gemv for xb w, ddot for w v), so the bits are those of @. On a
+    strided view that BLAS cannot take as it is, dot and @ fall back to
+    different loops and may differ in the last bit.
     """
     xb, yb = _as_batch(x, y)
-    z = xb @ w
+    z = xb.dot(w)
     xsq = np.einsum("ij,ij->i", xb, xb) if coef is _c_batch_reuse else None
-    if xb.shape[0] == 1:
-        c = coef(spec, float(yb[0]), float(z[0]), a, None if xsq is None else float(xsq[0]))
+    if len(xb) == 1:
+        c = coef(spec, yb.item(0), z.item(0), a, None if xsq is None else xsq.item(0))
         v = xb[0] * c
     else:
         c = coef(spec, yb, z, a, xsq)
         v = xb.T @ c / c.shape[0]
     # Projection is linear, so projecting the batch mean equals the mean of
-    # per-sample projected updates.
-    return _normalize_step(w, v - w * (w @ v), spec.gamma)
+    # per-sample projected updates. v is fresh, so it is projected in place.
+    v -= w * w.dot(v)
+    return _normalize_step(w, v, spec.gamma)
 
 
 def step_online(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:

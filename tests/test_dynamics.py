@@ -18,6 +18,7 @@ from silab import (
     run,
     weak_recovery_sample_size,
 )
+from silab.dynamics import DIVERGENCE_NORM
 from silab.model import ROLE_DATA, ROLE_INIT, draw_batch, init_network
 from silab.oracles import apply_step
 
@@ -149,16 +150,14 @@ class TestGoldenRun:
 
 
 class TestEtaZeroDegeneration:
-    def test_trajectories_bit_identical(self):
-        n, d = 200 * 64, 25
-        base = dict(d=d, gamma=0.002, n=n, batch=64, seed=11, record_every=1)
+    @pytest.mark.parametrize("batch", [64, 1])
+    def test_trajectories_bit_identical(self, batch):
+        base = dict(d=25, gamma=0.002, n=200 * batch, batch=batch, seed=11, record_every=1)
         ref = run(make_config(kind="online", **base))
-        for kind in ("batch_reuse", "alternating"):
+        for kind in ("batch_reuse", "alternating", "deep_alternating"):  # deep at depth 2
             other = run(make_config(kind=kind, eta=0.0, **base))
-            assert np.array_equal(ref.alignments, other.alignments)
-            assert np.array_equal(ref.final_network.W, other.final_network.W)
-        deep = run(make_config(kind="deep_alternating", eta=0.0, depth=2, **base))
-        assert np.array_equal(ref.final_network.W, deep.final_network.W)
+            assert np.array_equal(ref.alignments, other.alignments), kind
+            assert np.array_equal(ref.final_network.W, other.final_network.W), kind
 
 
 class TestNormalizationAudit:
@@ -302,6 +301,58 @@ class TestConfigValidation:
         assert make_config(d=2, n_neurons=1).teacher.d == 2
 
 
+def _hand_replay(cfg):
+    """run() written out as a plain loop over the public apply_step.
+
+    The run must fit in one draw block (4096 samples), so one draw_batch call
+    reads the whole data stream.
+    """
+    teacher, oracle, bsz = cfg.teacher, cfg.oracle, cfg.batch_size
+    n_steps = cfg.n_steps
+    assert n_steps * bsz <= 4096
+    net = init_network(teacher.d, cfg.n_neurons, oracle.activation, cfg.init_mode,
+                       cfg.seed.child(ROLE_INIT).rng(), theta_star=teacher.theta_star)
+    x, y = draw_batch(teacher, n_steps * bsz, cfg.seed.child(ROLE_DATA).rng())
+    theta = teacher.theta_star
+    W = net.W.copy()
+    steps, kappas, audit = [0], [W @ theta], []
+    rejected, diverged = 0, False
+    for step in range(1, n_steps + 1):
+        xs, ys = x[(step - 1) * bsz : step * bsz], y[(step - 1) * bsz : step * bsz]
+        row = []
+        for j in range(cfg.n_neurons):
+            w = W[j].copy()
+            res = apply_step(w, xs, ys, oracle, a=float(net.a[j]))
+            rejected += res.rejected
+            if not math.isfinite(res.prenorm) or res.prenorm >= DIVERGENCE_NORM:
+                diverged = True
+            g = res.raw_update
+            row.append((theta @ w, theta @ res.w, theta @ g, g @ g))
+            W[j] = res.w
+        audit.append(row)
+        if diverged or step % cfg.record_every == 0 or step == n_steps:
+            steps.append(step)
+            kappas.append(W @ theta)
+        if diverged:
+            break
+    return np.asarray(steps), np.asarray(kappas), W, np.asarray(audit), rejected, diverged
+
+
+def _assert_run_matches_hand_replay(cfg):
+    traj = run(cfg)
+    steps, kappas, W, audit, rejected, diverged = _hand_replay(cfg)
+    assert np.array_equal(traj.steps, steps)
+    assert np.array_equal(traj.alignments, kappas)
+    assert np.array_equal(traj.final_network.W, W)
+    if cfg.audit:
+        t = traj.audit_trace
+        for k, arr in enumerate((t.kappa_before, t.kappa_after, t.theta_dot_g, t.g_norm_sq)):
+            assert np.array_equal(arr, audit[:, :, k])
+    assert traj.rejected_steps == rejected
+    assert traj.diverged == diverged
+    return traj
+
+
 class TestNoisyDataStream:
     """run() draws each block with draw_batch: x first, then the label noise.
 
@@ -311,17 +362,34 @@ class TestNoisyDataStream:
     @pytest.mark.parametrize("noise", [NoiseSpec("gaussian", 0.5), NoiseSpec("laplace", 0.3)])
     @pytest.mark.parametrize("kind", ["online", "alternating"])
     def test_matches_hand_replay(self, noise, kind):
-        steps = 4096
-        cfg = make_config(kind=kind, d=10, gamma=0.05, eta=0.2, n=steps, batch=1,
+        cfg = make_config(kind=kind, d=10, gamma=0.05, eta=0.2, n=4096, batch=1,
                           seed=3, record_every=1, noise=noise)
-        traj = run(cfg)
-        teacher = cfg.teacher
-        x, y = draw_batch(teacher, 4096, cfg.seed.child(ROLE_DATA).rng())
-        net = init_network(teacher.d, 1, cfg.oracle.activation, cfg.init_mode,
-                           cfg.seed.child(ROLE_INIT).rng(), theta_star=teacher.theta_star)
-        W = net.W.copy()
-        kappas = [W @ teacher.theta_star]
-        for s in range(steps):
-            W[0] = apply_step(W[0], x[s : s + 1], y[s : s + 1], cfg.oracle, a=1.0).w
-            kappas.append(W @ teacher.theta_star)
-        assert np.array_equal(traj.alignments, np.asarray(kappas))
+        _assert_run_matches_hand_replay(cfg)
+
+
+class TestRunMatchesHandReplay:
+    """run() against _hand_replay: every recorded bit, two neurons, audit on."""
+
+    KINDS = {
+        "online": dict(kind="online"),
+        "batch_reuse": dict(kind="batch_reuse", eta=1e-3),
+        "alternating": dict(kind="alternating", eta=0.5),
+        "deep_alternating": dict(kind="deep_alternating", eta=0.5,
+                                 act=MonomialPoly.monomial(2), depth=3),
+    }
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_every_oracle(self, kind, batch):
+        cfg = make_config(gamma=0.01, n=100 * batch, batch=batch, seed=5, n_neurons=2,
+                          record_every=3, audit=True, **self.KINDS[kind])
+        traj = _assert_run_matches_hand_replay(cfg)
+        assert not traj.diverged
+        assert traj.steps[-1] == 100  # the last step is recorded off the record_every grid
+
+    def test_diverging_run(self):
+        cfg = make_config(kind="alternating", d=10, eta=1.0, gamma=1e9, n=200, batch=1,
+                          seed=2, n_neurons=2, record_every=3, audit=True)
+        traj = _assert_run_matches_hand_replay(cfg)
+        assert traj.diverged
+        assert traj.steps[-1] < 200

@@ -21,6 +21,7 @@ from silab import (
 from silab.hermite import HermiteExpansion, _moment_zj_hek, expand
 from silab.oracles import (
     MuTable,
+    _as_batch,
     _bivariate_product,
     _corr_moment,
     _cross_expect,
@@ -368,6 +369,64 @@ class TestStepCoreBitIdentity:
                 single = apply_step(w, x[0], float(y[0]), spec, a=a)
                 assert np.array_equal(single.w, w_ref)
                 assert single.prenorm == prenorm_ref
+
+    @staticmethod
+    def _conversion_path(x, y):
+        """What _as_batch does for inputs that are not already float arrays."""
+        xb = np.asarray(x, dtype=float)
+        if xb.ndim == 1:
+            xb = xb[None, :]
+        yb = np.asarray(y, dtype=float)
+        if yb.ndim == 0:
+            yb = yb[None]
+        return xb, yb
+
+    def test_as_batch_inputs_give_the_conversion_bits(self):
+        rng = np.random.default_rng(31)
+        d = 25
+        block = rng.standard_normal((16, d))
+        labels = rng.standard_normal(16)
+        wide = rng.standard_normal((8, 2 * d))
+        ints = rng.integers(-3, 4, size=(4, d))
+        inputs = {
+            "row slice": (block[4:8], labels[4:8]),  # views, as run() passes
+            "one-row slice": (block[5:6], labels[5:6]),
+            "strided view": (wide[::2, 1::2], labels[::4]),
+            "int": (ints, ints[:, 0]),
+            "float32": (block[:4].astype(np.float32), labels[:4].astype(np.float32)),
+            "vector and scalar": (block[0], float(labels[0])),
+            "lists": (block[:4].tolist(), labels[:4].tolist()),
+        }
+        spec = OracleSpec(kind="alternating", activation=HE3, gamma=0.05, eta=0.5)
+        w = unit(rng.standard_normal(d))
+        for name, (x, y) in inputs.items():
+            xb, yb = _as_batch(x, y)
+            x_ref, y_ref = self._conversion_path(x, y)
+            assert xb.dtype == yb.dtype == np.float64, name
+            assert xb.ndim == 2 and yb.ndim == 1, name
+            assert np.array_equal(xb, x_ref) and np.array_equal(yb, y_ref), name
+            res = apply_step(w, x, y, spec, a=1.3)
+            ref = apply_step(w, x_ref, y_ref, spec, a=1.3)
+            assert np.array_equal(res.w, ref.w), name
+            assert np.array_equal(res.raw_update, ref.raw_update), name
+            assert res.prenorm == ref.prenorm, name
+        # float64 arrays pass through as the very objects np.asarray returns
+        for name in ("row slice", "one-row slice", "strided view"):
+            x, y = inputs[name]
+            xb, yb = _as_batch(x, y)
+            assert xb is x and yb is y
+            assert xb is np.asarray(x, dtype=float) and yb is np.asarray(y, dtype=float)
+        # a contiguous view steps with the bits of its copy
+        for name in ("row slice", "one-row slice"):
+            x, y = inputs[name]
+            res = apply_step(w, x, y, spec, a=1.3)
+            ref = apply_step(w, x.copy(), y.copy(), spec, a=1.3)
+            assert np.array_equal(res.w, ref.w) and res.prenorm == ref.prenorm
+        # other dtypes are converted, never passed through
+        for name in ("int", "float32"):
+            x, y = inputs[name]
+            xb, yb = _as_batch(x, y)
+            assert xb is not x and yb is not y
 
     @pytest.mark.parametrize(
         "poly",
