@@ -43,6 +43,65 @@ def _check_degree(deg: int, what: str) -> None:
         )
 
 
+# -- the polynomial core --------------------------------------------------------
+# A polynomial is a tuple of floats, coefficient j multiplying z**j, with
+# trailing zeros stripped and the zero polynomial stored as one coefficient.
+# MonomialPoly and expand wrap these functions, and the exact theory in
+# oracles calls them on bare tuples; there is no other polynomial arithmetic.
+
+
+def _strip(c: tuple) -> tuple:
+    n = len(c)
+    while n > 1 and c[n - 1] == 0.0:
+        n -= 1
+    return c[:n] if c else (0.0,)
+
+
+def _is_zero(a: tuple) -> bool:
+    return len(a) == 1 and a[0] == 0.0
+
+
+def _padd(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for j, v in enumerate(b):
+        out[j] += v
+    return _strip(tuple(out))
+
+
+def _pscale(c: float, a: tuple) -> tuple:
+    return _strip(tuple([float(c * v) for v in a]))
+
+
+def _pmul(a: tuple, b: tuple) -> tuple:
+    if _is_zero(a) or _is_zero(b):
+        return (0.0,)
+    _check_degree(len(a) + len(b) - 2, "product")
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != 0.0:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _strip(tuple(out))
+
+
+def _expand(c: tuple, rows: tuple | None = None) -> tuple:
+    """Hermite coefficients u_k = E[p(z) He_k(z)] of the polynomial c.
+
+    rows is _moment_rows(n) for any n >= deg c. Each u_k sums c_j E[z^j He_k]
+    over j >= k with j - k even and c_j != 0, in increasing j.
+    """
+    if rows is None:
+        rows = _moment_rows(len(c) - 1)
+    u = [0.0] * len(c)
+    for j, cj in enumerate(c):
+        if cj != 0.0:
+            for k, m in rows[j]:
+                u[k] += cj * m
+    return tuple(u)
+
+
 @dataclass(frozen=True)
 class MonomialPoly:
     """Polynomial in the monomial basis: coeffs[j] multiplies z**j.
@@ -54,13 +113,16 @@ class MonomialPoly:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        c = tuple(float(v) for v in self.coeffs)
-        n = len(c)
-        while n > 1 and c[n - 1] == 0.0:
-            n -= 1
-        c = c[:n] if c else (0.0,)
+        c = _strip(tuple(float(v) for v in self.coeffs))
         _check_degree(len(c) - 1, "polynomial")
         object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def _of(cls, c: tuple[float, ...]) -> "MonomialPoly":
+        """Wrap a tuple the core returned (stripped floats within the cap)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", c)
+        return p
 
     # -- constructors -------------------------------------------------------
 
@@ -90,7 +152,7 @@ class MonomialPoly:
 
     @property
     def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.coeffs)
+        return _is_zero(self.coeffs)
 
     @property
     def is_constant(self) -> bool:
@@ -120,31 +182,16 @@ class MonomialPoly:
     # -- exact coefficient arithmetic ---------------------------------------
 
     def __add__(self, other: "MonomialPoly") -> "MonomialPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, v in enumerate(b):
-            out[j] += v
-        return MonomialPoly(tuple(out))
+        return MonomialPoly._of(_padd(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "MonomialPoly") -> "MonomialPoly":
         return self + other.scale(-1.0)
 
     def scale(self, c: float) -> "MonomialPoly":
-        return MonomialPoly(tuple(c * v for v in self.coeffs))
+        return MonomialPoly._of(_pscale(c, self.coeffs))
 
     def __mul__(self, other: "MonomialPoly") -> "MonomialPoly":
-        if self.is_zero or other.is_zero:
-            return MonomialPoly.zero()
-        _check_degree(self.degree + other.degree, "product")
-        out = [0.0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0.0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return MonomialPoly(tuple(out))
+        return MonomialPoly._of(_pmul(self.coeffs, other.coeffs))
 
     def power(self, k: int) -> "MonomialPoly":
         if k < 0:
@@ -213,7 +260,13 @@ def _hermite_int_coeffs(k: int) -> tuple[int, ...]:
 
 def hermite_poly(k: int) -> MonomialPoly:
     """He_k as an exact MonomialPoly."""
-    return MonomialPoly(tuple(float(c) for c in _hermite_int_coeffs(k)))
+    return MonomialPoly._of(_hermite_coeffs(k))
+
+
+@lru_cache(maxsize=None)
+def _hermite_coeffs(k: int) -> tuple[float, ...]:
+    """Float monomial coefficients of He_k, the tuple hermite_poly wraps."""
+    return tuple(float(c) for c in _hermite_int_coeffs(k))
 
 
 @lru_cache(maxsize=None)
@@ -233,6 +286,20 @@ def _moment_zj_hek(j: int, k: int) -> int:
     if (j + k) % 2 == 1 or j < k:
         return 0
     return sum(c * gaussian_moment(i + j) for i, c in enumerate(_hermite_int_coeffs(k)))
+
+
+@lru_cache(maxsize=None)
+def _moment_rows(n: int) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """Row j = 0..n holds the pairs (k, E[z^j He_k]) with k <= j, j - k even.
+
+    This is the table _expand reads. float(m) is the double that c * m
+    converts the integer m to, so a product with the stored float has the
+    bits of the product with m.
+    """
+    return tuple(
+        tuple((k, float(_moment_zj_hek(j, k))) for k in range(j % 2, j + 1, 2))
+        for j in range(n + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -285,17 +352,11 @@ def expand(p: MonomialPoly) -> HermiteExpansion:
     Only the pairs with E[z^j He_k] != 0 (j >= k, j + k even) and c_j != 0
     are summed. For finite coefficients each skipped product is an exact
     zero, and adding a zero to the running sum (which starts at +0.0 and so
-    is never -0.0) leaves its bits unchanged.
+    is never -0.0) leaves its bits unchanged. Each u_k receives its terms in
+    increasing j whether the loop runs over k or over j, so _expand's j-major
+    loop gives the bits of a k-major one.
     """
-    terms = [(j, c) for j, c in enumerate(p.coeffs) if c != 0.0]
-    coeffs = []
-    for k in range(p.degree + 1):
-        u = 0.0
-        for j, c in terms:
-            if j >= k and (j - k) % 2 == 0:
-                u += c * _moment_zj_hek(j, k)
-        coeffs.append(u)
-    return HermiteExpansion(tuple(coeffs))
+    return HermiteExpansion(_expand(p.coeffs))
 
 
 def information_exponent(g: HermiteExpansion, tol: float | None = None) -> int | None:

@@ -40,11 +40,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
-from .hermite import HermiteExpansion, MonomialPoly, expand, gaussian_moment, hermite_poly
+from .hermite import (
+    MAX_DEGREE,
+    MonomialPoly,
+    _expand,
+    _hermite_coeffs,
+    _is_zero,
+    _moment_rows,
+    _padd,
+    _pmul,
+    _pscale,
+    gaussian_moment,
+)
 from .model import NoiseSpec, TeacherSpec
 
 OracleKind = Literal["online", "batch_reuse", "alternating", "deep_alternating"]
@@ -117,19 +128,20 @@ class Psi:
         return acc
 
 
-def _bivariate_product(a: dict[int, MonomialPoly], b: dict[int, MonomialPoly]):
-    out: dict[int, MonomialPoly] = {}
+def _bivariate_product(a: dict[int, tuple], b: dict[int, tuple]) -> dict[int, tuple]:
+    """Product of two bivariate polynomials sum_k y^k q_k(z), q_k as tuples."""
+    out: dict[int, tuple] = {}
     for ka, qa in a.items():
         for kb, qb in b.items():
-            prod = qa * qb
+            prod = _pmul(qa, qb)
             key = ka + kb
-            out[key] = out[key] + prod if key in out else prod
+            out[key] = _padd(out[key], prod) if key in out else prod
     return out
 
 
 @lru_cache(maxsize=None)
-def _psi_polys(activation: MonomialPoly, kind: str, depth: int) -> tuple[MonomialPoly, ...]:
-    """The eta-free polynomials of effective_psi, before any scale.
+def _psi_polys(activation: MonomialPoly, kind: str, depth: int) -> tuple[tuple[float, ...], ...]:
+    """The eta-free polynomials of effective_psi, before any scale, as tuples.
 
     online: (sigma',); alternating: (sigma', sigma sigma'); batch_reuse:
     (sigma', sigma^(k) sigma'^(k-1) for k = 2..deg sigma); deep_alternating:
@@ -139,25 +151,52 @@ def _psi_polys(activation: MonomialPoly, kind: str, depth: int) -> tuple[Monomia
     """
     sp = activation.derivative()
     if kind == "online":
-        return (sp,)
-    if kind == "alternating":
-        return (sp, activation * sp)
-    if kind == "batch_reuse":
-        return (sp,) + tuple(
+        polys = (sp,)
+    elif kind == "alternating":
+        polys = (sp, activation * sp)
+    elif kind == "batch_reuse":
+        polys = (sp,) + tuple(
             activation.derivative(k) * sp.power(k - 1) for k in range(2, activation.degree + 1)
         )
-    # deep_alternating, unit layer scalars
-    f_levels = [MonomialPoly.monomial(1)]
-    for _ in range(1, depth):
-        f_levels.append(activation.compose(f_levels[-1]))
-    sp_levels = [sp.compose(f_levels[i - 1]) for i in range(1, depth)]
-    out: list[MonomialPoly] = []
-    for i in range(1, depth):
-        tail = MonomialPoly.const(1.0)
-        for j in range(i + 1, depth):
-            tail = tail * sp_levels[j - 1]
-        out += [sp_levels[i - 1], tail * f_levels[i] * sp_levels[i - 1]]
-    return tuple(out)
+    else:  # deep_alternating, unit layer scalars
+        f_levels = [MonomialPoly.monomial(1)]
+        for _ in range(1, depth):
+            f_levels.append(activation.compose(f_levels[-1]))
+        sp_levels = [sp.compose(f_levels[i - 1]) for i in range(1, depth)]
+        out: list[MonomialPoly] = []
+        for i in range(1, depth):
+            tail = MonomialPoly.const(1.0)
+            for j in range(i + 1, depth):
+                tail = tail * sp_levels[j - 1]
+            out += [sp_levels[i - 1], tail * f_levels[i] * sp_levels[i - 1]]
+        polys = tuple(out)
+    return tuple(q.coeffs for q in polys)
+
+
+def _psi_terms(parts: tuple, spec: OracleSpec, d: int, a: float) -> list:
+    """effective_psi's terms as (k, coefficient tuple), from _psi_polys parts.
+
+    The scales by a, eta or (eta d)^(k-1)/(k-1)! and, for deep_alternating,
+    the bivariate product over the layers: the float operations, in the
+    order, that building psi from fresh polynomials applies.
+    """
+    kind, eta = spec.kind, spec.eta
+    if kind == "online":
+        raw = {1: _pscale(a, parts[0])}
+    elif kind == "alternating":
+        raw = {1: _pscale(a, parts[0]), 2: _pscale(eta, parts[1])}
+    elif kind == "batch_reuse":
+        raw = {1: parts[0]}
+        for k in range(2, len(parts) + 1):
+            coeff = (eta * d) ** (k - 1) / math.factorial(k - 1)
+            raw[k] = _pscale(coeff, parts[k - 1])
+    else:  # deep_alternating: one factor a~_i sigma'(F_{i-1}) per layer
+        acc = {0: (1.0,)}
+        for sp_level, eta_part in zip(parts[::2], parts[1::2]):
+            acc = _bivariate_product(acc, {0: sp_level, 1: _pscale(eta, eta_part)})
+        raw = {k + 1: q for k, q in acc.items()}  # leading y of the w-step
+    terms = [(k, raw[k]) for k in sorted(raw) if not _is_zero(raw[k])]
+    return terms or [(1, (0.0,))]
 
 
 def effective_psi(spec: OracleSpec, d: int, a: float = 1.0) -> Psi:
@@ -171,32 +210,16 @@ def effective_psi(spec: OracleSpec, d: int, a: float = 1.0) -> Psi:
     and the deep recurrence's sigma'(F_{i-1}) and tail_i F_i sigma'(F_{i-1}))
     are memoized per (activation, kind, depth) in _psi_polys; each call only
     scales them by a, eta or (eta d)^(k-1)/(k-1)! and, for deep_alternating,
-    forms the bivariate product over the layers. Those are the operations,
-    in the order, that a fresh construction applies to the same products,
-    so the result is bit for bit the same. (Keys compare by value: two
-    activations that differ only in the sign of a zero coefficient share an
-    entry, and so may differ in the signs of zero coefficients of psi, never
-    in a mu table, whose expansions skip zero coefficients.)
+    forms the bivariate product over the layers (_psi_terms). Those are the
+    operations, in the order, that a fresh construction applies to the same
+    products, so the result is bit for bit the same. (Keys compare by value:
+    two activations that differ only in the sign of a zero coefficient share
+    an entry, and so may differ in the signs of zero coefficients of psi,
+    never in a mu table, whose expansions skip zero coefficients.)
     """
     parts = _psi_polys(spec.activation, spec.kind, spec.depth)
-    if spec.kind == "online":
-        raw = {1: parts[0].scale(a)}
-    elif spec.kind == "alternating":
-        raw = {1: parts[0].scale(a), 2: parts[1].scale(spec.eta)}
-    elif spec.kind == "batch_reuse":
-        raw = {1: parts[0]}
-        for k in range(2, len(parts) + 1):
-            coeff = (spec.eta * d) ** (k - 1) / math.factorial(k - 1)
-            raw[k] = parts[k - 1].scale(coeff)
-    else:  # deep_alternating: one factor a~_i sigma'(F_{i-1}) per layer
-        acc = {0: MonomialPoly.const(1.0)}
-        for sp_level, eta_part in zip(parts[::2], parts[1::2]):
-            acc = _bivariate_product(acc, {0: sp_level, 1: eta_part.scale(spec.eta)})
-        raw = {k + 1: q for k, q in acc.items()}  # leading y of the w-step
-    terms = tuple(sorted((k, q) for k, q in raw.items() if not q.is_zero))
-    if not terms:
-        terms = ((1, MonomialPoly.zero()),)
-    return Psi(terms)
+    terms = _psi_terms(parts, spec, d, a)
+    return Psi(tuple((k, MonomialPoly._of(q)) for k, q in terms))
 
 
 @dataclass(frozen=True)
@@ -234,6 +257,40 @@ def _istar_set(mus, d: int) -> tuple[int, ...]:
     return tuple(i for i, s in sorted(scores.items()) if s <= best * (1 + 1e-12))
 
 
+class _MuPlan(NamedTuple):
+    """What a mu table needs that does not depend on eta, d or a.
+
+    parts: _psi_polys of the family; rows: the moment rows _expand reads,
+    covering every q_k the family's psi can have; labels[k]: the Hermite
+    expansion of E_zeta[(link(s) + zeta)^k], padded with zeros to one past
+    the longest table the family gives without a degree_bound.
+    """
+
+    parts: tuple
+    rows: tuple
+    labels: tuple
+
+
+@lru_cache(maxsize=None)
+def _mu_plan(
+    activation: MonomialPoly, kind: str, depth: int, link: MonomialPoly, noise: NoiseSpec
+) -> _MuPlan:
+    parts = _psi_polys(activation, kind, depth)
+    if kind == "deep_alternating":
+        # a y-power's q_k is a sum of products of one factor per layer
+        n_powers = len(parts) // 2 + 1
+        deg = sum(max(len(sp), len(eta_part)) - 1 for sp, eta_part in zip(parts[::2], parts[1::2]))
+    else:
+        n_powers = {"online": 1, "alternating": 2}.get(kind, len(parts))
+        deg = max(len(q) for q in parts) - 1
+    deg = min(deg, MAX_DEGREE)  # a longer product raises before it is expanded
+    labels = [()]
+    for k in range(1, n_powers + 1):
+        u_y = _expand(_noise_folded_power(link, noise, k).coeffs)
+        labels.append(u_y + (0.0,) * (deg + 2 - len(u_y)))
+    return _MuPlan(parts, _moment_rows(deg), tuple(labels))
+
+
 def mu_table(
     spec: OracleSpec,
     link: MonomialPoly,
@@ -247,32 +304,31 @@ def mu_table(
     is expanded binomially with the noise family's exact central moments, so
     each term contributes u_i(E_zeta[(link+zeta)^k]) * u_{i-1}(q_k).
 
-    Only q_k depends on eta. The label side's Hermite expansion is memoized
-    per (link, noise, k) (_folded_expansion) and the unscaled oracle
-    polynomials per (activation, kind, depth) (see effective_psi); both keys
-    are frozen values, and a cached value is the one a fresh construction
-    returns, so a table is bit for bit what it would be without the caches.
-    An index past an expansion's length reads 0.0 and still enters the
-    product, which keeps the sign of a zero component.
+    Only q_k depends on eta. Everything else is memoized in a plan per
+    (activation, kind, depth, link, noise) (_mu_plan): the unscaled oracle
+    polynomials, the moment rows of the change of basis and the label side's
+    Hermite expansions. The keys are frozen values, and per call the table
+    runs the float operations a construction from fresh polynomials runs, in
+    the same order, on coefficient tuples (see effective_psi), so a table is
+    bit for bit what it would be without the plan. An index past an
+    expansion's length reads 0.0 and still enters the product, which keeps
+    the sign of a zero component.
     """
-    psi = effective_psi(spec, d, a)
-    r = spec.degree_bound if spec.degree_bound is not None else psi.z_degree + 1
+    plan = _mu_plan(spec.activation, spec.kind, spec.depth, link, noise)
+    terms = _psi_terms(plan.parts, spec, d, a)
+    r = spec.degree_bound if spec.degree_bound is not None else max(len(q) for _, q in terms)
     components = []
-    mus = np.zeros(r)
-    for k, q in psi.terms:
-        u_q = expand(q).coeffs
+    mus = [0.0] * r
+    for k, q in terms:
+        u_q = _expand(q, plan.rows)
         u_q += (0.0,) * (r - len(u_q))
-        u_y = _folded_expansion(link, noise, k).coeffs
+        u_y = plan.labels[k]
         u_y += (0.0,) * (r + 1 - len(u_y))
-        contrib = tuple(u_y[i] * u_q[i - 1] for i in range(1, r + 1))
+        contrib = tuple([u_y[i] * u_q[i - 1] for i in range(1, r + 1)])
         components.append((k, contrib))
-        mus += np.array(contrib)
-    return MuTable(
-        mus=tuple(float(v) for v in mus),
-        d=d,
-        istar=_istar_set(mus, d),
-        components=tuple(components),
-    )
+        mus = [m + v for m, v in zip(mus, contrib)]
+    mus = tuple(mus)
+    return MuTable(mus=mus, d=d, istar=_istar_set(mus, d), components=tuple(components))
 
 
 def mu_of_eta(spec: OracleSpec, teacher: TeacherSpec) -> Callable[[float], MuTable]:
@@ -324,9 +380,13 @@ def _noise_folded_power(link: MonomialPoly, noise: NoiseSpec, k: int) -> Monomia
 
 
 @lru_cache(maxsize=None)
-def _folded_expansion(link: MonomialPoly, noise: NoiseSpec, k: int) -> HermiteExpansion:
-    """Hermite expansion of E_zeta[(link(s) + zeta)^k], memoized."""
-    return expand(_noise_folded_power(link, noise, k))
+def _label_moment(link: MonomialPoly, noise: NoiseSpec, k: int, i: int, times: int) -> float:
+    """E_s[E_zeta[(link(s) + zeta)^k] He_i(s)^times] (times 1 or 2), memoized."""
+    p = _noise_folded_power(link, noise, k).coeffs
+    hei = _hermite_coeffs(i)
+    for _ in range(times):
+        p = _pmul(p, hei)
+    return _expand(p)[0]
 
 
 def mu_integrand_moments(
@@ -342,23 +402,23 @@ def mu_integrand_moments(
     with independent standard normal s, b. Its variance fixes the exact
     standard error of any Monte Carlo estimate of mu_i, which for the
     heavy-tailed high-index integrands is far more reliable than a sample
-    standard error.
+    standard error. The label side depends on (link, noise, k, i) only and
+    is memoized (_label_moment).
     """
-    psi = effective_psi(spec, d, a)
-    r = spec.degree_bound if spec.degree_bound is not None else psi.z_degree + 1
+    terms = _psi_terms(_psi_polys(spec.activation, spec.kind, spec.depth), spec, d, a)
+    r = spec.degree_bound if spec.degree_bound is not None else max(len(q) for _, q in terms)
     means = []
     variances = []
     for i in range(1, r + 1):
-        hei = hermite_poly(i)
-        heim1 = hermite_poly(i - 1)
+        heim1 = _hermite_coeffs(i - 1)
         mean = 0.0
         second = 0.0
-        for k, qk in psi.terms:
-            mean += expand(_noise_folded_power(link, noise, k) * hei)[0] * expand(qk * heim1)[0]
-        for k, qk in psi.terms:
-            for l, ql in psi.terms:
-                e_s = expand(_noise_folded_power(link, noise, k + l) * hei * hei)[0]
-                e_b = expand(qk * ql * heim1 * heim1)[0]
+        for k, qk in terms:
+            mean += _label_moment(link, noise, k, i, 1) * _expand(_pmul(qk, heim1))[0]
+        for k, qk in terms:
+            for l, ql in terms:
+                e_s = _label_moment(link, noise, k + l, i, 2)
+                e_b = _expand(_pmul(_pmul(_pmul(qk, ql), heim1), heim1))[0]
                 second += e_s * e_b
         means.append(mean)
         variances.append(max(second - mean * mean, 0.0))
@@ -382,23 +442,6 @@ def _corr_moment(m: int, n: int, rho: float) -> float:
     return total
 
 
-def _cross_expect(a_poly: MonomialPoly, b_poly: MonomialPoly, kappa: float) -> float:
-    """E[A(s) B(z) (s - kappa z)^2] under correlation kappa."""
-    total = 0.0
-    for alpha, ca in enumerate(a_poly.coeffs):
-        if ca == 0.0:
-            continue
-        for beta, cb in enumerate(b_poly.coeffs):
-            if cb == 0.0:
-                continue
-            total += ca * cb * (
-                _corr_moment(alpha + 2, beta, kappa)
-                - 2.0 * kappa * _corr_moment(alpha + 1, beta + 1, kappa)
-                + kappa * kappa * _corr_moment(alpha, beta + 2, kappa)
-            )
-    return total
-
-
 def alignment_gain_moments(
     spec: OracleSpec,
     link: MonomialPoly,
@@ -411,28 +454,38 @@ def alignment_gain_moments(
 
     The mean reproduces expected_alignment_gain by an independent route
     (direct correlated-Gaussian moments instead of the Stein expansion); the
-    variance fixes the exact standard error of the sampling estimate.
+    variance, E[A(s) B(z) (s - kappa z)^2] summed over the pairs of psi's
+    terms, fixes the exact standard error of the sampling estimate. Each
+    moment E[s^m z^n] is computed once per call.
     """
-    psi = effective_psi(spec, d, a)
+    terms = _psi_terms(_psi_polys(spec.activation, spec.kind, spec.depth), spec, d, a)
+    corr = lru_cache(maxsize=None)(lambda m, n: _corr_moment(m, n, kappa))
     mean = 0.0
-    for k, qk in psi.terms:
-        ap = _noise_folded_power(link, noise, k)
-        for alpha, ca in enumerate(ap.coeffs):
+    for k, qk in terms:
+        for alpha, ca in enumerate(_noise_folded_power(link, noise, k).coeffs):
             if ca == 0.0:
                 continue
-            for beta, cb in enumerate(qk.coeffs):
+            for beta, cb in enumerate(qk):
                 if cb == 0.0:
                     continue
-                mean += ca * cb * (
-                    _corr_moment(alpha + 1, beta, kappa)
-                    - kappa * _corr_moment(alpha, beta + 1, kappa)
-                )
+                mean += ca * cb * (corr(alpha + 1, beta) - kappa * corr(alpha, beta + 1))
     second = 0.0
-    for k, qk in psi.terms:
-        for l, ql in psi.terms:
-            second += _cross_expect(
-                _noise_folded_power(link, noise, k + l), qk * ql, kappa
-            )
+    for k, qk in terms:
+        for l, ql in terms:
+            qkl = _pmul(qk, ql)
+            total = 0.0
+            for alpha, ca in enumerate(_noise_folded_power(link, noise, k + l).coeffs):
+                if ca == 0.0:
+                    continue
+                for beta, cb in enumerate(qkl):
+                    if cb == 0.0:
+                        continue
+                    total += ca * cb * (
+                        corr(alpha + 2, beta)
+                        - 2.0 * kappa * corr(alpha + 1, beta + 1)
+                        + kappa * kappa * corr(alpha, beta + 2)
+                    )
+            second += total
     return mean, max(second - mean * mean, 0.0)
 
 
@@ -452,6 +505,13 @@ def _hermite_block(z: np.ndarray, max_order: int) -> np.ndarray:
     return out
 
 
+def _check_draws(n_draws: int, blocks: int, chunk: int) -> None:
+    if not n_draws >= blocks >= 1:
+        raise ValueError(f"need n_draws >= blocks >= 1, got n_draws={n_draws}, blocks={blocks}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be a positive integer, got {chunk}")
+
+
 def mu_monte_carlo(
     spec: OracleSpec,
     link: MonomialPoly,
@@ -469,8 +529,10 @@ def mu_monte_carlo(
     blocks > 1 the estimate is a median of block means, which keeps its
     calibration for the heavily right-skewed high-index integrands (plain
     means there are dominated by rare tail draws); the exact yardstick for
-    either estimator is mu_integrand_moments.
+    either estimator is mu_integrand_moments. Raises ValueError unless
+    n_draws >= blocks >= 1 and chunk >= 1.
     """
+    _check_draws(n_draws, blocks, chunk)
     psi = effective_psi(spec, d, a)
     r = spec.degree_bound if spec.degree_bound is not None else psi.z_degree + 1
     per_block = n_draws // blocks
@@ -523,8 +585,9 @@ def alignment_gain_monte_carlo(
     The weight is held fixed at alignment kappa with theta_star; inputs are
     full d-dimensional Gaussian draws. blocks > 1 gives a median-of-means
     estimate (see mu_monte_carlo); alignment_gain_moments provides the exact
-    yardstick.
+    yardstick. Raises ValueError unless n_draws >= blocks >= 1 and chunk >= 1.
     """
+    _check_draws(n_draws, blocks, chunk)
     psi = effective_psi(spec, d, a)
     theta = np.zeros(d)
     theta[0] = 1.0
@@ -718,5 +781,12 @@ def step_deep_alternating(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
 
 
 def apply_step(w: np.ndarray, x, y, spec: OracleSpec, a: float = 1.0) -> StepResult:
-    """Dispatch one update of the configured oracle."""
+    """Dispatch one update of the configured oracle.
+
+    The bits of a step depend on the memory layout of x. A C-order block
+    (what run() passes: row slices of its drawn data) gives run()'s bits.
+    A strided view that BLAS cannot address as it is, such as X[::2, 1::2],
+    takes a different product loop and may differ in the last bit; pass
+    np.ascontiguousarray(x) to replay a run from such a view.
+    """
     return _step(w, x, y, spec, _COEFFICIENTS[spec.kind], a)

@@ -158,18 +158,19 @@ def phase_boundaries(
     r = tables[0].r
     kind = spec.kind if spec is not None else None
 
+    # log T_i on the grid, read once per (table, index); None where mu_i <= 0
+    log_t = {
+        i: [math.log(_t_value(tab, i, d)) if tab.mu(i) > 0 else None for tab in tables]
+        for i in range(1, r + 1)
+    }
     out: list[PhaseBoundary] = []
     seen_pairs: set[tuple[int, int]] = set()
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            diffs = []
-            for tab in tables:
-                if tab.mu(i) > 0 and tab.mu(j) > 0:
-                    diffs.append(
-                        math.log(_t_value(tab, i, d)) - math.log(_t_value(tab, j, d))
-                    )
-                else:
-                    diffs.append(math.nan)
+            diffs = [
+                math.nan if a is None or b is None else a - b
+                for a, b in zip(log_t[i], log_t[j])
+            ]
             for g in range(grid - 1):
                 a, b = diffs[g], diffs[g + 1]
                 if math.isnan(a) or math.isnan(b) or a * b > 0:

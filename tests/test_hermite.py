@@ -77,6 +77,75 @@ class TestPolyOps:
         assert MonomialPoly.from_coeffs([0.0, 0.0, 0.0]).degree == 0
 
 
+def _strip_reference(c):
+    c = list(c)
+    while len(c) > 1 and c[-1] == 0.0:
+        c.pop()
+    return tuple(c)
+
+
+class TestArithmeticBits:
+    """The polynomial arithmetic runs its float operations in the order the
+    exact theory's bits were recorded with: written out here as loops."""
+
+    @staticmethod
+    def _polys(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            c = rng.normal(size=rng.integers(1, 9)) * (rng.random(size=1) < 0.9)
+            c[rng.random(size=len(c)) < 0.25] = -0.0
+            yield MonomialPoly(tuple(c))
+
+    def test_product(self):
+        for p, q in zip(self._polys(1), self._polys(2)):
+            out = [0.0] * (p.degree + q.degree + 1)
+            if not (p.is_zero or q.is_zero):
+                for i, a in enumerate(p.coeffs):       # i outer, j inner
+                    if a != 0.0:
+                        for j, b in enumerate(q.coeffs):
+                            out[i + j] += a * b
+            want = _strip_reference(out) if not (p.is_zero or q.is_zero) else (0.0,)
+            assert repr((p * q).coeffs) == repr(want)
+
+    def test_sum_and_scale(self):
+        for p, q in zip(self._polys(3), self._polys(4)):
+            a, b = (p.coeffs, q.coeffs) if p.degree >= q.degree else (q.coeffs, p.coeffs)
+            out = list(a)
+            for j, v in enumerate(b):
+                out[j] += v
+            assert repr((p + q).coeffs) == repr(_strip_reference(out))
+            want = _strip_reference([np.float64(0.3) * v for v in p.coeffs])
+            assert repr(p.scale(np.float64(0.3)).coeffs) == repr(tuple(map(float, want)))
+
+    def test_expand(self):
+        for p in self._polys(5):
+            want = []
+            for k in range(p.degree + 1):                # k outer, j inner
+                u = 0.0
+                for j, c in enumerate(p.coeffs):
+                    if c != 0.0 and j >= k and (j - k) % 2 == 0:
+                        u += c * brute_force_moment_zj_hek(j, k)
+                want.append(u)
+            assert repr(expand(p).coeffs) == repr(tuple(want))
+
+
+def brute_force_moment_zj_hek(j, k):
+    """E[z^j He_k] as an exact integer, from the integer coefficients of He_k."""
+    he = [1]
+    prev = []
+    for n in range(k):                                   # He_{n+1} = z He_n - n He_{n-1}
+        nxt = [0] + he
+        for idx, v in enumerate(prev):
+            nxt[idx] -= n * v
+        prev, he = he, nxt
+    total = 0
+    for i, c in enumerate(he):
+        m = i + j
+        if m % 2 == 0:
+            total += c * math.prod(range(m - 1, 0, -2))
+    return total
+
+
 class TestExpand:
     def test_he3_is_pure(self):
         u = expand(hermite_poly(3))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,17 +19,23 @@ from silab import (
     step_deep_alternating,
     step_online,
 )
-from silab.hermite import HermiteExpansion, _moment_zj_hek, expand
+from silab.hermite import DegreeOverflowError, HermiteExpansion, _moment_zj_hek, expand
 from silab.oracles import (
     MuTable,
     _as_batch,
-    _bivariate_product,
     _corr_moment,
-    _cross_expect,
     _istar_set,
     alignment_gain_monte_carlo,
     apply_step,
     mu_monte_carlo,
+)
+from silab.theory import (
+    PhaseBoundary,
+    _analytic_exponent,
+    _dominant_index,
+    _power_attribution,
+    _t_value,
+    phase_boundaries,
 )
 
 HE3 = hermite_poly(3)
@@ -156,6 +163,48 @@ class TestMuTable:
         est, se = mu_monte_carlo(spec, HE3, NOISELESS, 25, 400_000, rng)
         for i in range(mu.r):
             assert abs(est[i] - mu.mus[i]) <= 5 * se[i] + 1e-9
+
+
+def _mu_mc(n_draws, blocks, chunk):
+    spec = OracleSpec(kind="alternating", activation=HE3, eta=0.5)
+    rng = np.random.default_rng(0)
+    return mu_monte_carlo(spec, HE3, NOISELESS, 25, n_draws, rng, chunk=chunk, blocks=blocks)
+
+
+def _gain_mc(n_draws, blocks, chunk):
+    spec = OracleSpec(kind="alternating", activation=HE3, eta=0.5)
+    rng = np.random.default_rng(0)
+    return alignment_gain_monte_carlo(spec, HE3, NOISELESS, 25, 0.3, n_draws, rng,
+                                      chunk=chunk, blocks=blocks)
+
+
+class TestMonteCarloArguments:
+    """Both sampling routes reject draw counts they cannot use, before drawing."""
+
+    ROUTES = pytest.mark.parametrize("route", [_mu_mc, _gain_mc], ids=["mu", "gain"])
+
+    @ROUTES
+    def test_zero_chunk_raises(self, route):
+        # used to loop forever: every chunk drew zero samples
+        with pytest.raises(ValueError, match="chunk"):
+            route(100, 1, 0)
+
+    @ROUTES
+    def test_fewer_draws_than_blocks_raises(self, route):
+        # used to give nan (mu) or ZeroDivisionError (gain): empty blocks
+        with pytest.raises(ValueError, match="n_draws >= blocks"):
+            route(3, 4, 10)
+
+    @ROUTES
+    def test_zero_blocks_raises(self, route):
+        # used to raise ZeroDivisionError from n_draws // blocks
+        with pytest.raises(ValueError, match="blocks >= 1"):
+            route(100, 0, 10)
+
+    @ROUTES
+    def test_smallest_valid_arguments_run(self, route):
+        mean, se = route(2, 2, 1)
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(se))
 
 
 class TestSignAssumption:
@@ -527,6 +576,16 @@ def _reference_folded_power(link, noise, k):
     return out
 
 
+def _reference_bivariate_product(a, b):
+    out = {}
+    for ka, qa in a.items():
+        for kb, qb in b.items():
+            prod = qa * qb
+            key = ka + kb
+            out[key] = out[key] + prod if key in out else prod
+    return out
+
+
 def _reference_psi(spec, d, a):
     sigma = spec.activation
     sp = sigma.derivative()
@@ -553,7 +612,7 @@ def _reference_psi(spec, d, a):
                 0: sp_levels[i - 1],
                 1: (tail * f_levels[i] * sp_levels[i - 1]).scale(spec.eta),
             }
-            acc = _bivariate_product(acc, factor)
+            acc = _reference_bivariate_product(acc, factor)
         raw = {k + 1: q for k, q in acc.items()}
     terms = tuple(sorted((k, q) for k, q in raw.items() if not q.is_zero))
     return terms or ((1, MonomialPoly.zero()),)
@@ -596,6 +655,22 @@ def _reference_integrand_moments(spec, link, noise, d, a):
     return means, variances
 
 
+def _reference_cross_expect(a_poly, b_poly, kappa):
+    total = 0.0
+    for alpha, ca in enumerate(a_poly.coeffs):
+        if ca == 0.0:
+            continue
+        for beta, cb in enumerate(b_poly.coeffs):
+            if cb == 0.0:
+                continue
+            total += ca * cb * (
+                _corr_moment(alpha + 2, beta, kappa)
+                - 2.0 * kappa * _corr_moment(alpha + 1, beta + 1, kappa)
+                + kappa * kappa * _corr_moment(alpha, beta + 2, kappa)
+            )
+    return total
+
+
 def _reference_gain_moments(spec, link, noise, d, kappa, a):
     terms = _reference_psi(spec, d, a)
     mean = 0.0
@@ -611,7 +686,8 @@ def _reference_gain_moments(spec, link, noise, d, kappa, a):
     second = 0.0
     for k, qk in terms:
         for l, ql in terms:
-            second += _cross_expect(_reference_folded_power(link, noise, k + l), qk * ql, kappa)
+            second += _reference_cross_expect(
+                _reference_folded_power(link, noise, k + l), qk * ql, kappa)
     return mean, max(second - mean * mean, 0.0)
 
 
@@ -708,3 +784,140 @@ class TestMemoizedTheoryBitIdentity:
         got, want = expand(p), _reference_expand(p)
         assert got.coeffs == want.coeffs
         assert repr(got.coeffs) == repr(want.coeffs)
+
+
+# The phase scan written out as it was before log T was read once per table:
+# every (i, j) pair reads mu_i, mu_j and both T values from every grid table.
+
+
+def _reference_phase_boundaries(mu_of_eta, d, eta_range, spec, grid=256):
+    lo, hi = eta_range
+    etas = np.geomspace(lo, hi, grid)
+    tables = [mu_of_eta(float(e)) for e in etas]
+    r = tables[0].r
+    kind = spec.kind
+    out = []
+    seen_pairs = set()
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 1):
+            diffs = []
+            for tab in tables:
+                if tab.mu(i) > 0 and tab.mu(j) > 0:
+                    diffs.append(math.log(_t_value(tab, i, d)) - math.log(_t_value(tab, j, d)))
+                else:
+                    diffs.append(math.nan)
+            for g in range(grid - 1):
+                a, b = diffs[g], diffs[g + 1]
+                if math.isnan(a) or math.isnan(b) or a * b > 0:
+                    continue
+                e_lo, e_hi = float(etas[g]), float(etas[g + 1])
+                f_lo = a
+                for _ in range(200):
+                    mid = math.sqrt(e_lo * e_hi)
+                    tab = mu_of_eta(mid)
+                    fm = math.log(_t_value(tab, i, d)) - math.log(_t_value(tab, j, d))
+                    if fm == 0.0 or (e_hi - e_lo) <= 1e-15 * e_lo:
+                        e_lo = e_hi = mid
+                        break
+                    if (fm > 0) == (f_lo > 0):
+                        e_lo, f_lo = mid, fm
+                    else:
+                        e_hi = mid
+                eta_star = math.sqrt(e_lo * e_hi)
+                if (i, j) in seen_pairs:
+                    continue
+                seen_pairs.add((i, j))
+                ref = mu_of_eta(eta_star)
+                ki, kj = _power_attribution(ref, i), _power_attribution(ref, j)
+                exponent = powers = None
+                if ki is not None and kj is not None and ki != kj:
+                    if ki < kj:
+                        exponent = _analytic_exponent(kind, i, j, ki, kj)
+                    else:
+                        exponent = _analytic_exponent(kind, j, i, kj, ki)
+                    powers = (ki, kj)
+                dom_lo = _dominant_index(mu_of_eta(eta_star * 0.99), d)
+                dom_hi = _dominant_index(mu_of_eta(eta_star * 1.01), d)
+                out.append(PhaseBoundary(i, j, eta_star, exponent, powers, False,
+                                         {dom_lo, dom_hi} == {i, j}))
+    leading = {}
+    for k, contrib in tables[-1].components:
+        nz = [idx + 1 for idx, v in enumerate(contrib) if v != 0.0]
+        if nz:
+            leading.setdefault(min(nz), []).append(k)
+    for m, ks in leading.items():
+        ks = sorted(ks)
+        for a_idx in range(len(ks)):
+            for b_idx in range(a_idx + 1, len(ks)):
+                exp = _analytic_exponent(kind, m, m, ks[a_idx], ks[b_idx])
+                out.append(PhaseBoundary(m, m, float(d**exp), exp, (ks[a_idx], ks[b_idx]),
+                                         True, False))
+    return tuple(sorted(out, key=lambda b: (b.eta_star, b.i, b.j)))
+
+
+def _reference_table(spec, link, noise, d, a=1.0):
+    mus, istar, components = _reference_mu_table(spec, link, noise, d, a)
+    return MuTable(mus=mus, d=d, istar=istar, components=components)
+
+
+Z2 = MonomialPoly.monomial(2)
+HE3_Z2 = HE3 + MonomialPoly((0.0, 0.0, 0.3))
+
+
+class TestPhaseScanBitIdentity:
+    """phase_boundaries over tables from the per-family plan equals the old
+    pair loop over tables built from MonomialPoly, bit for bit."""
+
+    # (kind, activation, depth, link, eta range): each scan finds a crossing
+    # at d = 25 at least
+    CASES = [
+        ("alternating", HE3, 2, HE3, (1e-3, 1.0)),
+        ("batch_reuse", HE3, 2, HE3, (1e-3, 1.0)),
+        ("deep_alternating", HE3, 2, HE3, (1e-3, 1.0)),
+        ("deep_alternating", Z2, 3, HE3 + HE2.scale(0.5), (1e-4, 30.0)),
+        ("deep_alternating", HE3_Z2, 3, HE3, (1e-6, 1e3)),
+    ]
+    IDS = ["alternating-He3", "batch_reuse-He3", "deep-He3-depth2", "deep-z2-depth3",
+           "deep-He3+0.3z2-depth3"]
+
+    @pytest.mark.parametrize("d", [25, 400])
+    @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.family)
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_scan(self, case, noise, d):
+        kind, act, depth, link, eta_range = case
+        spec = OracleSpec(kind=kind, activation=act, depth=depth)
+        got = phase_boundaries(
+            lambda e: mu_table(replace(spec, eta=e), link, noise, d), d, eta_range, spec=spec)
+        want = _reference_phase_boundaries(
+            lambda e: _reference_table(replace(spec, eta=e), link, noise, d), d, eta_range, spec)
+        assert want if d == 400 else any(not b.degenerate for b in want)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_table_edges(self, case):
+        # eta = 0 drops the eta terms; degree_bound cuts or pads the table
+        kind, act, depth, _, _ = case
+        r = mu_table(OracleSpec(kind=kind, activation=act, eta=1.0, depth=depth),
+                     HE3, NOISELESS, 50).r
+        for noise in NOISES:
+            for eta, bound, a in ((0.0, None, 1.0), (0.0, None, 0.6), (0.3, 2, 1.0),
+                                  (0.3, r + 4, 1.7), (0.0, r + 1, 0.6)):
+                spec = OracleSpec(kind=kind, activation=act, eta=eta, depth=depth,
+                                  degree_bound=bound)
+                got = mu_table(spec, HE3, noise, 50, a)
+                want = _reference_table(spec, HE3, noise, 50, a)
+                assert got == want
+                assert repr(got) == repr(want)
+
+    def test_depth4_overflow_message(self):
+        spec = OracleSpec(kind="deep_alternating", activation=HE3, eta=0.3, depth=4)
+        message = "product has degree 62, above the supported cap 60"
+        with pytest.raises(DegreeOverflowError) as ref:
+            _reference_psi(spec, 50, 1.0)
+        assert str(ref.value) == message
+        for call in (lambda: mu_table(spec, HE3, NOISELESS, 50),
+                     lambda: effective_psi(spec, 50)):
+            with pytest.raises(DegreeOverflowError) as got:
+                call()
+            assert str(got.value) == message
