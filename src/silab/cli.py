@@ -1,4 +1,13 @@
-"""Command-line interface.
+"""Command-line interface: ``silab hermite|gen-data|mu|simulate|predict|phase|sweep``.
+
+``COMMANDS`` lists each subcommand's flags. A flag named after a sweep config
+key (``harness.CONFIG``, spelled ``--key-with-dashes``) takes that key's type
+and, when omitted, its default; every subcommand builds its teacher, oracle
+and run config from the one resolved config (``harness.resolve``). ``sweep``
+takes every key, and its ``--config`` file's values yield to the flags.
+``EXTRA_FLAGS`` types the flags that are no config key. ``simulate --out``
+names the trajectory CSV file (stdout when omitted), not the sweep's output
+directory. A value that the spec objects reject exits 1 with ``error:``.
 
 Polynomial arguments accept three forms: Hermite shorthand ``He3``, monomial
 shorthand ``z3`` / ``z^3``, or comma/space-separated monomial coefficients
@@ -11,12 +20,15 @@ import argparse
 import csv
 import sys
 
-from .dynamics import RunConfig, run
-from .harness import CONFIG, emit, parse_config, spec_from_config, sweep
+from .dynamics import run
+from .harness import (
+    CONFIG, emit, oracle_spec, parse_config, resolve, resolve_gamma, run_config,
+    spec_from_config, sweep, teacher_spec,
+)
 from .hermite import MonomialPoly, expand, exponent_report, hermite_poly
-from .model import NoiseSpec, SeedTree, TeacherSpec, draw_batch
-from .oracles import ORACLE_KINDS, OracleSpec, check_sign_assumption, mu_of_eta, mu_table
-from .theory import gamma_auto, phase_boundaries, predict_T
+from .model import SeedTree, draw_batch
+from .oracles import check_sign_assumption, mu_of_eta, mu_table
+from .theory import phase_boundaries, predict_T
 
 
 def parse_poly(text: str) -> MonomialPoly:
@@ -31,22 +43,8 @@ def parse_poly(text: str) -> MonomialPoly:
     return MonomialPoly.from_coeffs(float(p) for p in parts)
 
 
-def _teacher_from_args(args) -> TeacherSpec:
-    return TeacherSpec(d=args.d, link=parse_poly(args.link), noise=NoiseSpec(args.noise, args.tau))
-
-
-def _oracle_from_args(args, eta=None, gamma=0.0) -> OracleSpec:
-    return OracleSpec(
-        kind=args.oracle,
-        activation=parse_poly(args.act),
-        eta=args.eta if eta is None else eta,
-        gamma=gamma,
-        depth=getattr(args, "depth", 2),
-    )
-
-
-def _cmd_hermite(args) -> int:
-    link = parse_poly(args.link)
+def _cmd_hermite(args, cfg) -> int:
+    link = parse_poly(cfg["link"])
     report = exponent_report(link, args.powers, args.tol)
     out = csv.writer(sys.stdout)
     print(f"# ie={report.ie} ge_upper_bound={report.ge_upper_bound} "
@@ -60,19 +58,19 @@ def _cmd_hermite(args) -> int:
     return 0
 
 
-def _cmd_gen_data(args) -> int:
-    teacher = _teacher_from_args(args)
+def _cmd_gen_data(args, cfg) -> int:
+    teacher = teacher_spec(cfg, parse_poly)
     x, y = draw_batch(teacher, args.n, SeedTree(args.seed).rng())
     out = csv.writer(sys.stdout)
-    out.writerow([f"x_{j + 1}" for j in range(args.d)] + ["y"])
+    out.writerow([f"x_{j + 1}" for j in range(teacher.d)] + ["y"])
     for row, label in zip(x, y):
         out.writerow([f"{v:.12g}" for v in row] + [f"{label:.12g}"])
     return 0
 
 
-def _cmd_mu(args) -> int:
-    teacher = _teacher_from_args(args)
-    mu = mu_table(_oracle_from_args(args), teacher.link, teacher.noise, teacher.d)
+def _cmd_mu(args, cfg) -> int:
+    teacher = teacher_spec(cfg, parse_poly)
+    mu = mu_table(oracle_spec(cfg, parse_poly, args.eta), teacher.link, teacher.noise, teacher.d)
     try:
         verdict = check_sign_assumption(mu)
         print(f"# sign_assumption={'pass' if verdict.passed else 'fail'} "
@@ -88,32 +86,11 @@ def _cmd_mu(args) -> int:
     return 0
 
 
-def _resolve_gamma(args, spec: OracleSpec, teacher: TeacherSpec, mu=None) -> float:
-    """args.gamma as a float; 'auto' uses mu (computed here if not given)."""
-    if args.gamma != "auto":
-        return float(args.gamma)
-    if mu is None:
-        mu = mu_table(spec, teacher.link, teacher.noise, teacher.d)
-    return gamma_auto(spec, mu, teacher.d)
-
-
-def _cmd_simulate(args) -> int:
-    teacher = _teacher_from_args(args)
-    spec = _oracle_from_args(args)
-    spec.gamma = _resolve_gamma(args, spec, teacher)
-    config = RunConfig(
-        teacher=teacher,
-        oracle=spec,
-        n=args.n,
-        seed=SeedTree(args.seed),
-        batch_size=args.batch,
-        n_neurons=args.neurons,
-        init_mode=args.init,
-        weak_threshold=args.threshold,
-        strong_eps=args.strong_eps,
-        record_every=args.record_every,
-        audit=args.audit,
-    )
+def _cmd_simulate(args, cfg) -> int:
+    teacher = teacher_spec(cfg, parse_poly)
+    spec = oracle_spec(cfg, parse_poly, args.eta)
+    spec.gamma = resolve_gamma(cfg["gamma"], spec, teacher)
+    config = run_config(cfg, teacher, spec, args.n, args.seed, args.audit)
     traj = run(config)
     stream = open(args.out, "w") if args.out else sys.stdout
     try:
@@ -141,12 +118,12 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_predict(args) -> int:
-    teacher = _teacher_from_args(args)
-    spec = _oracle_from_args(args)
-    mu = mu_table(spec, teacher.link, teacher.noise, args.d)
-    gamma = _resolve_gamma(args, spec, teacher, mu)
-    pred = predict_T(mu, gamma, args.d)
+def _cmd_predict(args, cfg) -> int:
+    teacher = teacher_spec(cfg, parse_poly)
+    spec = oracle_spec(cfg, parse_poly, args.eta)
+    mu = mu_table(spec, teacher.link, teacher.noise, teacher.d)
+    gamma = resolve_gamma(cfg["gamma"], spec, teacher, mu)
+    pred = predict_T(mu, gamma, teacher.d)
     print(f"# T={pred.t:.12g} dominant_i={pred.dominant_i} gamma={gamma:.12g} "
           f"gamma_max={pred.gamma_max:.12g}")
     out = csv.writer(sys.stdout)
@@ -156,11 +133,11 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _cmd_phase(args) -> int:
-    teacher = _teacher_from_args(args)
-    spec = _oracle_from_args(args, eta=0.0)
+def _cmd_phase(args, cfg) -> int:
+    teacher = teacher_spec(cfg, parse_poly)
+    spec = oracle_spec(cfg, parse_poly)
     bounds = phase_boundaries(
-        mu_of_eta(spec, teacher), args.d, (args.eta_min, args.eta_max), spec=spec
+        mu_of_eta(spec, teacher), teacher.d, (cfg["eta_min"], cfg["eta_max"]), spec=spec
     )
     out = csv.writer(sys.stdout)
     out.writerow(["i", "j", "eta_star", "exponent_if_known"])
@@ -171,15 +148,10 @@ def _cmd_phase(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read())
-    cfg.update({k: v for k, v in vars(args).items() if k in CONFIG and v is not None})
+def _cmd_sweep(args, cfg) -> int:
     spec = spec_from_config(cfg, parse_poly)
     result = sweep(spec)
-    paths = emit(result, cfg.get("out", CONFIG["out"][1]))
+    paths = emit(result, cfg["out"])
     if spec.slope_window is not None:
         if result.slope_fit is None:
             print("# slope=unavailable (fewer than 4 recovering grid points in the eta window)")
@@ -190,101 +162,66 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _add_poly_args(p, act: bool = True) -> None:
-    p.add_argument("--link", required=True, help="teacher link polynomial")
-    if act:
-        p.add_argument("--act", required=True, help="student activation polynomial")
+EXTRA_FLAGS = {  # flags that are no config key: argparse keywords
+    "eta": dict(type=float, default=0.0),
+    "n": dict(type=int),
+    "seed": dict(type=int, default=0),
+    "audit": dict(action="store_true"),
+    "powers": dict(type=int),
+    "tol": dict(type=float),
+    "config": dict(),
+}
 
-
-def _add_noise_args(p) -> None:
-    p.add_argument("--noise", default="none", choices=["none", "gaussian", "laplace"])
-    p.add_argument("--tau", type=float, default=0.0)
+COMMANDS = {  # name: (handler, help, flags in order; a trailing '!' marks a required flag)
+    "hermite": (_cmd_hermite, "exponent report and power expansion table",
+                "link! powers! tol"),
+    "gen-data": (_cmd_gen_data, "emit teacher samples as CSV",
+                 "link! d! n! seed noise tau"),
+    "mu": (_cmd_mu, "mu table and sign-assumption verdict",
+           "oracle! link! act! eta d! depth noise tau"),
+    "simulate": (_cmd_simulate, "run one trajectory, write alignment CSV",
+                 "oracle! link! act! d! eta gamma n! batch neurons seed record_every threshold "
+                 "strong_eps init depth audit out noise tau"),
+    "predict": (_cmd_predict, "recovery-time prediction table",
+                "oracle! link! act! eta gamma d! depth noise tau"),
+    "phase": (_cmd_phase, "learning-rate phase boundaries",
+              "oracle! link! act! d! eta_min eta_max depth noise tau"),
+    "sweep": (_cmd_sweep, "grid sweep per config file", " ".join(["config", *CONFIG])),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="silab")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("hermite", help="exponent report and power expansion table")
-    _add_poly_args(p, act=False)
-    p.add_argument("--powers", type=int, required=True)
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=_cmd_hermite)
-
-    p = sub.add_parser("gen-data", help="emit teacher samples as CSV")
-    _add_poly_args(p, act=False)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_noise_args(p)
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("mu", help="mu table and sign-assumption verdict")
-    p.add_argument("--oracle", required=True, choices=list(ORACLE_KINDS))
-    _add_poly_args(p)
-    p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--depth", type=int, default=2)
-    _add_noise_args(p)
-    p.set_defaults(func=_cmd_mu)
-
-    p = sub.add_parser("simulate", help="run one trajectory, write alignment CSV")
-    p.add_argument("--oracle", required=True, choices=list(ORACLE_KINDS))
-    _add_poly_args(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--gamma", default="auto")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--neurons", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--record-every", dest="record_every", type=int, default=100)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--strong-eps", dest="strong_eps", type=float, default=0.1)
-    p.add_argument("--init", default="pinned_alignment",
-                   choices=["pinned_alignment", "uniform_sphere"])
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--audit", action="store_true")
-    p.add_argument("--out", default=None)
-    _add_noise_args(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("predict", help="recovery-time prediction table")
-    p.add_argument("--oracle", required=True, choices=list(ORACLE_KINDS))
-    _add_poly_args(p)
-    p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--gamma", default="auto")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--depth", type=int, default=2)
-    _add_noise_args(p)
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("phase", help="learning-rate phase boundaries")
-    p.add_argument("--oracle", required=True, choices=list(ORACLE_KINDS))
-    _add_poly_args(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--eta-min", dest="eta_min", type=float, default=1e-3)
-    p.add_argument("--eta-max", dest="eta_max", type=float, default=1.0)
-    p.add_argument("--depth", type=int, default=2)
-    _add_noise_args(p)
-    p.set_defaults(func=_cmd_phase)
-
-    p = sub.add_parser("sweep", help="grid sweep per config file")
-    p.add_argument("--config", default=None)
-    for key, (typ, _) in CONFIG.items():  # every config key, as --key-with-dashes
-        flag = "--" + key.replace("_", "-")
-        if typ is bool:
-            p.add_argument(flag, action="store_const", const=True, default=None)
-        else:
-            p.add_argument(flag, type=typ, default=None)
-    p.set_defaults(func=_cmd_sweep)
+    for command, (func, text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name in flags.split():
+            key = name.rstrip("!")
+            if key in EXTRA_FLAGS:
+                kwargs = EXTRA_FLAGS[key]
+            elif CONFIG[key][0] is bool:
+                kwargs = dict(action="store_const", const=True)
+            else:
+                kwargs = dict(type=CONFIG[key][0])
+            p.add_argument("--" + key.replace("_", "-"), required=name.endswith("!"), **kwargs)
+        p.set_defaults(func=func)
     return parser
+
+
+def _config(args) -> dict:
+    """The resolved config: the flags given, over the --config file, over CONFIG's defaults."""
+    cfg = {}
+    if getattr(args, "config", None):
+        with open(args.config) as fh:
+            cfg = parse_config(fh.read())
+    cfg.update((k, v) for k, v in vars(args).items() if v is not None)
+    return resolve(cfg)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _config(args))
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

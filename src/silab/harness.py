@@ -8,7 +8,8 @@ slope are recomputable from the cells table alone.
 
 Sweep config files are line-oriented ``key = value`` text; '#' starts a
 comment. Recognized keys (each is also a ``silab sweep`` flag, spelled
-``--key-with-dashes``, whose value overrides the file's):
+``--key-with-dashes``, whose value overrides the file's; a flag of the same
+name on another subcommand takes the same type and default, see ``resolve``):
 
     oracle       online | batch_reuse | alternating | deep_alternating
     link, act    polynomial spec: HeK, zK, or comma-separated monomial coeffs
@@ -44,7 +45,7 @@ import numpy as np
 
 from .dynamics import RunConfig, recovery_alignment, run
 from .model import NoiseSpec, SeedTree, TeacherSpec
-from .oracles import OracleSpec, mu_of_eta
+from .oracles import OracleSpec, mu_of_eta, mu_table
 from .theory import gamma_auto, phase_boundaries
 
 
@@ -121,13 +122,9 @@ class SweepResult:
 
 
 def _cell_gamma(spec: SweepSpec, eta: float) -> float:
-    base = spec.base
-    if spec.gamma_mode == "auto":
-        mu = mu_of_eta(base.oracle, base.teacher)(eta)
-        return gamma_auto(replace(base.oracle, eta=eta), mu, base.teacher.d)
     if spec.gamma_mode == "eta_as_gamma":
         return eta
-    return float(spec.gamma_mode)
+    return resolve_gamma(spec.gamma_mode, replace(spec.base.oracle, eta=eta), spec.base.teacher)
 
 
 def _aggregated(spec: SweepSpec, cells: Sequence[Cell]) -> dict[tuple[int, int], float]:
@@ -383,35 +380,73 @@ def parse_config(text: str) -> dict:
     return out
 
 
+def resolve(cfg: dict) -> dict:
+    """Every CONFIG key: its value in cfg where that is not None, else its default."""
+    return {
+        key: default if cfg.get(key) is None else cfg[key]
+        for key, (_, default) in CONFIG.items()
+    }
+
+
+def teacher_spec(cfg: dict, parse_poly) -> TeacherSpec:
+    """The teacher of a resolved config (d, link, noise, tau)."""
+    return TeacherSpec(
+        d=cfg["d"], link=parse_poly(cfg["link"]), noise=NoiseSpec(cfg["noise"], cfg["tau"])
+    )
+
+
+def oracle_spec(cfg: dict, parse_poly, eta: float = 0.0) -> OracleSpec:
+    """The oracle of a resolved config (oracle, act, depth) at eta, with gamma 0."""
+    return OracleSpec(
+        kind=cfg["oracle"], activation=parse_poly(cfg["act"]), eta=eta, depth=cfg["depth"]
+    )
+
+
+def run_config(
+    cfg: dict, teacher: TeacherSpec, oracle: OracleSpec, n: int, seed: int, audit: bool = False
+) -> RunConfig:
+    """One run of a resolved config (batch, neurons, init, threshold, strong_eps,
+    record_every) with the given teacher, oracle, sample budget and seed."""
+    return RunConfig(
+        teacher=teacher,
+        oracle=oracle,
+        n=n,
+        seed=SeedTree(seed),
+        batch_size=cfg["batch"],
+        n_neurons=cfg["neurons"],
+        init_mode=cfg["init"],
+        weak_threshold=cfg["threshold"],
+        strong_eps=cfg["strong_eps"],
+        record_every=cfg["record_every"],
+        audit=audit,
+    )
+
+
+def resolve_gamma(
+    gamma: float | str, oracle: OracleSpec, teacher: TeacherSpec, mu=None
+) -> float:
+    """'auto' is gamma_auto on the mu table of oracle against teacher (computed
+    here unless given); any other value is read as a float."""
+    if gamma != "auto":
+        return float(gamma)
+    if mu is None:
+        mu = mu_table(oracle, teacher.link, teacher.noise, teacher.d)
+    return gamma_auto(oracle, mu, teacher.d)
+
+
 def spec_from_config(cfg: dict, parse_poly) -> SweepSpec:
     """Build a SweepSpec from merged config values.
 
     parse_poly converts a polynomial spec string to a MonomialPoly (supplied
     by the CLI layer so the shorthand lives in one place).
     """
-    merged = {key: default for key, (_, default) in CONFIG.items()}
-    merged.update({k: v for k, v in cfg.items() if v is not None})
-    teacher = TeacherSpec(
-        d=merged["d"],
-        link=parse_poly(merged["link"]),
-        noise=NoiseSpec(merged["noise"], merged["tau"]),
-    )
-    oracle = OracleSpec(
-        kind=merged["oracle"],
-        activation=parse_poly(merged["act"]),
-        depth=merged["depth"],
-    )
-    base = RunConfig(
-        teacher=teacher,
-        oracle=oracle,
+    merged = resolve(cfg)
+    base = run_config(
+        merged,
+        teacher_spec(merged, parse_poly),
+        oracle_spec(merged, parse_poly),
         n=max(merged["n_min"], merged["batch"]),
-        seed=SeedTree(merged["master_seed"]),
-        batch_size=merged["batch"],
-        n_neurons=merged["neurons"],
-        init_mode=merged["init"],
-        weak_threshold=merged["threshold"],
-        strong_eps=merged["strong_eps"],
-        record_every=merged["record_every"],
+        seed=merged["master_seed"],
     )
     lo, hi = merged["window_min"], merged["window_max"]
     if (lo is None) != (hi is None):

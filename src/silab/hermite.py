@@ -240,6 +240,8 @@ def hermite_eval(k: int, z):
 @lru_cache(maxsize=None)
 def _hermite_int_coeffs(k: int) -> tuple[int, ...]:
     """Integer monomial coefficients of He_k."""
+    if k < 0:
+        raise ValueError("Hermite index must be nonnegative")
     _check_degree(k, "Hermite polynomial")
     if k == 0:
         return (1,)

@@ -242,7 +242,9 @@ class MuTable:
         return len(self.mus)
 
     def mu(self, i: int) -> float:
-        """mu_i, with indices past the table length identically zero."""
+        """mu_i for i >= 1, with indices past the table length identically zero."""
+        if i < 1:
+            raise ValueError("mu index must be at least 1")
         return self.mus[i - 1] if i <= len(self.mus) else 0.0
 
 

@@ -142,10 +142,10 @@ def phase_boundaries(
 ) -> tuple[PhaseBoundary, ...]:
     """Locate recovery-time crossings over a learning-rate range.
 
-    For every pair of indices with positive mu somewhere in the range, sign
-    changes of the log-ratio of their T contributions are bracketed on a log
-    grid and bisected to floating-point resolution (the two contributions
-    then agree to much better than 1e-9 relative). Degenerate boundaries,
+    For every pair of indices with positive mu somewhere in the range, the
+    first sign change of the log-ratio of their T contributions on a log grid
+    is bracketed and bisected to floating-point resolution (the two
+    contributions then agree to much better than 1e-9 relative). Degenerate boundaries,
     where two oracle powers share their leading Hermite index and hence no
     T-pair crossing exists, are reported analytically at the constants-1
     validity edge d**exponent.
@@ -164,7 +164,6 @@ def phase_boundaries(
         for i in range(1, r + 1)
     }
     out: list[PhaseBoundary] = []
-    seen_pairs: set[tuple[int, int]] = set()
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
             diffs = [
@@ -189,15 +188,11 @@ def phase_boundaries(
                     else:
                         e_hi = mid
                 eta_star = math.sqrt(e_lo * e_hi)
-                if (i, j) in seen_pairs:
-                    continue
-                seen_pairs.add((i, j))
                 ref = mu_of_eta(eta_star)
                 ki = _power_attribution(ref, i)
                 kj = _power_attribution(ref, j)
                 exponent = None
                 powers = None
-                degenerate = False
                 if kind in ("batch_reuse", "alternating", "deep_alternating") and (
                     ki is not None and kj is not None and ki != kj
                 ):
@@ -216,10 +211,11 @@ def phase_boundaries(
                         eta_star=eta_star,
                         exponent=exponent,
                         powers=powers,
-                        degenerate=degenerate,
+                        degenerate=False,
                         argmin_switch=switch,
                     )
                 )
+                break  # one boundary per pair: its first bracket
 
     # Within-index boundaries: two powers sharing the leading Hermite index.
     if kind in ("batch_reuse", "alternating", "deep_alternating"):

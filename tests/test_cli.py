@@ -1,13 +1,19 @@
 import csv
 import io
 import math
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from silab import cli, harness
 from silab.cli import build_parser, main, parse_poly
+from silab.dynamics import RunConfig
 from silab.harness import CONFIG
 from silab.hermite import hermite_poly
+from silab.model import NoiseSpec, SeedTree, TeacherSpec
+from silab.oracles import OracleSpec, mu_table
+from silab.theory import gamma_auto
 
 
 def run_cli(capsys, *argv):
@@ -226,3 +232,160 @@ class TestSweepFlags:
         code, out, _ = run_cli(capsys, *QUICK_SWEEP, "--eta-count", "3", "--out", str(tmp_path))
         assert code == 0
         assert any(l.startswith("# slope=unavailable") for l in out.splitlines())
+
+
+class TestNegativeHermiteIndex:
+    def test_parse_poly_rejects(self):
+        with pytest.raises(ValueError, match="Hermite index must be nonnegative"):
+            parse_poly("He-1")
+
+    def test_mu_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "mu", "--oracle", "alternating", "--link", "He-1",
+                                 "--act", "He3", "--d", "50")
+        assert code == 1
+        assert out == ""
+        assert "error: Hermite index must be nonnegative" in err
+
+
+# Required flags of each subcommand; every other CONFIG-backed flag is left
+# out, so it must take CONFIG's default.
+MINIMAL = {
+    "hermite": ("--link", "He3", "--powers", "2"),
+    "gen-data": ("--link", "He3", "--d", "4", "--n", "3"),
+    "mu": ("--oracle", "alternating", "--link", "He3", "--act", "He3", "--d", "20"),
+    "simulate": ("--oracle", "alternating", "--link", "He3", "--act", "He3", "--d", "10",
+                 "--n", "256"),
+    "sweep": (),
+    "predict": ("--oracle", "alternating", "--link", "He3", "--act", "He3", "--d", "20"),
+    "phase": ("--oracle", "alternating", "--link", "He3", "--act", "He3", "--d", "20"),
+}
+
+
+def _spy(monkeypatch, module, name):
+    """Record the arguments of every call of module.name, then make the call."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestConfigDefaults:
+    @pytest.mark.parametrize("command", list(MINIMAL))
+    def test_omitted_flags_resolve_to_config_defaults(self, command):
+        argv = MINIMAL[command]
+        args = build_parser().parse_args([command, *argv])
+        given = {a.lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+        omitted = [k for k in vars(args) if k in CONFIG and k not in given]
+        assert omitted or command == "hermite"
+        for key in omitted:
+            assert getattr(args, key) is None, key
+        cfg = cli._config(args)
+        assert set(cfg) == set(CONFIG)
+        for key in omitted:
+            assert cfg[key] == CONFIG[key][1], (command, key)
+
+    def test_simulate_builds_defaults(self, capsys, monkeypatch):
+        configs = _spy(monkeypatch, cli, "run")
+        code, _, _ = run_cli(capsys, "simulate", *MINIMAL["simulate"])
+        assert code == 0
+        (config,), _ = configs[0]
+        defaults = {key: default for key, (_, default) in CONFIG.items()}
+        assert config.batch_size == defaults["batch"]
+        assert config.n_neurons == defaults["neurons"]
+        assert config.init_mode == defaults["init"]
+        assert config.weak_threshold == defaults["threshold"]
+        assert config.strong_eps == defaults["strong_eps"]
+        assert config.record_every == defaults["record_every"]
+        assert config.oracle.depth == defaults["depth"]
+        assert config.teacher.noise == NoiseSpec(defaults["noise"], defaults["tau"])
+        assert defaults["gamma"] == "auto"
+        spec = replace(config.oracle, gamma=0.0)
+        mu = mu_table(spec, config.teacher.link, config.teacher.noise, 10)
+        assert config.oracle.gamma == gamma_auto(spec, mu, 10)
+
+    @pytest.mark.parametrize("command", ["mu", "predict"])
+    def test_mu_and_predict_build_defaults(self, capsys, monkeypatch, command):
+        tables = _spy(monkeypatch, cli, "mu_table")
+        code, out, _ = run_cli(capsys, command, *MINIMAL[command])
+        assert code == 0
+        (spec, link, noise, d), _ = tables[0]
+        assert spec.depth == CONFIG["depth"][1]
+        assert noise == NoiseSpec(CONFIG["noise"][1], CONFIG["tau"][1])
+        if command == "predict":  # gamma 'auto'
+            gamma = gamma_auto(spec, mu_table(spec, link, noise, d), d)
+            assert f"gamma={gamma:.12g} " in out
+
+    def test_phase_builds_defaults(self, capsys, monkeypatch):
+        scans = _spy(monkeypatch, cli, "phase_boundaries")
+        code, _, _ = run_cli(capsys, "phase", *MINIMAL["phase"])
+        assert code == 0
+        (_, d, eta_range), kwargs = scans[0]
+        assert eta_range == (CONFIG["eta_min"][1], CONFIG["eta_max"][1])
+        assert kwargs["spec"].depth == CONFIG["depth"][1]
+        assert kwargs["spec"].eta == 0.0
+
+    def test_simulate_out_is_not_the_sweep_directory(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "simulate", *MINIMAL["simulate"], "--gamma", "0.01")
+        assert code == 0
+        assert out.startswith("step,samples_seen,kappa")
+        assert "weak_step=" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSimulateRunConfig:
+    def test_equals_hand_built_config(self, capsys, monkeypatch, tmp_path):
+        configs = _spy(monkeypatch, cli, "run")
+        code, _, _ = run_cli(
+            capsys, "simulate", "--oracle", "deep_alternating", "--link", "He3", "--act", "He3",
+            "--d", "12", "--eta", "0.3", "--gamma", "0.02", "--n", "600", "--batch", "16",
+            "--neurons", "2", "--seed", "2", "--record-every", "5", "--threshold", "0.4",
+            "--strong-eps", "0.2", "--init", "uniform_sphere", "--depth", "3", "--audit",
+            "--noise", "gaussian", "--tau", "0.3", "--out", str(tmp_path / "traj.csv"),
+        )
+        assert code == 0
+        (got,), _ = configs[0]
+        want = RunConfig(
+            teacher=TeacherSpec(d=12, link=hermite_poly(3), noise=NoiseSpec("gaussian", 0.3)),
+            oracle=OracleSpec(kind="deep_alternating", activation=hermite_poly(3), eta=0.3,
+                              gamma=0.02, depth=3),
+            n=600,
+            seed=SeedTree(2),
+            batch_size=16,
+            n_neurons=2,
+            init_mode="uniform_sphere",
+            weak_threshold=0.4,
+            strong_eps=0.2,
+            record_every=5,
+            audit=True,
+        )
+        for f in fields(RunConfig):
+            if f.name != "teacher":
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert (got.teacher.d, got.teacher.link, got.teacher.noise) == (
+            want.teacher.d, want.teacher.link, want.teacher.noise)
+        np.testing.assert_array_equal(got.teacher.theta_star, want.teacher.theta_star)
+
+
+BAD_VALUES = [  # (command, flag, message)
+    *[(c, "--oracle", "unknown oracle kind 'bogus'")
+      for c in ("mu", "simulate", "predict", "phase")],
+    *[(c, "--noise", "unknown noise family 'bogus'")
+      for c in ("gen-data", "mu", "simulate", "predict", "phase")],
+    ("simulate", "--init", "unknown init mode 'bogus'"),
+]
+
+
+class TestBadValuesExit1:
+    @pytest.mark.parametrize("command, flag, message", BAD_VALUES,
+                             ids=[f"{c}{f}" for c, f, _ in BAD_VALUES])
+    def test_spec_error(self, capsys, command, flag, message):
+        code, out, err = run_cli(capsys, command, *MINIMAL[command], flag, "bogus")
+        assert code == 1
+        assert out == ""
+        assert f"error: {message}" in err

@@ -12,7 +12,7 @@ from silab import (
     hermite_eval,
     hermite_poly,
 )
-from silab.hermite import MAX_DEGREE
+from silab.hermite import MAX_DEGREE, _hermite_coeffs, _hermite_int_coeffs
 
 
 def brute_force_coeff(p: MonomialPoly, k: int) -> float:
@@ -48,6 +48,25 @@ class TestHermiteEval:
     def test_degree_guard(self):
         with pytest.raises(DegreeOverflowError):
             hermite_eval(MAX_DEGREE + 1, 0.5)
+
+
+class TestNegativeHermiteIndex:
+    """Every route to He_k rejects k < 0, as hermite_eval does."""
+
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_hermite_poly(self, k):
+        with pytest.raises(ValueError, match="Hermite index must be nonnegative"):
+            hermite_poly(k)
+
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_coefficient_tables(self, k):
+        for table in (_hermite_int_coeffs, _hermite_coeffs):
+            with pytest.raises(ValueError, match="Hermite index must be nonnegative"):
+                table(k)
+
+    def test_hermite_eval(self):
+        with pytest.raises(ValueError, match="Hermite index must be nonnegative"):
+            hermite_eval(-1, 0.5)
 
 
 class TestPolyOps:

@@ -103,6 +103,15 @@ class TestMuTable:
         # u_3(He_3) * u_2(He_3') = 6 * 6; indices 1, 2 vanish by orthogonality
         assert mu.mus == (0.0, 0.0, 36.0)
 
+    def test_index_below_one_rejected(self):
+        # alternating He3 at eta = 0.1, d = 50: mu(0) once read the last entry
+        mu = mu_table(OracleSpec(kind="alternating", activation=HE3, eta=0.1), HE3, NOISELESS, 50)
+        for i in (0, -1):
+            with pytest.raises(ValueError, match="mu index must be at least 1"):
+                mu.mu(i)
+        assert mu.mu(1) == mu.mus[0]
+        assert mu.mu(mu.r + 1) == 0.0
+
     def test_online_eta_independent(self):
         a = mu_table(OracleSpec(kind="online", activation=HE3, eta=0.0), HE3, NOISELESS, 50)
         b = mu_table(OracleSpec(kind="online", activation=HE3, eta=0.7), HE3, NOISELESS, 50)
