@@ -91,9 +91,9 @@ def _cmd_simulate(args, cfg) -> int:
     spec = oracle_spec(cfg, parse_poly, args.eta)
     spec.gamma = resolve_gamma(cfg["gamma"], spec, teacher)
     config = run_config(cfg, teacher, spec, args.n, args.seed, args.audit)
-    traj = run(config)
     stream = open(args.out, "w") if args.out else sys.stdout
     try:
+        traj = run(config)
         writer = csv.writer(stream)
         writer.writerow(["step", "samples_seen", "kappa"])
         for step, seen, kappas in zip(traj.steps, traj.samples_seen, traj.alignments):

@@ -166,7 +166,6 @@ def run(config: RunConfig) -> Trajectory:
     audit = config.audit
     theta = teacher.theta_star
     W = net.W
-    a_vals = [float(a) for a in net.a]
 
     rec_steps = [0]
     rec_kappa = [alignment(net, teacher)]
@@ -185,7 +184,7 @@ def run(config: RunConfig) -> Trajectory:
             bad = False
             for j in range(n_neurons):
                 w_before = W[j]
-                res = apply_step(w_before, x, y, oracle, a_vals[j])
+                res = apply_step(w_before, x, y, oracle)
                 w_new = res.w
                 prenorm = res.prenorm
                 if res.rejected:

@@ -219,6 +219,18 @@ class MonomialPoly:
         return acc
 
 
+def _hermite_block(z: np.ndarray, max_order: int) -> np.ndarray:
+    """He_0..He_max_order evaluated on the float array z, shape
+    (max_order + 1,) + z.shape, by the three-term recurrence."""
+    out = np.empty((max_order + 1,) + z.shape)
+    out[0] = 1.0
+    if max_order >= 1:
+        out[1] = z
+    for j in range(1, max_order):
+        out[j + 1] = z * out[j] - j * out[j - 1]
+    return out
+
+
 def hermite_eval(k: int, z):
     """Evaluate He_k(z) via the probabilist's three-term recurrence.
 
@@ -228,13 +240,8 @@ def hermite_eval(k: int, z):
         raise ValueError("Hermite index must be nonnegative")
     _check_degree(k, "Hermite polynomial")
     z = np.asarray(z, dtype=float)
-    prev = np.ones_like(z)
-    if k == 0:
-        return float(prev) if prev.ndim == 0 else prev
-    cur = z.copy()
-    for j in range(1, k):
-        prev, cur = cur, z * cur - j * prev
-    return float(cur) if cur.ndim == 0 else cur
+    row = _hermite_block(z, k)[k]
+    return float(row) if z.ndim == 0 else row
 
 
 @lru_cache(maxsize=None)
@@ -324,10 +331,12 @@ class HermiteExpansion:
 
     def reconstruct(self, z):
         """g(z) = sum_k (u_k / k!) He_k(z)."""
-        acc = np.zeros_like(np.asarray(z, dtype=float))
+        _check_degree(self.max_degree, "Hermite expansion")
+        he = _hermite_block(np.asarray(z, dtype=float), self.max_degree)
+        acc = np.zeros_like(he[0])
         for k, u in enumerate(self.coeffs):
             if u != 0.0:
-                acc = acc + (u / math.factorial(k)) * hermite_eval(k, z)
+                acc = acc + (u / math.factorial(k)) * he[k]
         if np.isscalar(z):
             return float(acc)
         return acc

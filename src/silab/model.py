@@ -123,6 +123,8 @@ class Sample:
 
 def draw_batch(teacher: TeacherSpec, size: int, rng: np.random.Generator):
     """Draw `size` i.i.d. samples; returns (X, y) with X of shape (size, d)."""
+    if size < 0:
+        raise ValueError(f"sample count must be nonnegative, got {size}")
     x = rng.standard_normal((size, teacher.d))
     y = teacher.link(x @ teacher.theta_star)
     if not teacher.noise.is_none:

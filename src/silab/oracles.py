@@ -9,13 +9,13 @@ Four oracles are provided, both as literal multi-step procedures (what the
 algorithms execute, see the step_* functions) and as effective single-step
 polynomials (what the analysis uses, see effective_psi):
 
-  online            psi(y, z) = a * y sigma'(z)
+  online            psi(y, z) = y sigma'(z)
   batch_reuse       psi(y, z) = y sigma'(z)
                       + sum_{k>=2} ((eta d)^{k-1}/(k-1)!) sigma^{(k)}(z)
                                    (sigma'(z))^{k-1} y^k
                     (Taylor surrogate of the literal two-step update, with
                     the projected squared norm of x replaced by d)
-  alternating       psi(y, z) = a y sigma'(z) + eta y^2 sigma(z) sigma'(z)
+  alternating       psi(y, z) = y sigma'(z) + eta y^2 sigma(z) sigma'(z)
   deep_alternating  product oracle of the sparse D-layer recurrence
                     F_0 = z, F_i = sigma(F_{i-1}) with unit layer scalars
 
@@ -38,6 +38,7 @@ arithmetic); mu_monte_carlo provides the independent sampling route.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Literal, NamedTuple
@@ -48,6 +49,7 @@ from .hermite import (
     MAX_DEGREE,
     MonomialPoly,
     _expand,
+    _hermite_block,
     _hermite_coeffs,
     _is_zero,
     _moment_rows,
@@ -69,10 +71,8 @@ class OracleSpec:
 
     eta scales the non-correlational part of the update (unused by the
     online oracle); gamma is the global step size; depth only applies to
-    deep_alternating. degree_bound caps the length of the mu table (defaults
-    to one past the z-degree of the effective oracle, beyond which every
-    coefficient vanishes). Instances are treated as immutable once used:
-    derived activation coefficients are cached on first access.
+    deep_alternating. Instances are treated as immutable once used: derived
+    activation coefficients are cached on first access.
     """
 
     kind: OracleKind
@@ -80,7 +80,6 @@ class OracleSpec:
     gamma: float = 0.0
     eta: float = 0.0
     depth: int = 2
-    degree_bound: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ORACLE_KINDS:
@@ -91,8 +90,6 @@ class OracleSpec:
             raise ValueError("gamma must be nonnegative")
         if self.kind == "deep_alternating" and self.depth < 2:
             raise ValueError("deep_alternating needs depth >= 2")
-        if self.degree_bound is not None and self.degree_bound < 1:
-            raise ValueError("degree_bound must be a positive integer")
 
     @cached_property
     def _sigma_prime(self) -> MonomialPoly:
@@ -173,18 +170,18 @@ def _psi_polys(activation: MonomialPoly, kind: str, depth: int) -> tuple[tuple[f
     return tuple(q.coeffs for q in polys)
 
 
-def _psi_terms(parts: tuple, spec: OracleSpec, d: int, a: float) -> list:
+def _psi_terms(parts: tuple, spec: OracleSpec, d: int) -> list:
     """effective_psi's terms as (k, coefficient tuple), from _psi_polys parts.
 
-    The scales by a, eta or (eta d)^(k-1)/(k-1)! and, for deep_alternating,
+    The scales by eta or (eta d)^(k-1)/(k-1)! and, for deep_alternating,
     the bivariate product over the layers: the float operations, in the
     order, that building psi from fresh polynomials applies.
     """
     kind, eta = spec.kind, spec.eta
     if kind == "online":
-        raw = {1: _pscale(a, parts[0])}
+        raw = {1: parts[0]}
     elif kind == "alternating":
-        raw = {1: _pscale(a, parts[0]), 2: _pscale(eta, parts[1])}
+        raw = {1: parts[0], 2: _pscale(eta, parts[1])}
     elif kind == "batch_reuse":
         raw = {1: parts[0]}
         for k in range(2, len(parts) + 1):
@@ -199,7 +196,7 @@ def _psi_terms(parts: tuple, spec: OracleSpec, d: int, a: float) -> list:
     return terms or [(1, (0.0,))]
 
 
-def effective_psi(spec: OracleSpec, d: int, a: float = 1.0) -> Psi:
+def effective_psi(spec: OracleSpec, d: int) -> Psi:
     """The single-step polynomial oracle used by the theory layer.
 
     For batch_reuse this is the Taylor surrogate in which the squared
@@ -209,7 +206,7 @@ def effective_psi(spec: OracleSpec, d: int, a: float = 1.0) -> Psi:
     The eta-free polynomials (sigma', sigma sigma', sigma^(k) sigma'^(k-1),
     and the deep recurrence's sigma'(F_{i-1}) and tail_i F_i sigma'(F_{i-1}))
     are memoized per (activation, kind, depth) in _psi_polys; each call only
-    scales them by a, eta or (eta d)^(k-1)/(k-1)! and, for deep_alternating,
+    scales them by eta or (eta d)^(k-1)/(k-1)! and, for deep_alternating,
     forms the bivariate product over the layers (_psi_terms). Those are the
     operations, in the order, that a fresh construction applies to the same
     products, so the result is bit for bit the same. (Keys compare by value:
@@ -218,7 +215,7 @@ def effective_psi(spec: OracleSpec, d: int, a: float = 1.0) -> Psi:
     never in a mu table, whose expansions skip zero coefficients.)
     """
     parts = _psi_polys(spec.activation, spec.kind, spec.depth)
-    terms = _psi_terms(parts, spec, d, a)
+    terms = _psi_terms(parts, spec, d)
     return Psi(tuple((k, MonomialPoly._of(q)) for k, q in terms))
 
 
@@ -227,19 +224,22 @@ class MuTable:
     """Mixed coefficients mu_1..mu_r of an oracle against a teacher.
 
     components breaks mu down by the y-power k of the oracle term that
-    produced it (mus[i] is the sum over k of components[k][i]); istar is the
-    set of indices attaining the minimum in the sign condition
-    argmin_{mu_i != 0} |mu_i|^{-1} d^{((i-2)/2) v 0} at the table's d.
+    produced it (mus[i] is the sum over k of components[k][i]).
     """
 
     mus: tuple[float, ...]
     d: int
-    istar: tuple[int, ...]
     components: tuple[tuple[int, tuple[float, ...]], ...]
 
     @property
     def r(self) -> int:
         return len(self.mus)
+
+    @property
+    def istar(self) -> tuple[int, ...]:
+        """The indices attaining the minimum in the sign condition
+        argmin_{mu_i != 0} |mu_i|^{-1} d^{((i-2)/2) v 0} at the table's d."""
+        return _istar_set(self.mus, self.d)
 
     def mu(self, i: int) -> float:
         """mu_i for i >= 1, with indices past the table length identically zero."""
@@ -260,12 +260,12 @@ def _istar_set(mus, d: int) -> tuple[int, ...]:
 
 
 class _MuPlan(NamedTuple):
-    """What a mu table needs that does not depend on eta, d or a.
+    """What a mu table needs that does not depend on eta or d.
 
     parts: _psi_polys of the family; rows: the moment rows _expand reads,
     covering every q_k the family's psi can have; labels[k]: the Hermite
     expansion of E_zeta[(link(s) + zeta)^k], padded with zeros to one past
-    the longest table the family gives without a degree_bound.
+    the longest table the family gives.
     """
 
     parts: tuple
@@ -293,13 +293,7 @@ def _mu_plan(
     return _MuPlan(parts, _moment_rows(deg), tuple(labels))
 
 
-def mu_table(
-    spec: OracleSpec,
-    link: MonomialPoly,
-    noise: NoiseSpec,
-    d: int,
-    a: float = 1.0,
-) -> MuTable:
+def mu_table(spec: OracleSpec, link: MonomialPoly, noise: NoiseSpec, d: int) -> MuTable:
     """Exact mu_i by separating psi into y^k q_k(z) terms.
 
     The label marginal folds the noise in exactly: E_zeta[(link(s)+zeta)^k]
@@ -317,20 +311,19 @@ def mu_table(
     the sign of a zero component.
     """
     plan = _mu_plan(spec.activation, spec.kind, spec.depth, link, noise)
-    terms = _psi_terms(plan.parts, spec, d, a)
-    r = spec.degree_bound if spec.degree_bound is not None else max(len(q) for _, q in terms)
+    terms = _psi_terms(plan.parts, spec, d)
+    r = max(len(q) for _, q in terms)
     components = []
     mus = [0.0] * r
     for k, q in terms:
         u_q = _expand(q, plan.rows)
         u_q += (0.0,) * (r - len(u_q))
         u_y = plan.labels[k]
-        u_y += (0.0,) * (r + 1 - len(u_y))
         contrib = tuple([u_y[i] * u_q[i - 1] for i in range(1, r + 1)])
         components.append((k, contrib))
         mus = [m + v for m, v in zip(mus, contrib)]
     mus = tuple(mus)
-    return MuTable(mus=mus, d=d, istar=_istar_set(mus, d), components=tuple(components))
+    return MuTable(mus=mus, d=d, components=tuple(components))
 
 
 def mu_of_eta(spec: OracleSpec, teacher: TeacherSpec) -> Callable[[float], MuTable]:
@@ -344,7 +337,7 @@ class SignCheck:
     istar: tuple[int, ...]
 
 
-def check_sign_assumption(mu: MuTable, d: int | None = None) -> SignCheck:
+def check_sign_assumption(mu: MuTable) -> SignCheck:
     """Sign condition on the dominant indices.
 
     Among indices with mu_i != 0, the minimizers of |mu_i|^{-1} d^{((i-2)/2) v 0}
@@ -352,7 +345,7 @@ def check_sign_assumption(mu: MuTable, d: int | None = None) -> SignCheck:
     """
     if all(m == 0.0 for m in mu.mus):
         raise ValueError("degenerate oracle: every mu_i vanishes")
-    istar = _istar_set(mu.mus, mu.d if d is None else d)
+    istar = mu.istar
     return SignCheck(passed=all(mu.mu(i) > 0 for i in istar), istar=istar)
 
 
@@ -391,13 +384,7 @@ def _label_moment(link: MonomialPoly, noise: NoiseSpec, k: int, i: int, times: i
     return _expand(p)[0]
 
 
-def mu_integrand_moments(
-    spec: OracleSpec,
-    link: MonomialPoly,
-    noise: NoiseSpec,
-    d: int,
-    a: float = 1.0,
-):
+def mu_integrand_moments(spec: OracleSpec, link: MonomialPoly, noise: NoiseSpec, d: int):
     """Exact mean and variance of the mu-defining integrand, per index.
 
     The integrand for index i is psi(link(s)+zeta, b) He_i(s) He_{i-1}(b)
@@ -407,8 +394,8 @@ def mu_integrand_moments(
     standard error. The label side depends on (link, noise, k, i) only and
     is memoized (_label_moment).
     """
-    terms = _psi_terms(_psi_polys(spec.activation, spec.kind, spec.depth), spec, d, a)
-    r = spec.degree_bound if spec.degree_bound is not None else max(len(q) for _, q in terms)
+    terms = _psi_terms(_psi_polys(spec.activation, spec.kind, spec.depth), spec, d)
+    r = max(len(q) for _, q in terms)
     means = []
     variances = []
     for i in range(1, r + 1):
@@ -450,7 +437,6 @@ def alignment_gain_moments(
     noise: NoiseSpec,
     d: int,
     kappa: float,
-    a: float = 1.0,
 ):
     """Exact mean and variance of <theta_star, g> for a weight at alignment kappa.
 
@@ -460,7 +446,7 @@ def alignment_gain_moments(
     terms, fixes the exact standard error of the sampling estimate. Each
     moment E[s^m z^n] is computed once per call.
     """
-    terms = _psi_terms(_psi_polys(spec.activation, spec.kind, spec.depth), spec, d, a)
+    terms = _psi_terms(_psi_polys(spec.activation, spec.kind, spec.depth), spec, d)
     corr = lru_cache(maxsize=None)(lambda m, n: _corr_moment(m, n, kappa))
     mean = 0.0
     for k, qk in terms:
@@ -496,17 +482,6 @@ def alignment_gain_moments(
 # ---------------------------------------------------------------------------
 
 
-def _hermite_block(z: np.ndarray, max_order: int) -> np.ndarray:
-    """He_0..He_max_order evaluated on z, shape (max_order+1, len(z))."""
-    out = np.empty((max_order + 1, z.shape[0]))
-    out[0] = 1.0
-    if max_order >= 1:
-        out[1] = z
-    for j in range(1, max_order):
-        out[j + 1] = z * out[j] - j * out[j - 1]
-    return out
-
-
 def _check_draws(n_draws: int, blocks: int, chunk: int) -> None:
     if not n_draws >= blocks >= 1:
         raise ValueError(f"need n_draws >= blocks >= 1, got n_draws={n_draws}, blocks={blocks}")
@@ -521,7 +496,6 @@ def mu_monte_carlo(
     d: int,
     n_draws: int,
     rng: np.random.Generator,
-    a: float = 1.0,
     chunk: int = 200_000,
     blocks: int = 1,
 ):
@@ -535,8 +509,8 @@ def mu_monte_carlo(
     n_draws >= blocks >= 1 and chunk >= 1.
     """
     _check_draws(n_draws, blocks, chunk)
-    psi = effective_psi(spec, d, a)
-    r = spec.degree_bound if spec.degree_bound is not None else psi.z_degree + 1
+    psi = effective_psi(spec, d)
+    r = psi.z_degree + 1
     per_block = n_draws // blocks
     block_means = np.zeros((blocks, r))
     total_sq = np.zeros(r)
@@ -578,7 +552,6 @@ def alignment_gain_monte_carlo(
     kappa: float,
     n_draws: int,
     rng: np.random.Generator,
-    a: float = 1.0,
     chunk: int = 50_000,
     blocks: int = 1,
 ):
@@ -590,7 +563,7 @@ def alignment_gain_monte_carlo(
     yardstick. Raises ValueError unless n_draws >= blocks >= 1 and chunk >= 1.
     """
     _check_draws(n_draws, blocks, chunk)
-    psi = effective_psi(spec, d, a)
+    psi = effective_psi(spec, d)
     theta = np.zeros(d)
     theta[0] = 1.0
     w = np.zeros(d)
@@ -665,28 +638,28 @@ def _as_batch(x, y):
     return xb, yb
 
 
-# Per-sample step coefficients c(y, z, a): the literal update moves w along
+# Per-sample step coefficients c(y, z): the literal update moves w along
 # mean(c x), projected onto the tangent space at w. Each one runs unchanged
 # on Python floats (one sample) and on arrays (a batch). xsq is |x|^2 per
 # sample, computed only for batch_reuse.
 
 
-def _c_online(spec: OracleSpec, y, z, a, xsq):
+def _c_online(spec: OracleSpec, y, z, xsq):
     return y * spec._sigma_prime(z)
 
 
-def _c_batch_reuse(spec: OracleSpec, y, z, a, xsq):
+def _c_batch_reuse(spec: OracleSpec, y, z, xsq):
     # <x, w~> for the per-sample intermediate w~ = w + eta y sigma'(z) P_w x
     t = z + spec.eta * y * spec._sigma_prime(z) * (xsq - z * z)
     return y * spec._sigma_prime(t)
 
 
-def _c_alternating(spec: OracleSpec, y, z, a, xsq):
-    atilde = a + spec.eta * y * spec.activation(z)
+def _c_alternating(spec: OracleSpec, y, z, xsq):
+    atilde = 1.0 + spec.eta * y * spec.activation(z)
     return (y * atilde) * spec._sigma_prime(z)
 
 
-def _c_deep_alternating(spec: OracleSpec, y, z, a, xsq):
+def _c_deep_alternating(spec: OracleSpec, y, z, xsq):
     depth = spec.depth
     f_vals = [z]
     for _ in range(1, depth):
@@ -722,7 +695,7 @@ def _normalize_step(w: np.ndarray, g: np.ndarray, gamma: float) -> StepResult:
     return StepResult(v, g, prenorm, False)
 
 
-def _step(w: np.ndarray, x, y, spec: OracleSpec, coef, a: float = 1.0) -> StepResult:
+def _step(w: np.ndarray, x, y, spec: OracleSpec, coef) -> StepResult:
     """The step shared by every oracle: coefficients, projected mean, normalization.
 
     With one sample the coefficient is scalar arithmetic on Python floats,
@@ -740,10 +713,10 @@ def _step(w: np.ndarray, x, y, spec: OracleSpec, coef, a: float = 1.0) -> StepRe
     z = xb.dot(w)
     xsq = np.einsum("ij,ij->i", xb, xb) if coef is _c_batch_reuse else None
     if len(xb) == 1:
-        c = coef(spec, yb.item(0), z.item(0), a, None if xsq is None else xsq.item(0))
+        c = coef(spec, yb.item(0), z.item(0), None if xsq is None else xsq.item(0))
         v = xb[0] * c
     else:
-        c = coef(spec, yb, z, a, xsq)
+        c = coef(spec, yb, z, xsq)
         v = xb.T @ c / c.shape[0]
     # Projection is linear, so projecting the batch mean equals the mean of
     # per-sample projected updates. v is fresh, so it is projected in place.
@@ -764,12 +737,16 @@ def step_batch_reuse(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
 
 
 def step_alternating(w: np.ndarray, a: float, x, y, spec: OracleSpec):
-    """Second-layer trial step feeding the first-layer step on one sample.
+    """Deprecated: apply_step(w, x, y, spec) gives the same StepResult.
 
-    The trial value a~ = a + eta y sigma(z) is used only inside this update;
-    the persistent second-layer weight is returned unchanged.
+    The persistent second-layer weight a is never trained, so 1.0 is its
+    only value; it is returned unchanged, and any other value raises.
     """
-    return _step(w, x, y, spec, _c_alternating, a), a
+    warnings.warn("step_alternating is deprecated; use apply_step(w, x, y, spec)",
+                  DeprecationWarning, stacklevel=2)
+    if a != 1.0:
+        raise ValueError(f"the second-layer weight is 1.0 on every path, got a={a}")
+    return _step(w, x, y, spec, _c_alternating), a
 
 
 def step_deep_alternating(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
@@ -782,7 +759,7 @@ def step_deep_alternating(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
     return _step(w, x, y, spec, _c_deep_alternating)
 
 
-def apply_step(w: np.ndarray, x, y, spec: OracleSpec, a: float = 1.0) -> StepResult:
+def apply_step(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
     """Dispatch one update of the configured oracle.
 
     The bits of a step depend on the memory layout of x. A C-order block
@@ -791,4 +768,4 @@ def apply_step(w: np.ndarray, x, y, spec: OracleSpec, a: float = 1.0) -> StepRes
     takes a different product loop and may differ in the last bit; pass
     np.ascontiguousarray(x) to replay a run from such a view.
     """
-    return _step(w, x, y, spec, _COEFFICIENTS[spec.kind], a)
+    return _step(w, x, y, spec, _COEFFICIENTS[spec.kind])

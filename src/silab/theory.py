@@ -15,6 +15,8 @@ import numpy as np
 
 from .oracles import MuTable, OracleSpec
 
+PHASE_GRID = 256  # points of phase_boundaries' log-spaced eta grid
+
 
 def _d_exp_iterations(i: int) -> float:
     """Dimension exponent of the T contribution at index i: (i-2)/2 joined at 0."""
@@ -138,22 +140,21 @@ def phase_boundaries(
     d: int,
     eta_range: tuple[float, float],
     spec: OracleSpec | None = None,
-    grid: int = 256,
 ) -> tuple[PhaseBoundary, ...]:
     """Locate recovery-time crossings over a learning-rate range.
 
     For every pair of indices with positive mu somewhere in the range, the
-    first sign change of the log-ratio of their T contributions on a log grid
-    is bracketed and bisected to floating-point resolution (the two
-    contributions then agree to much better than 1e-9 relative). Degenerate boundaries,
-    where two oracle powers share their leading Hermite index and hence no
-    T-pair crossing exists, are reported analytically at the constants-1
-    validity edge d**exponent.
+    first sign change of the log-ratio of their T contributions on the
+    PHASE_GRID log grid is bracketed and bisected to floating-point resolution
+    (the two contributions then agree to much better than 1e-9 relative).
+    Degenerate boundaries, where two oracle powers share their leading Hermite
+    index and hence no T-pair crossing exists, are reported analytically at
+    the constants-1 validity edge d**exponent.
     """
     lo, hi = eta_range
     if not (0 < lo < hi):
         raise ValueError("eta_range must be increasing and positive")
-    etas = np.geomspace(lo, hi, grid)
+    etas = np.geomspace(lo, hi, PHASE_GRID)
     tables = [mu_of_eta(float(e)) for e in etas]
     r = tables[0].r
     kind = spec.kind if spec is not None else None
@@ -170,7 +171,7 @@ def phase_boundaries(
                 math.nan if a is None or b is None else a - b
                 for a, b in zip(log_t[i], log_t[j])
             ]
-            for g in range(grid - 1):
+            for g in range(PHASE_GRID - 1):
                 a, b = diffs[g], diffs[g + 1]
                 if math.isnan(a) or math.isnan(b) or a * b > 0:
                     continue

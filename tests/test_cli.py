@@ -63,6 +63,17 @@ class TestGenDataCommand:
             z = x[0]
             assert float(row[4]) == pytest.approx(z**3 - 3 * z, rel=1e-9)
 
+    def test_negative_n_exits_1_naming_the_count(self, capsys):
+        code, out, err = run_cli(capsys, "gen-data", "--link", "He3", "--d", "4", "--n", "-2")
+        assert code == 1
+        assert out == ""
+        assert "error: sample count must be nonnegative, got -2" in err
+
+    def test_zero_n_prints_only_the_header(self, capsys):
+        code, out, _ = run_cli(capsys, "gen-data", "--link", "He3", "--d", "4", "--n", "0")
+        assert code == 0
+        assert out.splitlines() == ["x_1,x_2,x_3,x_4,y"]
+
 
 class TestMuCommand:
     def test_table_and_verdict(self, capsys):
@@ -97,6 +108,16 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert "violations=0" in err
+
+    def test_unwritable_out_exits_1_before_the_run(self, capsys, tmp_path, monkeypatch):
+        configs = _spy(monkeypatch, cli, "run")
+        target = tmp_path / "no-such-dir" / "traj.csv"
+        code, out, err = run_cli(capsys, "simulate", *MINIMAL["simulate"], "--gamma", "0.01",
+                                 "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert configs == []
 
 
 class TestPredictCommand:

@@ -322,7 +322,7 @@ def _hand_replay(cfg):
         row = []
         for j in range(cfg.n_neurons):
             w = W[j].copy()
-            res = apply_step(w, xs, ys, oracle, a=float(net.a[j]))
+            res = apply_step(w, xs, ys, oracle)
             rejected += res.rejected
             if not math.isfinite(res.prenorm) or res.prenorm >= DIVERGENCE_NORM:
                 diverged = True

@@ -12,7 +12,7 @@ from silab import (
     hermite_eval,
     hermite_poly,
 )
-from silab.hermite import MAX_DEGREE, _hermite_coeffs, _hermite_int_coeffs
+from silab.hermite import MAX_DEGREE, HermiteExpansion, _hermite_coeffs, _hermite_int_coeffs
 
 
 def brute_force_coeff(p: MonomialPoly, k: int) -> float:
@@ -48,6 +48,57 @@ class TestHermiteEval:
     def test_degree_guard(self):
         with pytest.raises(DegreeOverflowError):
             hermite_eval(MAX_DEGREE + 1, 0.5)
+
+
+def _two_term_recurrence(k, z):
+    """He_k(z) by the recurrence on two running arrays, without a block."""
+    z = np.asarray(z, dtype=float)
+    prev = np.ones_like(z)
+    if k == 0:
+        return float(prev) if prev.ndim == 0 else prev
+    cur = z.copy()
+    for j in range(1, k):
+        prev, cur = cur, z * cur - j * prev
+    return float(cur) if cur.ndim == 0 else cur
+
+
+class TestOneRecurrence:
+    """hermite_eval and reconstruct read the rows of one He_0..He_K block."""
+
+    INPUTS = {
+        "float": 1.37,
+        "0-d": np.asarray(-0.61),
+        "1-d": np.linspace(-4.0, 4.0, 33),
+        "2-d": np.linspace(-2.5, 3.5, 12).reshape(3, 4),
+    }
+
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_rows_equal_two_term_recurrence(self, name):
+        z = self.INPUTS[name]
+        for k in range(21):
+            got, want = hermite_eval(k, z), _two_term_recurrence(k, z)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+            if isinstance(got, np.ndarray):
+                assert got.shape == np.shape(z)
+
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_reconstruct_equals_per_index_sum(self, name):
+        z = self.INPUTS[name]
+        u = expand(MonomialPoly((0.3, -1.1, 0.0, 2.5, 0.7, -0.2))).coeffs
+        want = np.zeros_like(np.asarray(z, dtype=float))
+        for k, uk in enumerate(u):
+            if uk != 0.0:
+                want = want + (uk / math.factorial(k)) * _two_term_recurrence(k, z)
+        if np.isscalar(z):
+            want = float(want)
+        got = HermiteExpansion(u).reconstruct(z)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+
+    def test_reconstruct_degree_guard(self):
+        with pytest.raises(DegreeOverflowError):
+            HermiteExpansion((0.0,) * (MAX_DEGREE + 1) + (1.0,)).reconstruct(0.5)
 
 
 class TestNegativeHermiteIndex:

@@ -34,6 +34,14 @@ class TestSeedTree:
         b = draw_batch(t, 64, SeedTree(9, (1, 3)).rng())
         assert not np.array_equal(a[0], b[0])
 
+    def test_negative_size_names_the_sample_count(self):
+        with pytest.raises(ValueError, match="sample count must be nonnegative, got -2"):
+            draw_batch(he3_teacher(), -2, SeedTree(0).rng())
+
+    def test_zero_size_gives_empty_arrays(self):
+        x, y = draw_batch(he3_teacher(d=4), 0, SeedTree(0).rng())
+        assert x.shape == (0, 4) and y.shape == (0,)
+
     def test_digest_stable(self):
         assert SeedTree(5, (0,)).digest() == SeedTree(5, (0,)).digest()
         assert SeedTree(5, (0,)).digest() != SeedTree(5, (1,)).digest()

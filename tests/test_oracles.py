@@ -218,22 +218,22 @@ class TestMonteCarloArguments:
 
 class TestSignAssumption:
     def test_single_positive_entry(self):
-        mu = MuTable(mus=(0.0, 0.0, 108.0), d=50, istar=(3,), components=())
+        mu = MuTable(mus=(0.0, 0.0, 108.0), d=50, components=())
         check = check_sign_assumption(mu)
         assert check.passed and check.istar == (3,)
 
     def test_negative_candidate_fails(self):
-        mu = MuTable(mus=(0.0, -1.0, 0.0), d=50, istar=(2,), components=())
+        mu = MuTable(mus=(0.0, -1.0, 0.0), d=50, components=())
         check = check_sign_assumption(mu)
         assert not check.passed and check.istar == (2,)
 
     def test_competition_picks_index_two(self):
-        mu = MuTable(mus=(0.0, 648.0, 108.0), d=50, istar=(), components=())
+        mu = MuTable(mus=(0.0, 648.0, 108.0), d=50, components=())
         check = check_sign_assumption(mu)
         assert check.passed and check.istar == (2,)
 
     def test_degenerate_raises(self):
-        mu = MuTable(mus=(0.0, 0.0), d=50, istar=(), components=())
+        mu = MuTable(mus=(0.0, 0.0), d=50, components=())
         with pytest.raises(ValueError, match="degenerate"):
             check_sign_assumption(mu)
 
@@ -262,7 +262,7 @@ class TestSteps:
         ]
         for spec in specs:
             if spec.kind == "alternating":
-                res, _ = step_alternating(self.w, 1.0, self.x, self.y, spec)
+                res = apply_step(self.w, self.x, self.y, spec)
             elif spec.kind == "batch_reuse":
                 res = step_batch_reuse(self.w, self.x, self.y, spec)
             elif spec.kind == "deep_alternating":
@@ -303,29 +303,37 @@ class TestSteps:
         ref /= np.linalg.norm(ref)
         np.testing.assert_allclose(res.w, ref, atol=1e-12)
 
-    def test_alternating_returns_input_a_exactly(self):
+    def test_deprecated_step_alternating_gives_apply_step_bits(self):
         spec = OracleSpec(kind="alternating", activation=HE3, gamma=0.05, eta=0.5)
-        res, a_out = step_alternating(self.w, 1.25, self.x, self.y, spec)
-        assert a_out == 1.25
-        assert not np.array_equal(res.w, self.w)
+        want = apply_step(self.w, self.x, self.y, spec)
+        with pytest.deprecated_call(match="apply_step"):
+            res, a_out = step_alternating(self.w, 1.0, self.x, self.y, spec)
+        assert a_out == 1.0
+        assert np.array_equal(res.w, want.w)
+        assert np.array_equal(res.raw_update, want.raw_update)
+        assert res.prenorm == want.prenorm and not res.rejected
+
+    def test_deprecated_step_alternating_rejects_other_a(self):
+        spec = OracleSpec(kind="alternating", activation=HE3, gamma=0.05, eta=0.5)
+        with pytest.deprecated_call(), pytest.raises(ValueError, match="a=1.25"):
+            step_alternating(self.w, 1.25, self.x, self.y, spec)
 
     def test_alternating_eta_zero_equals_online_bitwise(self):
         on = OracleSpec(kind="online", activation=HE3, gamma=0.05)
         alt = OracleSpec(kind="alternating", activation=HE3, gamma=0.05, eta=0.0)
         a = step_online(self.w, self.x, self.y, on)
-        b, _ = step_alternating(self.w, 1.0, self.x, self.y, alt)
+        b = apply_step(self.w, self.x, self.y, alt)
         assert np.array_equal(a.w, b.w)
 
     def test_alternating_gamma_zero(self):
         spec = OracleSpec(kind="alternating", activation=HE3, gamma=0.0, eta=0.5)
-        res, a_out = step_alternating(self.w, 1.0, self.x, self.y, spec)
+        res = apply_step(self.w, self.x, self.y, spec)
         np.testing.assert_array_equal(res.w, self.w)
-        assert a_out == 1.0
 
     def test_deep_depth2_matches_alternating_bitwise(self):
         alt = OracleSpec(kind="alternating", activation=HE3, gamma=0.05, eta=0.5)
         deep = OracleSpec(kind="deep_alternating", activation=HE3, gamma=0.05, eta=0.5, depth=2)
-        a, _ = step_alternating(self.w, 1.0, self.x, self.y, alt)
+        a = apply_step(self.w, self.x, self.y, alt)
         b = step_deep_alternating(self.w, self.x, self.y, deep)
         assert np.array_equal(a.w, b.w)
 
@@ -361,7 +369,7 @@ def _array_horner(coeffs, z):
     return acc
 
 
-def _array_reference_step(w, x, y, spec, a):
+def _array_reference_step(w, x, y, spec):
     """One step written as whole-batch array formulas: z = x w, the per-sample
     coefficient c, the mean x^T c / B, the projection and np.linalg.norm."""
     xb = np.atleast_2d(np.asarray(x, dtype=float))
@@ -376,7 +384,7 @@ def _array_reference_step(w, x, y, spec, a):
         t = z + spec.eta * yb * _array_horner(sp, z) * proj_sq
         c = yb * _array_horner(sp, t)
     elif spec.kind == "alternating":
-        atilde = a + spec.eta * yb * _array_horner(sig, z)
+        atilde = 1.0 + spec.eta * yb * _array_horner(sig, z)
         c = (yb * atilde) * _array_horner(sp, z)
     else:
         f_vals = [z]
@@ -416,15 +424,14 @@ class TestStepCoreBitIdentity:
             w = unit(rng.standard_normal(d))
             x = rng.standard_normal((batch, d))
             y = HE3(x @ unit(rng.standard_normal(d)))
-            a = 1.0 + 0.1 * trial
-            res = apply_step(w, x, y, spec, a=a)
-            w_ref, g_ref, prenorm_ref = _array_reference_step(w, x, y, spec, a)
+            res = apply_step(w, x, y, spec)
+            w_ref, g_ref, prenorm_ref = _array_reference_step(w, x, y, spec)
             assert np.array_equal(res.w, w_ref)
             assert np.array_equal(res.raw_update, g_ref)
             assert res.prenorm == prenorm_ref
             assert not res.rejected
             if batch == 1:  # a bare vector and a scalar label take the same path
-                single = apply_step(w, x[0], float(y[0]), spec, a=a)
+                single = apply_step(w, x[0], float(y[0]), spec)
                 assert np.array_equal(single.w, w_ref)
                 assert single.prenorm == prenorm_ref
 
@@ -463,8 +470,8 @@ class TestStepCoreBitIdentity:
             assert xb.dtype == yb.dtype == np.float64, name
             assert xb.ndim == 2 and yb.ndim == 1, name
             assert np.array_equal(xb, x_ref) and np.array_equal(yb, y_ref), name
-            res = apply_step(w, x, y, spec, a=1.3)
-            ref = apply_step(w, x_ref, y_ref, spec, a=1.3)
+            res = apply_step(w, x, y, spec)
+            ref = apply_step(w, x_ref, y_ref, spec)
             assert np.array_equal(res.w, ref.w), name
             assert np.array_equal(res.raw_update, ref.raw_update), name
             assert res.prenorm == ref.prenorm, name
@@ -477,8 +484,8 @@ class TestStepCoreBitIdentity:
         # a contiguous view steps with the bits of its copy
         for name in ("row slice", "one-row slice"):
             x, y = inputs[name]
-            res = apply_step(w, x, y, spec, a=1.3)
-            ref = apply_step(w, x.copy(), y.copy(), spec, a=1.3)
+            res = apply_step(w, x, y, spec)
+            ref = apply_step(w, x.copy(), y.copy(), spec)
             assert np.array_equal(res.w, ref.w) and res.prenorm == ref.prenorm
         # other dtypes are converted, never passed through
         for name in ("int", "float32"):
@@ -554,7 +561,7 @@ class TestSteinIdentity:
             assert abs(est - expected_alignment_gain(mu, kappa)) <= 5 * se
 
     def test_gain_formula_factorials(self):
-        mu = MuTable(mus=(2.0, 3.0, 24.0), d=10, istar=(1,), components=())
+        mu = MuTable(mus=(2.0, 3.0, 24.0), d=10, components=())
         k = 0.5
         expected = (2.0 + 3.0 * k + 24.0 * k**2 / 2.0) * (1 - k**2)
         assert expected_alignment_gain(mu, k) == pytest.approx(expected)
@@ -595,13 +602,13 @@ def _reference_bivariate_product(a, b):
     return out
 
 
-def _reference_psi(spec, d, a):
+def _reference_psi(spec, d):
     sigma = spec.activation
     sp = sigma.derivative()
     if spec.kind == "online":
-        raw = {1: sp.scale(a)}
+        raw = {1: sp}
     elif spec.kind == "alternating":
-        raw = {1: sp.scale(a), 2: (sigma * sp).scale(spec.eta)}
+        raw = {1: sp, 2: (sigma * sp).scale(spec.eta)}
     elif spec.kind == "batch_reuse":
         raw = {1: sp}
         for k in range(2, sigma.degree + 1):
@@ -628,11 +635,11 @@ def _reference_psi(spec, d, a):
 
 
 def _reference_r(spec, terms):
-    return spec.degree_bound or max(q.degree for _, q in terms) + 1
+    return max(q.degree for _, q in terms) + 1
 
 
-def _reference_mu_table(spec, link, noise, d, a):
-    terms = _reference_psi(spec, d, a)
+def _reference_mu_table(spec, link, noise, d):
+    terms = _reference_psi(spec, d)
     r = _reference_r(spec, terms)
     components = []
     mus = np.zeros(r)
@@ -645,8 +652,8 @@ def _reference_mu_table(spec, link, noise, d, a):
     return tuple(float(v) for v in mus), _istar_set(mus, d), tuple(components)
 
 
-def _reference_integrand_moments(spec, link, noise, d, a):
-    terms = _reference_psi(spec, d, a)
+def _reference_integrand_moments(spec, link, noise, d):
+    terms = _reference_psi(spec, d)
     means, variances = [], []
     for i in range(1, _reference_r(spec, terms) + 1):
         hei, heim1 = hermite_poly(i), hermite_poly(i - 1)
@@ -680,8 +687,8 @@ def _reference_cross_expect(a_poly, b_poly, kappa):
     return total
 
 
-def _reference_gain_moments(spec, link, noise, d, kappa, a):
-    terms = _reference_psi(spec, d, a)
+def _reference_gain_moments(spec, link, noise, d, kappa):
+    terms = _reference_psi(spec, d)
     mean = 0.0
     for k, qk in terms:
         for alpha, ca in enumerate(_reference_folded_power(link, noise, k).coeffs):
@@ -712,32 +719,31 @@ ETAS = (0.0, 1e-3, 0.21, 1.0)
 class TestMemoizedTheoryBitIdentity:
     """mu_table and the exact moments equal the unmemoized formulas bit for bit."""
 
-    # (kind, activation, depth, d, a); the inexact coefficients of FRAC and
+    # (kind, activation, depth, d); the inexact coefficients of FRAC and
     # FRAC2 make the products' rounding, and so their order, show in the bits
     CASES = [
-        ("online", HE3, 2, 50, 1.0),
-        ("online", NEG_HE3, 2, 50, 0.7),
-        ("alternating", HE3, 2, 50, 1.0),
-        ("alternating", FRAC, 2, 25, 0.7),
-        ("batch_reuse", HE3, 2, 10, 1.0),
-        ("batch_reuse", FRAC, 2, 100, 1.0),
-        ("deep_alternating", HE3, 2, 50, 1.0),
-        ("deep_alternating", HE2, 3, 50, 1.0),
-        ("deep_alternating", FRAC2, 3, 25, 1.0),
+        ("online", HE3, 2, 50),
+        ("online", NEG_HE3, 2, 50),
+        ("alternating", HE3, 2, 50),
+        ("alternating", FRAC, 2, 25),
+        ("batch_reuse", HE3, 2, 10),
+        ("batch_reuse", FRAC, 2, 100),
+        ("deep_alternating", HE3, 2, 50),
+        ("deep_alternating", HE2, 3, 50),
+        ("deep_alternating", FRAC2, 3, 25),
     ]
-    IDS = [f"{k}-{ACT_NAMES[s]}"
-           f"-depth{D}-d{d}-a{a}" for k, s, D, d, a in CASES]
+    IDS = [f"{k}-{ACT_NAMES[s]}-depth{D}-d{d}" for k, s, D, d in CASES]
 
     @pytest.mark.parametrize("link", [HE3, HE2], ids=["He3", "He2"])
     @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.family)
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_mu_table(self, case, noise, link):
-        kind, act, depth, d, a = case
+        kind, act, depth, d = case
         for eta in ETAS:
             spec = OracleSpec(kind=kind, activation=act, eta=eta, depth=depth)
-            mus, istar, components = _reference_mu_table(spec, link, noise, d, a)
-            tab = mu_table(spec, link, noise, d, a)
-            assert effective_psi(spec, d, a).terms == _reference_psi(spec, d, a)
+            mus, istar, components = _reference_mu_table(spec, link, noise, d)
+            tab = mu_table(spec, link, noise, d)
+            assert effective_psi(spec, d).terms == _reference_psi(spec, d)
             assert tab.mus == mus
             assert tab.istar == istar
             assert tab.components == components
@@ -748,16 +754,16 @@ class TestMemoizedTheoryBitIdentity:
     def test_exact_moments(self, case, noise):
         from silab.oracles import alignment_gain_moments, mu_integrand_moments
 
-        kind, act, depth, d, a = case
+        kind, act, depth, d = case
         for eta in ETAS[1:3]:
             spec = OracleSpec(kind=kind, activation=act, eta=eta, depth=depth)
-            means, variances = mu_integrand_moments(spec, HE3, noise, d, a)
-            ref_means, ref_variances = _reference_integrand_moments(spec, HE3, noise, d, a)
+            means, variances = mu_integrand_moments(spec, HE3, noise, d)
+            ref_means, ref_variances = _reference_integrand_moments(spec, HE3, noise, d)
             assert means.tolist() == ref_means
             assert variances.tolist() == ref_variances
             for kappa in (0.05, 0.5):
-                got = alignment_gain_moments(spec, HE3, noise, d, kappa, a)
-                assert got == _reference_gain_moments(spec, HE3, noise, d, kappa, a)
+                got = alignment_gain_moments(spec, HE3, noise, d, kappa)
+                assert got == _reference_gain_moments(spec, HE3, noise, d, kappa)
 
     @pytest.mark.parametrize("first, second", [
         (OracleSpec(kind="alternating", activation=HE3, eta=0.3),
@@ -770,7 +776,7 @@ class TestMemoizedTheoryBitIdentity:
         tables = [mu_table(spec, HE3, NOISELESS, d) for spec in (first, second, first, second)]
         assert tables[0].mus != tables[1].mus
         for spec, tab in zip((first, second) * 2, tables):
-            assert tab.mus == _reference_mu_table(spec, HE3, NOISELESS, d, 1.0)[0]
+            assert tab.mus == _reference_mu_table(spec, HE3, NOISELESS, d)[0]
 
     def test_noise_scales_get_their_own_label_expansions(self):
         # the y^3 term sees tau through E[(link + zeta)^3] = link^3 + 3 tau^2 link
@@ -778,7 +784,7 @@ class TestMemoizedTheoryBitIdentity:
         for tau in (0.5, 0.25, 0.5):
             noise = NoiseSpec("gaussian", tau)
             assert mu_table(spec, HE3, noise, 50).mus == _reference_mu_table(
-                spec, HE3, noise, 50, 1.0)[0]
+                spec, HE3, noise, 50)[0]
 
     @pytest.mark.parametrize("coeffs", [
         (0.0,),
@@ -864,9 +870,9 @@ def _reference_phase_boundaries(mu_of_eta, d, eta_range, spec, grid=256):
     return tuple(sorted(out, key=lambda b: (b.eta_star, b.i, b.j)))
 
 
-def _reference_table(spec, link, noise, d, a=1.0):
-    mus, istar, components = _reference_mu_table(spec, link, noise, d, a)
-    return MuTable(mus=mus, d=d, istar=istar, components=components)
+def _reference_table(spec, link, noise, d):
+    mus, _, components = _reference_mu_table(spec, link, noise, d)
+    return MuTable(mus=mus, d=d, components=components)
 
 
 Z2 = MonomialPoly.monomial(2)
@@ -905,17 +911,13 @@ class TestPhaseScanBitIdentity:
 
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_table_edges(self, case):
-        # eta = 0 drops the eta terms; degree_bound cuts or pads the table
+        # eta = 0 drops the eta terms
         kind, act, depth, _, _ = case
-        r = mu_table(OracleSpec(kind=kind, activation=act, eta=1.0, depth=depth),
-                     HE3, NOISELESS, 50).r
         for noise in NOISES:
-            for eta, bound, a in ((0.0, None, 1.0), (0.0, None, 0.6), (0.3, 2, 1.0),
-                                  (0.3, r + 4, 1.7), (0.0, r + 1, 0.6)):
-                spec = OracleSpec(kind=kind, activation=act, eta=eta, depth=depth,
-                                  degree_bound=bound)
-                got = mu_table(spec, HE3, noise, 50, a)
-                want = _reference_table(spec, HE3, noise, 50, a)
+            for eta in (0.0, 0.3):
+                spec = OracleSpec(kind=kind, activation=act, eta=eta, depth=depth)
+                got = mu_table(spec, HE3, noise, 50)
+                want = _reference_table(spec, HE3, noise, 50)
                 assert got == want
                 assert repr(got) == repr(want)
 
@@ -923,7 +925,7 @@ class TestPhaseScanBitIdentity:
         spec = OracleSpec(kind="deep_alternating", activation=HE3, eta=0.3, depth=4)
         message = "product has degree 62, above the supported cap 60"
         with pytest.raises(DegreeOverflowError) as ref:
-            _reference_psi(spec, 50, 1.0)
+            _reference_psi(spec, 50)
         assert str(ref.value) == message
         for call in (lambda: mu_table(spec, HE3, NOISELESS, 50),
                      lambda: effective_psi(spec, 50)):

@@ -17,14 +17,14 @@ from silab import (
     predict_T,
     recursion_oracle,
 )
-from silab.oracles import MuTable
+from silab.oracles import MuTable, _istar_set
 
 HE3 = hermite_poly(3)
 NOISELESS = NoiseSpec()
 
 
 def table(mus, d=50):
-    return MuTable(mus=tuple(float(m) for m in mus), d=d, istar=(), components=())
+    return MuTable(mus=tuple(float(m) for m in mus), d=d, components=())
 
 
 def alternating_mu_fn(d, link=HE3, act=HE3):
@@ -32,6 +32,25 @@ def alternating_mu_fn(d, link=HE3, act=HE3):
         return mu_table(OracleSpec(kind="alternating", activation=act, eta=eta),
                         link, NOISELESS, d)
     return fn
+
+
+class TestIstar:
+    @pytest.mark.parametrize("mus, d", [
+        ((2.0,), 50),
+        ((0.0, 648.0, 108.0), 50),
+        ((0.0, 0.0, 108.0), 50),
+        ((0.0, -1.0, 0.0), 50),
+        ((-50.0, 5.0), 10),
+        ((3.0, 0.0, 2.0, 1.0), 400),
+        ((0.0, 0.0), 50),
+    ])
+    def test_derived_from_mus_and_d(self, mus, d):
+        assert table(mus, d).istar == _istar_set(mus, d)
+
+    def test_competition_at_the_table_d(self):
+        # |mu_2|^-1 = 1/648 beats d^(1/2) |mu_3|^-1 = d^(1/2)/2000 at d = 50, not at d = 1
+        assert table((0.0, 648.0, 2000.0), d=50).istar == (2,)
+        assert table((0.0, 648.0, 2000.0), d=1).istar == (3,)
 
 
 class TestPredictT:
