@@ -37,7 +37,6 @@ from .oracles import (
     mu_integrand_moments,
     mu_monte_carlo,
     mu_table,
-    step_alternating,
     step_batch_reuse,
     step_deep_alternating,
     step_online,

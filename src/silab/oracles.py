@@ -38,7 +38,6 @@ arithmetic); mu_monte_carlo provides the independent sampling route.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Literal, NamedTuple
@@ -734,19 +733,6 @@ def step_batch_reuse(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
     sample, then the gamma-step. Both gradient evaluations reuse the sample;
     no Taylor surrogate is involved here."""
     return _step(w, x, y, spec, _c_batch_reuse)
-
-
-def step_alternating(w: np.ndarray, a: float, x, y, spec: OracleSpec):
-    """Deprecated: apply_step(w, x, y, spec) gives the same StepResult.
-
-    The persistent second-layer weight a is never trained, so 1.0 is its
-    only value; it is returned unchanged, and any other value raises.
-    """
-    warnings.warn("step_alternating is deprecated; use apply_step(w, x, y, spec)",
-                  DeprecationWarning, stacklevel=2)
-    if a != 1.0:
-        raise ValueError(f"the second-layer weight is 1.0 on every path, got a={a}")
-    return _step(w, x, y, spec, _c_alternating), a
 
 
 def step_deep_alternating(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:

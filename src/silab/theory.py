@@ -16,6 +16,8 @@ import numpy as np
 from .oracles import MuTable, OracleSpec
 
 PHASE_GRID = 256  # points of phase_boundaries' log-spaced eta grid
+_SIGN_MARGIN = 1e-9  # relative margin at which a grid sign is read off C
+_C_AGREEMENT = 1e-12  # relative gap between the two ends' C that abstains
 
 
 def _d_exp_iterations(i: int) -> float:
@@ -26,6 +28,13 @@ def _d_exp_iterations(i: int) -> float:
 def _d_exp_gamma(i: int) -> float:
     """Dimension exponent of the step-size cap at index i: i/2 joined at 1."""
     return max(i / 2.0, 1.0)
+
+
+def _check_d(mu: MuTable, d: int | None) -> int:
+    """The table's d, after checking that a given d agrees with it."""
+    if d is not None and d != mu.d:
+        raise ValueError(f"d={d} differs from the mu table's d={mu.d}")
+    return mu.d
 
 
 @dataclass(frozen=True)
@@ -50,7 +59,7 @@ class Prediction:
 
 def gamma_max(mu: MuTable, d: int | None = None) -> float:
     """Largest admissible step size, constants 1: max_i mu_i d^-(i/2 v 1)."""
-    d = mu.d if d is None else d
+    d = _check_d(mu, d)
     vals = [m * d ** (-_d_exp_gamma(i)) for i, m in enumerate(mu.mus, 1) if m > 0]
     if not vals:
         raise ValueError("no positive mu entry; no admissible step size")
@@ -60,7 +69,7 @@ def gamma_max(mu: MuTable, d: int | None = None) -> float:
 def predict_T(mu: MuTable, gamma: float, d: int | None = None) -> Prediction:
     """Evaluate the recovery-time formula at a given step size and, jointly,
     at the best admissible one."""
-    d = mu.d if d is None else d
+    d = _check_d(mu, d)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     entries = [
@@ -135,6 +144,69 @@ def _analytic_exponent(kind: str, mi: int, mj: int, ki: int, kj: int) -> float:
     return exp
 
 
+def _eta_free_coefficients(lo: MuTable, hi: MuTable, eta_lo: float, eta_hi: float):
+    """C[i, k] = components[k][i] / eta^(k-1), with the k-1 of each column.
+
+    Returns None (the scan then reads every grid point from a real table)
+    unless the two tables agree on r, on the component keys, on which entries
+    are exactly 0.0, and on every C to 1e-12 relative.
+    """
+    keys = [k for k, _ in hi.components]
+    if lo.r != hi.r or [k for k, _ in lo.components] != keys:
+        return None
+    comp_lo = np.array([c for _, c in lo.components]).T
+    comp_hi = np.array([c for _, c in hi.components]).T
+    if not np.array_equal(comp_lo == 0.0, comp_hi == 0.0):
+        return None
+    powers = np.array(keys) - 1
+    c_lo = comp_lo / eta_lo**powers
+    c_hi = comp_hi / eta_hi**powers
+    if not np.all(np.abs(c_lo - c_hi) <= _C_AGREEMENT * np.maximum(np.abs(c_lo), np.abs(c_hi))):
+        return None
+    return c_hi, powers
+
+
+def _grid_signs(etas: np.ndarray, ends: tuple[MuTable, MuTable], mu_of_eta, d: int, r: int):
+    """Sign of log T_i - log T_j for every pair i < j (in row-major order) at
+    every grid eta, nan where mu_i <= 0 or mu_j <= 0, shape (pairs, grid).
+
+    Where the polynomial in eta through the two end tables fixes a sign with
+    margin (see phase_boundaries), it is read from there; every other grid
+    point, and both ends, is read from its real table, built once.
+    """
+    lo, hi = ends
+    iu, ju = np.triu_indices(r, 1)
+    signs = np.full((len(iu), len(etas)), np.nan)
+    real = np.ones(len(etas), dtype=bool)
+    fit = _eta_free_coefficients(lo, hi, float(etas[0]), float(etas[-1]))
+    if fit is not None:
+        coeffs, powers = fit
+        terms = etas[:, None] ** powers
+        mu = terms @ coeffs.T
+        bound = terms @ np.abs(coeffs).T
+        pos = mu > _SIGN_MARGIN * bound
+        nonpos = (mu < -_SIGN_MARGIN * bound) | np.all(coeffs == 0.0, axis=1)
+        dpow = np.array([d ** _d_exp_iterations(i) for i in range(1, r + 1)])
+        # log T_i - log T_j > 0 exactly when d^(a_i) mu_j - d^(a_j) mu_i > 0
+        gap = dpow[iu] * mu[:, ju] - dpow[ju] * mu[:, iu]
+        tol = _SIGN_MARGIN * (dpow[iu] * bound[:, ju] + dpow[ju] * bound[:, iu])
+        both_pos = pos[:, iu] & pos[:, ju]
+        either_nonpos = nonpos[:, iu] | nonpos[:, ju]
+        signs[:] = np.where(either_nonpos, np.nan, gap).T
+        certain = either_nonpos | (both_pos & (np.abs(gap) > tol))
+        real = ~np.all(certain, axis=1)
+        real[[0, -1]] = True
+    for g in np.flatnonzero(real):
+        tab = lo if g == 0 else hi if g == len(etas) - 1 else mu_of_eta(float(etas[g]))
+        log_t = [math.log(_t_value(tab, i, d)) if tab.mu(i) > 0 else None
+                 for i in range(1, r + 1)]
+        signs[:, g] = [
+            math.nan if log_t[i] is None or log_t[j] is None else log_t[i] - log_t[j]
+            for i, j in zip(iu, ju)
+        ]
+    return np.sign(signs)
+
+
 def phase_boundaries(
     mu_of_eta: Callable[[float], MuTable],
     d: int,
@@ -150,77 +222,85 @@ def phase_boundaries(
     Degenerate boundaries, where two oracle powers share their leading Hermite
     index and hence no T-pair crossing exists, are reported analytically at
     the constants-1 validity edge d**exponent.
+
+    The scan reads the grid only as signs. It builds real tables at the two
+    grid ends and relies on mu_table's contract: component k of a table
+    scales exactly as eta^(k-1), so mu_i(eta) = sum_k C[i, k] eta^(k-1) with
+    C free of eta, and the end tables fix C. With B_i = sum_k |C[i, k]
+    eta^(k-1)|, index i counts as positive where this polynomial exceeds
+    1e-9 B_i and as non-positive where it is below -1e-9 B_i; an index whose
+    components are all 0.0 at both ends is zero. For two positive indices,
+    log T_i - log T_j has the sign of d^(a_i) mu_j - d^(a_j) mu_i, with
+    a_i = max((i-2)/2, 0), and that sign counts where its size exceeds
+    1e-9 (d^(a_i) B_j + d^(a_j) B_i). A grid point where any sign does not
+    count gets its real table. If the end tables differ in r, in their
+    component keys, in which entries are exactly 0.0, or in C by more than
+    1e-12 relative, every grid point gets its real table (the full scan).
+    The tables must carry d; a different one raises ValueError.
     """
     lo, hi = eta_range
     if not (0 < lo < hi):
         raise ValueError("eta_range must be increasing and positive")
     etas = np.geomspace(lo, hi, PHASE_GRID)
-    tables = [mu_of_eta(float(e)) for e in etas]
-    r = tables[0].r
+    ends = (mu_of_eta(float(etas[0])), mu_of_eta(float(etas[-1])))
+    for tab in ends:
+        _check_d(tab, d)
+    r = ends[0].r
     kind = spec.kind if spec is not None else None
 
-    # log T_i on the grid, read once per (table, index); None where mu_i <= 0
-    log_t = {
-        i: [math.log(_t_value(tab, i, d)) if tab.mu(i) > 0 else None for tab in tables]
-        for i in range(1, r + 1)
-    }
+    pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+    signs = _grid_signs(etas, ends, mu_of_eta, d, r)
+    brackets = signs[:, :-1] * signs[:, 1:] <= 0  # false where either is nan
     out: list[PhaseBoundary] = []
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            diffs = [
-                math.nan if a is None or b is None else a - b
-                for a, b in zip(log_t[i], log_t[j])
-            ]
-            for g in range(PHASE_GRID - 1):
-                a, b = diffs[g], diffs[g + 1]
-                if math.isnan(a) or math.isnan(b) or a * b > 0:
-                    continue
-                e_lo, e_hi = float(etas[g]), float(etas[g + 1])
-                f_lo = a
-                for _ in range(200):
-                    mid = math.sqrt(e_lo * e_hi)
-                    tab = mu_of_eta(mid)
-                    fm = math.log(_t_value(tab, i, d)) - math.log(_t_value(tab, j, d))
-                    if fm == 0.0 or (e_hi - e_lo) <= 1e-15 * e_lo:
-                        e_lo = e_hi = mid
-                        break
-                    if (fm > 0) == (f_lo > 0):
-                        e_lo, f_lo = mid, fm
-                    else:
-                        e_hi = mid
-                eta_star = math.sqrt(e_lo * e_hi)
-                ref = mu_of_eta(eta_star)
-                ki = _power_attribution(ref, i)
-                kj = _power_attribution(ref, j)
-                exponent = None
-                powers = None
-                if kind in ("batch_reuse", "alternating", "deep_alternating") and (
-                    ki is not None and kj is not None and ki != kj
-                ):
-                    if ki < kj:
-                        exponent = _analytic_exponent(kind, i, j, ki, kj)
-                    else:
-                        exponent = _analytic_exponent(kind, j, i, kj, ki)
-                    powers = (ki, kj)
-                dom_lo = _dominant_index(mu_of_eta(eta_star * 0.99), d)
-                dom_hi = _dominant_index(mu_of_eta(eta_star * 1.01), d)
-                switch = {dom_lo, dom_hi} == {i, j}
-                out.append(
-                    PhaseBoundary(
-                        i=i,
-                        j=j,
-                        eta_star=eta_star,
-                        exponent=exponent,
-                        powers=powers,
-                        degenerate=False,
-                        argmin_switch=switch,
-                    )
-                )
-                break  # one boundary per pair: its first bracket
+    for (i, j), row, hits in zip(pairs, signs, brackets):
+        if not hits.any():
+            continue
+        g = int(np.argmax(hits))  # one boundary per pair: its first bracket
+        e_lo, e_hi = float(etas[g]), float(etas[g + 1])
+        f_lo = row[g]
+        for _ in range(200):
+            mid = math.sqrt(e_lo * e_hi)
+            tab = mu_of_eta(mid)
+            fm = math.log(_t_value(tab, i, d)) - math.log(_t_value(tab, j, d))
+            if fm == 0.0 or (e_hi - e_lo) <= 1e-15 * e_lo:
+                e_lo = e_hi = mid
+                break
+            if (fm > 0) == (f_lo > 0):
+                e_lo, f_lo = mid, fm
+            else:
+                e_hi = mid
+        eta_star = math.sqrt(e_lo * e_hi)
+        ref = mu_of_eta(eta_star)
+        ki = _power_attribution(ref, i)
+        kj = _power_attribution(ref, j)
+        exponent = None
+        powers = None
+        if kind in ("batch_reuse", "alternating", "deep_alternating") and (
+            ki is not None and kj is not None and ki != kj
+        ):
+            if ki < kj:
+                exponent = _analytic_exponent(kind, i, j, ki, kj)
+            else:
+                exponent = _analytic_exponent(kind, j, i, kj, ki)
+            powers = (ki, kj)
+        dom_lo = _dominant_index(mu_of_eta(eta_star * 0.99), d)
+        dom_hi = _dominant_index(mu_of_eta(eta_star * 1.01), d)
+        switch = {dom_lo, dom_hi} == {i, j}
+        out.append(
+            PhaseBoundary(
+                i=i,
+                j=j,
+                eta_star=eta_star,
+                exponent=exponent,
+                powers=powers,
+                degenerate=False,
+                argmin_switch=switch,
+            )
+        )
 
     # Within-index boundaries: two powers sharing the leading Hermite index.
     if kind in ("batch_reuse", "alternating", "deep_alternating"):
-        ref = tables[-1]
+        ref = ends[1]
         leading: dict[int, list[int]] = {}
         for k, contrib in ref.components:
             nz = [idx + 1 for idx, v in enumerate(contrib) if v != 0.0]
@@ -262,7 +342,7 @@ def recursion_oracle(
     default (their contribution is asymptotically negligible under the sign
     condition); include_negative retains them for exploration.
     """
-    d = mu.d if d is None else d
+    d = _check_d(mu, d)
     if not 0 < c_target < 1:
         raise ValueError("c_target must lie in (0, 1)")
     terms = [
@@ -410,7 +490,7 @@ def gamma_auto(
     strong mode scales the generic cap by the accuracy target:
     d^-1 eps max_i mu_i c^{i-1}.
     """
-    d = mu.d if d is None else d
+    d = _check_d(mu, d)
     if mode == "strong":
         vals = [m * c ** (i - 1) for i, m in enumerate(mu.mus, 1) if m > 0]
         if not vals:

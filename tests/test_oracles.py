@@ -14,7 +14,6 @@ from silab import (
     expected_alignment_gain,
     hermite_poly,
     mu_table,
-    step_alternating,
     step_batch_reuse,
     step_deep_alternating,
     step_online,
@@ -30,6 +29,7 @@ from silab.oracles import (
     mu_monte_carlo,
 )
 from silab.theory import (
+    PHASE_GRID,
     PhaseBoundary,
     _analytic_exponent,
     _dominant_index,
@@ -302,21 +302,6 @@ class TestSteps:
         ref = self.w + spec.gamma * g
         ref /= np.linalg.norm(ref)
         np.testing.assert_allclose(res.w, ref, atol=1e-12)
-
-    def test_deprecated_step_alternating_gives_apply_step_bits(self):
-        spec = OracleSpec(kind="alternating", activation=HE3, gamma=0.05, eta=0.5)
-        want = apply_step(self.w, self.x, self.y, spec)
-        with pytest.deprecated_call(match="apply_step"):
-            res, a_out = step_alternating(self.w, 1.0, self.x, self.y, spec)
-        assert a_out == 1.0
-        assert np.array_equal(res.w, want.w)
-        assert np.array_equal(res.raw_update, want.raw_update)
-        assert res.prenorm == want.prenorm and not res.rejected
-
-    def test_deprecated_step_alternating_rejects_other_a(self):
-        spec = OracleSpec(kind="alternating", activation=HE3, gamma=0.05, eta=0.5)
-        with pytest.deprecated_call(), pytest.raises(ValueError, match="a=1.25"):
-            step_alternating(self.w, 1.25, self.x, self.y, spec)
 
     def test_alternating_eta_zero_equals_online_bitwise(self):
         on = OracleSpec(kind="online", activation=HE3, gamma=0.05)
@@ -877,23 +862,27 @@ def _reference_table(spec, link, noise, d):
 
 Z2 = MonomialPoly.monomial(2)
 HE3_Z2 = HE3 + MonomialPoly((0.0, 0.0, 0.3))
+HE3_HE4 = HE3 + hermite_poly(4).scale(0.3)
 
 
 class TestPhaseScanBitIdentity:
-    """phase_boundaries over tables from the per-family plan equals the old
-    pair loop over tables built from MonomialPoly, bit for bit."""
+    """phase_boundaries, which reads its grid signs off the two end tables,
+    over tables from the per-family plan equals the full pair loop over every
+    grid table built from MonomialPoly, bit for bit."""
 
-    # (kind, activation, depth, link, eta range): each scan finds a crossing
-    # at d = 25 at least
+    # (kind, activation, depth, link, eta range): each scan but online's (its
+    # table does not depend on eta) finds a crossing at d = 25 at least
     CASES = [
+        ("online", HE3 + HE2.scale(0.5), 2, HE3 + HE2.scale(0.5), (1e-3, 1.0)),
         ("alternating", HE3, 2, HE3, (1e-3, 1.0)),
         ("batch_reuse", HE3, 2, HE3, (1e-3, 1.0)),
+        ("batch_reuse", HE3_HE4, 2, HE3, (1e-8, 10.0)),
         ("deep_alternating", HE3, 2, HE3, (1e-3, 1.0)),
         ("deep_alternating", Z2, 3, HE3 + HE2.scale(0.5), (1e-4, 30.0)),
         ("deep_alternating", HE3_Z2, 3, HE3, (1e-6, 1e3)),
     ]
-    IDS = ["alternating-He3", "batch_reuse-He3", "deep-He3-depth2", "deep-z2-depth3",
-           "deep-He3+0.3z2-depth3"]
+    IDS = ["online-He3+0.5He2", "alternating-He3", "batch_reuse-He3", "batch_reuse-He3+0.3He4",
+           "deep-He3-depth2", "deep-z2-depth3", "deep-He3+0.3z2-depth3"]
 
     @pytest.mark.parametrize("d", [25, 400])
     @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.family)
@@ -905,9 +894,57 @@ class TestPhaseScanBitIdentity:
             lambda e: mu_table(replace(spec, eta=e), link, noise, d), d, eta_range, spec=spec)
         want = _reference_phase_boundaries(
             lambda e: _reference_table(replace(spec, eta=e), link, noise, d), d, eta_range, spec)
-        assert want if d == 400 else any(not b.degenerate for b in want)
+        if kind == "online":
+            assert want == ()
+        else:
+            assert want if d == 400 else any(not b.degenerate for b in want)
         assert got == want
         assert repr(got) == repr(want)
+
+    # the theory_atlas families, each over the atlas' eta range
+    ATLAS = [("alternating", HE3, 2), ("batch_reuse", HE3, 2), ("deep_alternating", Z2, 3)]
+
+    @pytest.mark.parametrize("d", [25, 400])
+    @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.family)
+    @pytest.mark.parametrize("family", ATLAS, ids=["alternating", "batch_reuse", "deep-z2"])
+    def test_no_interior_grid_table(self, family, noise, d):
+        kind, act, depth = family
+        spec = OracleSpec(kind=kind, activation=act, depth=depth)
+        calls = []
+
+        def spy(e):
+            calls.append(e)
+            return mu_table(replace(spec, eta=e), HE3, noise, d)
+
+        phase_boundaries(spy, d, (1e-3, 1.0), spec=spec)
+        grid = [float(e) for e in np.geomspace(1e-3, 1.0, PHASE_GRID)]
+        assert calls[:2] == [grid[0], grid[-1]]
+        assert not set(calls) & set(grid[1:-1])
+
+    def test_end_tables_off_the_polynomial_read_every_grid_table(self):
+        # component 2 times (1 + eta) is not C eta^(k-1): the ends disagree on C
+        spec = OracleSpec(kind="alternating", activation=HE3)
+        d = 25
+
+        def bent(e, calls=None):
+            if calls is not None:
+                calls.append(e)
+            tab = mu_table(replace(spec, eta=e), HE3, NOISELESS, d)
+            components = tuple(
+                (k, tuple(v * (1.0 + e) for v in c) if k == 2 else c) for k, c in tab.components)
+            mus = [0.0] * tab.r
+            for _, c in components:
+                mus = [m + v for m, v in zip(mus, c)]
+            return MuTable(mus=tuple(mus), d=d, components=components)
+
+        calls = []
+        got = phase_boundaries(lambda e: bent(e, calls), d, (1e-3, 1.0), spec=spec)
+        want = _reference_phase_boundaries(bent, d, (1e-3, 1.0), spec)
+        assert any(not b.degenerate for b in want)
+        assert got == want
+        assert repr(got) == repr(want)
+        grid = [float(e) for e in np.geomspace(1e-3, 1.0, PHASE_GRID)]
+        assert sorted(calls[:PHASE_GRID]) == grid
 
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_table_edges(self, case):

@@ -82,7 +82,7 @@ class TestPredictT:
 
     def test_no_positive_mu_errors(self):
         with pytest.raises(ValueError, match="no positive"):
-            predict_T(table((0.0, -1.0)), gamma=0.1, d=10)
+            predict_T(table((0.0, -1.0), d=10), gamma=0.1, d=10)
 
     def test_optimal_form_equals_explicit_at_gamma_max(self):
         rng = np.random.default_rng(17)
@@ -303,3 +303,44 @@ class TestGammaAuto:
         spec = OracleSpec(kind="online", activation=HE3)
         with pytest.raises(ValueError):
             gamma_auto(spec, table((0.0, 0.0)), 50)
+
+
+class TestTableDimension:
+    """A d given beside a mu table must be the table's d; a different one
+    used to be mixed in silently."""
+
+    ONLINE = OracleSpec(kind="online", activation=HE3)
+
+    def mu50(self):
+        return mu_table(self.ONLINE, HE3, NOISELESS, 50)
+
+    def test_predict_T(self):
+        # at d = 25 the d = 50 table gave T = 13.9 against 19.6 at d = 50
+        assert predict_T(self.mu50(), 0.01, 50) == predict_T(self.mu50(), 0.01)
+        with pytest.raises(ValueError, match="d=25 differs from the mu table's d=50"):
+            predict_T(self.mu50(), 0.01, 25)
+
+    def test_gamma_max(self):
+        assert gamma_max(self.mu50(), 50) == gamma_max(self.mu50())
+        with pytest.raises(ValueError, match="d=25 differs"):
+            gamma_max(self.mu50(), 25)
+
+    def test_gamma_auto(self):
+        assert gamma_auto(self.ONLINE, self.mu50(), 50) == gamma_auto(self.ONLINE, self.mu50())
+        with pytest.raises(ValueError, match="d=25 differs"):
+            gamma_auto(self.ONLINE, self.mu50(), 25)
+
+    def test_recursion_oracle(self):
+        mu = self.mu50()
+        assert recursion_oracle(mu, 1e-3, 50) == recursion_oracle(mu, 1e-3)
+        with pytest.raises(ValueError, match="d=25 differs"):
+            recursion_oracle(mu, 1e-3, 25)
+
+    def test_phase_boundaries(self):
+        # d = 400 on d = 50 tables moved eta*(2, 3) from 0.00786 to 0.00278
+        spec = OracleSpec(kind="alternating", activation=HE3)
+        bounds = phase_boundaries(alternating_mu_fn(50), 50, (1e-3, 1.0), spec=spec)
+        b = next(bb for bb in bounds if (bb.i, bb.j) == (2, 3))
+        assert b.eta_star == pytest.approx(0.00786, rel=1e-3)
+        with pytest.raises(ValueError, match="d=400 differs from the mu table's d=50"):
+            phase_boundaries(alternating_mu_fn(50), 400, (1e-3, 1.0), spec=spec)
