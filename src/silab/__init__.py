@@ -12,17 +12,14 @@ from .hermite import (
     gauss_hermite_coeff,
     hermite_eval,
     hermite_poly,
-    information_exponent,
 )
 from .model import (
     NetworkSpec,
     NoiseSpec,
-    Sample,
     SeedTree,
     TeacherSpec,
     alignment,
     draw_batch,
-    draw_sample,
     init_network,
 )
 from .oracles import (
@@ -37,9 +34,6 @@ from .oracles import (
     mu_integrand_moments,
     mu_monte_carlo,
     mu_table,
-    step_batch_reuse,
-    step_deep_alternating,
-    step_online,
 )
 from .dynamics import (
     AuditReport,

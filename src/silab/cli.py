@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
 from .dynamics import run
 from .harness import (
@@ -89,7 +90,7 @@ def _cmd_mu(args, cfg) -> int:
 def _cmd_simulate(args, cfg) -> int:
     teacher = teacher_spec(cfg, parse_poly)
     spec = oracle_spec(cfg, parse_poly, args.eta)
-    spec.gamma = resolve_gamma(cfg["gamma"], spec, teacher)
+    spec = replace(spec, gamma=resolve_gamma(cfg["gamma"], spec, teacher))
     config = run_config(cfg, teacher, spec, args.n, args.seed, args.audit)
     stream = open(args.out, "w") if args.out else sys.stdout
     try:

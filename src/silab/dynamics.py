@@ -296,11 +296,10 @@ def weak_recovery_sample_size(
     n_grid,
     replicates: int,
     full_scan: bool = False,
-    use_mean: bool = False,
 ) -> int | None:
-    """Smallest grid n whose median (or mean) final alignment clears the
-    weak threshold, or None when no grid point recovers. Diverged runs count
-    as alignment -1 (see recovery_alignment).
+    """Smallest grid n whose median final alignment clears the weak
+    threshold, or None when no grid point recovers. Diverged runs count as
+    alignment -1 (see recovery_alignment).
 
     Binary search over the grid assumes recovery is monotone in n and reuses
     evaluated levels; full_scan evaluates every level instead.
@@ -317,8 +316,7 @@ def weak_recovery_sample_size(
                 cfg = replace(config, n=n_grid[idx], seed=config.seed.child(idx, rep))
                 traj = run(cfg)
                 finals.append(recovery_alignment(traj.final_alignment, traj.diverged))
-            agg = np.mean(finals) if use_mean else np.median(finals)
-            cache[idx] = bool(agg >= config.weak_threshold)
+            cache[idx] = bool(np.median(finals) >= config.weak_threshold)
         return cache[idx]
 
     if full_scan:
@@ -364,8 +362,7 @@ class RidgeFit:
 
 
 def _features(net: NetworkSpec, x: np.ndarray) -> np.ndarray:
-    pre = x @ net.W.T + net.b
-    return net.activation(pre) / net.n_neurons
+    return net.activation(x @ net.W.T) / net.n_neurons
 
 
 def ridge_fit(
@@ -376,8 +373,8 @@ def ridge_fit(
 ) -> RidgeFit:
     """Exact regularized least squares on the second layer, first layer frozen.
 
-    Features are phi_j(x) = sigma(<x, w_j> + b_j) / N; reports held-out MSE on
-    fresh samples.
+    Fits the second layer a of f(x) = sum_j a_j phi_j(x) on the features
+    phi_j(x) = sigma(<x, w_j>) / N; reports held-out MSE on fresh samples.
     """
     if cfg.n_fit < net.n_neurons:
         raise ValueError("need at least as many fit samples as neurons")

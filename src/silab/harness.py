@@ -235,94 +235,88 @@ def fit_boundary_slope(
     return slope, stderr
 
 
-def knee_eta(
-    result: SweepResult,
-    flat_points: int = 8,
-    drop: float = math.sqrt(2.0),
-    sustain: int = 2,
-    smooth: int = 3,
-) -> float | None:
-    """Empirical knee: first eta where n* falls below the flat reference level
-    by the given factor, sustained over `sustain` consecutive grid points.
+_KNEE_FLAT_POINTS = 8  # recovering learning rates that set the flat reference
+_KNEE_DROP = math.sqrt(2.0)  # factor by which n* must fall below the reference
+_KNEE_SUSTAIN = 2  # consecutive grid points the drop must hold for
+_KNEE_SMOOTH = 3  # width of the centered running median over n*
 
-    The flat reference is the median n* over the lowest `flat_points`
-    recovering learning rates. A centered running median of width `smooth`
-    absorbs replicate flicker near the recovery threshold; unrecovered
-    learning rates count as infinitely expensive.
+
+def knee_eta(result: SweepResult) -> float | None:
+    """Empirical knee: first eta where n* falls below the flat reference level
+    by a factor sqrt(2), sustained over 2 consecutive grid points.
+
+    The flat reference is the median n* over the lowest 8 recovering learning
+    rates. A centered running median of width 3 absorbs replicate flicker
+    near the recovery threshold; unrecovered learning rates count as
+    infinitely expensive. The four numbers are the module's _KNEE_* constants.
     """
     etas = [eta for eta, _ in result.summary]
     vals = [math.inf if n is None else float(n) for _, n in result.summary]
-    if smooth > 1:
-        half = smooth // 2
-        vals = [
-            float(np.median(vals[max(0, i - half) : i + half + 1]))
-            for i in range(len(vals))
-        ]
+    half = _KNEE_SMOOTH // 2
+    vals = [
+        float(np.median(vals[max(0, i - half) : i + half + 1]))
+        for i in range(len(vals))
+    ]
     finite = [(eta, v) for eta, v in zip(etas, vals) if math.isfinite(v)]
-    if len(finite) < flat_points + sustain:
+    if len(finite) < _KNEE_FLAT_POINTS + _KNEE_SUSTAIN:
         return None
-    ref = float(np.median([v for _, v in finite[:flat_points]]))
-    level = ref / drop
-    for idx in range(len(finite) - sustain + 1):
-        window = finite[idx : idx + sustain]
+    ref = float(np.median([v for _, v in finite[:_KNEE_FLAT_POINTS]]))
+    level = ref / _KNEE_DROP
+    for idx in range(len(finite) - _KNEE_SUSTAIN + 1):
+        window = finite[idx : idx + _KNEE_SUSTAIN]
         if all(v <= level for _, v in window):
             return window[0][0]
     return None
 
 
-def emit(result: SweepResult, out_dir: str, formats: Sequence[str] = ("csv", "plotdata")):
-    """Write sweep artifacts; returns the paths written.
+def emit(result: SweepResult, out_dir: str):
+    """Write the sweep artifacts; returns the four paths written.
 
-    csv: cells.csv (one row per cell) and summary.csv (eta, n_star).
-    plotdata: grid.plotdata, a text matrix of 0/1 recovery indicators
-    (rows eta, columns n, medians thresholded at the weak threshold), plus
-    phase.csv with the predicted boundary markers.
+    cells.csv has one row per cell and summary.csv the pairs (eta, n_star).
+    grid.plotdata is a text matrix of 0/1 recovery indicators (rows eta,
+    columns n, replicate-aggregated alignments thresholded at the weak
+    threshold), and phase.csv holds the predicted boundary markers.
     """
     os.makedirs(out_dir, exist_ok=True)
     spec = result.spec
-    paths = []
-    if "csv" in formats:
-        cells_path = os.path.join(out_dir, "cells.csv")
-        with open(cells_path, "w") as fh:
-            fh.write("eta,n,replicate,seed,final_alignment,recovered,samples_seen,diverged\n")
-            for c in result.cells:
-                fh.write(
-                    f"{c.eta:.10g},{c.n},{c.replicate},{c.seed},"
-                    f"{c.final_alignment:.10g},{c.recovered},{c.samples_seen},{c.diverged}\n"
-                )
-        summary_path = os.path.join(out_dir, "summary.csv")
-        with open(summary_path, "w") as fh:
-            fh.write("eta,n_star\n")
-            for eta, n_star in result.summary:
-                fh.write(f"{eta:.10g},{'' if n_star is None else n_star}\n")
-        paths += [cells_path, summary_path]
-    if "plotdata" in formats:
-        agg = _aggregated(spec, result.cells)
-        grid_path = os.path.join(out_dir, "grid.plotdata")
-        with open(grid_path, "w") as fh:
-            fh.write("eta " + " ".join(str(n) for n in spec.n_grid) + "\n")
-            for ei, eta in enumerate(spec.eta_grid):
-                row = [
-                    str(int(agg[(ei, ni)] >= spec.base.weak_threshold))
-                    for ni in range(len(spec.n_grid))
-                ]
-                fh.write(f"{eta:.10g} " + " ".join(row) + "\n")
-        phase_path = os.path.join(out_dir, "phase.csv")
-        eta_lo, eta_hi = spec.eta_grid[0], spec.eta_grid[-1]
-        with open(phase_path, "w") as fh:
-            fh.write("i,j,eta_star,exponent\n")
-            if spec.base.oracle.kind != "online" and eta_lo < eta_hi:
-                bounds = phase_boundaries(
-                    mu_of_eta(spec.base.oracle, spec.base.teacher),
-                    spec.base.teacher.d,
-                    (eta_lo, eta_hi),
-                    spec=spec.base.oracle,
-                )
-                for b in bounds:
-                    exp = "" if b.exponent is None else f"{b.exponent:.10g}"
-                    fh.write(f"{b.i},{b.j},{b.eta_star:.10g},{exp}\n")
-        paths += [grid_path, phase_path]
-    return paths
+    cells_path = os.path.join(out_dir, "cells.csv")
+    with open(cells_path, "w") as fh:
+        fh.write("eta,n,replicate,seed,final_alignment,recovered,samples_seen,diverged\n")
+        for c in result.cells:
+            fh.write(
+                f"{c.eta:.10g},{c.n},{c.replicate},{c.seed},"
+                f"{c.final_alignment:.10g},{c.recovered},{c.samples_seen},{c.diverged}\n"
+            )
+    summary_path = os.path.join(out_dir, "summary.csv")
+    with open(summary_path, "w") as fh:
+        fh.write("eta,n_star\n")
+        for eta, n_star in result.summary:
+            fh.write(f"{eta:.10g},{'' if n_star is None else n_star}\n")
+    agg = _aggregated(spec, result.cells)
+    grid_path = os.path.join(out_dir, "grid.plotdata")
+    with open(grid_path, "w") as fh:
+        fh.write("eta " + " ".join(str(n) for n in spec.n_grid) + "\n")
+        for ei, eta in enumerate(spec.eta_grid):
+            row = [
+                str(int(agg[(ei, ni)] >= spec.base.weak_threshold))
+                for ni in range(len(spec.n_grid))
+            ]
+            fh.write(f"{eta:.10g} " + " ".join(row) + "\n")
+    phase_path = os.path.join(out_dir, "phase.csv")
+    eta_lo, eta_hi = spec.eta_grid[0], spec.eta_grid[-1]
+    with open(phase_path, "w") as fh:
+        fh.write("i,j,eta_star,exponent\n")
+        if spec.base.oracle.kind != "online" and eta_lo < eta_hi:
+            bounds = phase_boundaries(
+                mu_of_eta(spec.base.oracle, spec.base.teacher),
+                spec.base.teacher.d,
+                (eta_lo, eta_hi),
+                spec=spec.base.oracle,
+            )
+            for b in bounds:
+                exp = "" if b.exponent is None else f"{b.exponent:.10g}"
+                fh.write(f"{b.i},{b.j},{b.eta_star:.10g},{exp}\n")
+    return [cells_path, summary_path, grid_path, phase_path]
 
 
 # ---------------------------------------------------------------------------

@@ -139,10 +139,11 @@ class MonomialPoly:
         return MonomialPoly((float(c),))
 
     @staticmethod
-    def monomial(k: int, c: float = 1.0) -> "MonomialPoly":
+    def monomial(k: int) -> "MonomialPoly":
+        """z**k."""
         if k < 0:
             raise ValueError("monomial power must be nonnegative")
-        return MonomialPoly((0.0,) * k + (float(c),))
+        return MonomialPoly((0.0,) * k + (1.0,))
 
     # -- basic queries -------------------------------------------------------
 
@@ -368,10 +369,6 @@ def expand(p: MonomialPoly) -> HermiteExpansion:
     loop gives the bits of a k-major one.
     """
     return HermiteExpansion(_expand(p.coeffs))
-
-
-def information_exponent(g: HermiteExpansion, tol: float | None = None) -> int | None:
-    return g.information_exponent(tol)
 
 
 def gauss_hermite_coeff(g: Callable, k: int, nodes: int) -> float:

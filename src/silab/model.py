@@ -63,6 +63,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.family not in ("none", "gaussian", "laplace"):
             raise ValueError(f"unknown noise family {self.family!r}")
+        if not math.isfinite(self.tau):
+            raise ValueError(f"noise scale must be finite, got {self.tau}")
         if self.tau < 0:
             raise ValueError("noise scale must be nonnegative")
 
@@ -115,12 +117,6 @@ class TeacherSpec:
             raise ValueError("theta_star must be a unit vector (within 1e-12)")
 
 
-@dataclass(frozen=True)
-class Sample:
-    x: np.ndarray
-    y: float
-
-
 def draw_batch(teacher: TeacherSpec, size: int, rng: np.random.Generator):
     """Draw `size` i.i.d. samples; returns (X, y) with X of shape (size, d)."""
     if size < 0:
@@ -132,32 +128,24 @@ def draw_batch(teacher: TeacherSpec, size: int, rng: np.random.Generator):
     return x, y
 
 
-def draw_sample(teacher: TeacherSpec, rng: np.random.Generator) -> Sample:
-    x, y = draw_batch(teacher, 1, rng)
-    return Sample(x=x[0], y=float(y[0]))
-
-
 @dataclass
 class NetworkSpec:
-    """Two-layer student: f(x) = (1/N) sum_j a_j sigma(<x, w_j> + b_j).
+    """First layer of the two-layer student f(x) = (1/N) sum_j a_j sigma(<x, w_j>).
 
-    Rows of W stay unit-norm (within 1e-10) after every update.
+    Training moves only the rows w_j of W, which stay unit-norm (within
+    1e-10) after every update; the network has no bias. The second layer
+    is not stored: training never moves it, and ridge_fit fits it with the
+    rows frozen.
     """
 
     W: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
     activation: MonomialPoly
 
     def __post_init__(self) -> None:
         self.W = np.atleast_2d(np.asarray(self.W, dtype=float))
-        self.a = np.asarray(self.a, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
         norms = np.linalg.norm(self.W, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-10):
             raise ValueError("all first-layer rows must be unit vectors")
-        if self.a.shape != (self.n_neurons,) or self.b.shape != (self.n_neurons,):
-            raise ValueError("second-layer shape mismatch")
 
     @property
     def n_neurons(self) -> int:
@@ -179,7 +167,7 @@ def init_network(
     rng: np.random.Generator,
     theta_star: np.ndarray | None = None,
 ) -> NetworkSpec:
-    """Initialize unit rows; a_j = 1, b_j = 0.
+    """Initialize the unit rows of W.
 
     uniform_sphere: rows i.i.d. uniform on the unit sphere. pinned_alignment:
     every row has alignment d**-0.5 with theta_star (default e_1),
@@ -206,7 +194,7 @@ def init_network(
             w -= np.outer(w @ v, v * (2.0 / (v @ v)))
     else:
         raise ValueError(f"unknown init mode {init_mode!r}")
-    return NetworkSpec(W=w, a=np.ones(n_neurons), b=np.zeros(n_neurons), activation=activation)
+    return NetworkSpec(W=w, activation=activation)
 
 
 def alignment(net: NetworkSpec, teacher: TeacherSpec) -> np.ndarray:

@@ -6,8 +6,9 @@ Every variant fits the generic step
 
 where psi is a bivariate polynomial in the label y and the preactivation z.
 Four oracles are provided, both as literal multi-step procedures (what the
-algorithms execute, see the step_* functions) and as effective single-step
-polynomials (what the analysis uses, see effective_psi):
+algorithms execute: apply_step, with each oracle's per-sample coefficient in
+a _c_* function) and as effective single-step polynomials (what the analysis
+uses, see effective_psi):
 
   online            psi(y, z) = y sigma'(z)
   batch_reuse       psi(y, z) = y sigma'(z)
@@ -83,6 +84,10 @@ class OracleSpec:
     def __post_init__(self) -> None:
         if self.kind not in ORACLE_KINDS:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
+        if not (math.isfinite(self.eta) and math.isfinite(self.gamma)):
+            raise ValueError(
+                f"eta and gamma must be finite, got eta={self.eta}, gamma={self.gamma}"
+            )
         if self.eta < 0:
             raise ValueError("eta must be nonnegative")
         if self.gamma < 0:
@@ -100,10 +105,6 @@ class Psi:
     """Effective single-step oracle as a bivariate polynomial sum_k y^k q_k(z)."""
 
     terms: tuple[tuple[int, MonomialPoly], ...]
-
-    @property
-    def y_degree(self) -> int:
-        return max((k for k, _ in self.terms), default=0)
 
     @property
     def z_degree(self) -> int:
@@ -644,10 +645,14 @@ def _as_batch(x, y):
 
 
 def _c_online(spec: OracleSpec, y, z, xsq):
+    """Spherical correlation-loss SGD."""
     return y * spec._sigma_prime(z)
 
 
 def _c_batch_reuse(spec: OracleSpec, y, z, xsq):
+    """Literal two-pass step: an eta-step preactivation shift on the same
+    sample, then the gamma-step. Both gradient evaluations reuse the sample;
+    no Taylor surrogate is involved here."""
     # <x, w~> for the per-sample intermediate w~ = w + eta y sigma'(z) P_w x
     t = z + spec.eta * y * spec._sigma_prime(z) * (xsq - z * z)
     return y * spec._sigma_prime(t)
@@ -659,6 +664,12 @@ def _c_alternating(spec: OracleSpec, y, z, xsq):
 
 
 def _c_deep_alternating(spec: OracleSpec, y, z, xsq):
+    """Layer-wise trial updates on the sparse deep recurrence.
+
+    Every layer scalar gets a transient a~ computed from the same sample
+    (persistent scalars stay at 1), and the first-layer step uses the product
+    of a~_i sigma'(F_{i-1}).
+    """
     depth = spec.depth
     f_vals = [z]
     for _ in range(1, depth):
@@ -694,20 +705,25 @@ def _normalize_step(w: np.ndarray, g: np.ndarray, gamma: float) -> StepResult:
     return StepResult(v, g, prenorm, False)
 
 
-def _step(w: np.ndarray, x, y, spec: OracleSpec, coef) -> StepResult:
-    """The step shared by every oracle: coefficients, projected mean, normalization.
+def apply_step(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
+    """One update of the configured oracle: its per-sample coefficients,
+    their projected mean, and the normalization. Batches average the raw
+    updates.
 
     With one sample the coefficient is scalar arithmetic on Python floats,
     and the mean update is x c; with a batch it is the same arithmetic on
     arrays. Both give the bits of the batched array formulas.
 
-    xb w and w v are taken with ndarray.dot, which costs less dispatch than
-    @. On a block whose rows BLAS can address, which includes every C-order
-    float64 block and so everything run() passes, both make the same BLAS
-    call (gemv for xb w, ddot for w v), so the bits are those of @. On a
-    strided view that BLAS cannot take as it is, dot and @ fall back to
-    different loops and may differ in the last bit.
+    The bits of a step depend on the memory layout of x. xb w and w v are
+    taken with ndarray.dot, which costs less dispatch than @. On a block
+    whose rows BLAS can address, which includes every C-order float64 block
+    and so everything run() passes (row slices of its drawn data), both make
+    the same BLAS call (gemv for xb w, ddot for w v), so the bits are those
+    of @ and of run(). A strided view that BLAS cannot address as it is, such
+    as X[::2, 1::2], takes a different product loop and may differ in the
+    last bit; pass np.ascontiguousarray(x) to replay a run from such a view.
     """
+    coef = _COEFFICIENTS[spec.kind]
     xb, yb = _as_batch(x, y)
     z = xb.dot(w)
     xsq = np.einsum("ij,ij->i", xb, xb) if coef is _c_batch_reuse else None
@@ -721,37 +737,3 @@ def _step(w: np.ndarray, x, y, spec: OracleSpec, coef) -> StepResult:
     # per-sample projected updates. v is fresh, so it is projected in place.
     v -= w * w.dot(v)
     return _normalize_step(w, v, spec.gamma)
-
-
-def step_online(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
-    """Spherical correlation-loss SGD step; batches average the raw updates."""
-    return _step(w, x, y, spec, _c_online)
-
-
-def step_batch_reuse(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
-    """Literal two-pass step: an eta-step preactivation shift on the same
-    sample, then the gamma-step. Both gradient evaluations reuse the sample;
-    no Taylor surrogate is involved here."""
-    return _step(w, x, y, spec, _c_batch_reuse)
-
-
-def step_deep_alternating(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
-    """Layer-wise trial updates on the sparse deep recurrence.
-
-    Every layer scalar gets a transient a~ computed from the same sample
-    (persistent scalars stay at 1), and the first-layer step uses the product
-    of a~_i sigma'(F_{i-1}).
-    """
-    return _step(w, x, y, spec, _c_deep_alternating)
-
-
-def apply_step(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
-    """Dispatch one update of the configured oracle.
-
-    The bits of a step depend on the memory layout of x. A C-order block
-    (what run() passes: row slices of its drawn data) gives run()'s bits.
-    A strided view that BLAS cannot address as it is, such as X[::2, 1::2],
-    takes a different product loop and may differ in the last bit; pass
-    np.ascontiguousarray(x) to replay a run from such a view.
-    """
-    return _step(w, x, y, spec, _COEFFICIENTS[spec.kind])

@@ -18,6 +18,7 @@ from .oracles import MuTable, OracleSpec
 PHASE_GRID = 256  # points of phase_boundaries' log-spaced eta grid
 _SIGN_MARGIN = 1e-9  # relative margin at which a grid sign is read off C
 _C_AGREEMENT = 1e-12  # relative gap between the two ends' C that abstains
+_LEMMA_TOL = 1e-9  # relative excess over a lemma bound that counts as a violation
 
 
 def _d_exp_iterations(i: int) -> float:
@@ -70,6 +71,8 @@ def predict_T(mu: MuTable, gamma: float, d: int | None = None) -> Prediction:
     """Evaluate the recovery-time formula at a given step size and, jointly,
     at the best admissible one."""
     d = _check_d(mu, d)
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     entries = [
@@ -239,8 +242,8 @@ def phase_boundaries(
     The tables must carry d; a different one raises ValueError.
     """
     lo, hi = eta_range
-    if not (0 < lo < hi):
-        raise ValueError("eta_range must be increasing and positive")
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"eta_range must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
     etas = np.geomspace(lo, hi, PHASE_GRID)
     ends = (mu_of_eta(float(etas[0])), mu_of_eta(float(etas[-1])))
     for tab in ends:
@@ -331,25 +334,20 @@ def recursion_oracle(
     d: int | None = None,
     c_target: float = 0.5,
     t_max: int = 10_000_000,
-    include_negative: bool = False,
 ) -> int | None:
     """First step at which the deterministic noiseless alignment recursion
 
         alpha_{t+1} = alpha_t + gamma * sum_i mu_i alpha_t^{i-1},
         alpha_0 = d^{-1/2}
 
-    reaches c_target, or None within t_max. Negative-mu terms are dropped by
-    default (their contribution is asymptotically negligible under the sign
-    condition); include_negative retains them for exploration.
+    reaches c_target, or None within t_max. Negative-mu terms are dropped
+    (their contribution is asymptotically negligible under the sign
+    condition).
     """
     d = _check_d(mu, d)
     if not 0 < c_target < 1:
         raise ValueError("c_target must lie in (0, 1)")
-    terms = [
-        (i, m)
-        for i, m in enumerate(mu.mus, 1)
-        if (m > 0 or (include_negative and m != 0))
-    ]
+    terms = [(i, m) for i, m in enumerate(mu.mus, 1) if m > 0]
     if not terms:
         return None
     alpha = d**-0.5
@@ -380,9 +378,10 @@ class LemmaReport:
     window_truncated: bool
 
 
-def gronwall_check(a: float, c: float, t_max: int, tol: float = 1e-9) -> LemmaReport:
+def gronwall_check(a: float, c: float, t_max: int) -> LemmaReport:
     """Iterate m_t = a + c * sum_{j<t} m_j exactly and compare with the
-    geometric bounds a(1+c)^t (two-sided, tight) and a e^{ct} (upper)."""
+    geometric bounds a(1+c)^t (two-sided, tight) and a e^{ct} (upper); a
+    relative excess above 1e-9 counts as a violation."""
     if a <= 0 or c <= 0:
         raise ValueError("need a, c > 0")
     m = a
@@ -394,7 +393,7 @@ def gronwall_check(a: float, c: float, t_max: int, tol: float = 1e-9) -> LemmaRe
         expo = a * math.exp(c * t)
         for excess in ((m - geo) / geo, (geo - expo) / expo, (geo - m) / geo):
             max_excess = max(max_excess, excess)
-            if excess > tol:
+            if excess > _LEMMA_TOL:
                 violations += 1
         m = a + c * total
         total += m
@@ -407,9 +406,7 @@ def gronwall_check(a: float, c: float, t_max: int, tol: float = 1e-9) -> LemmaRe
     )
 
 
-def bihari_lasalle_check(
-    a: float, c: float, k: int, t_max: int, tol: float = 1e-9
-) -> LemmaReport:
+def bihari_lasalle_check(a: float, c: float, k: int, t_max: int) -> LemmaReport:
     """Iterate m_t = a + c * sum_{j<t} m_j^{k-1} and compare with the
     superlinear closed-form bounds inside their validity windows:
 
@@ -418,6 +415,7 @@ def bihari_lasalle_check(
 
     Time points at or beyond a window edge are skipped (the bound is +inf or
     stated inapplicable there); the report notes when t_max was truncated.
+    A relative excess above 1e-9 counts as a violation.
     """
     if a <= 0 or c <= 0:
         raise ValueError("need a, c > 0")
@@ -439,14 +437,14 @@ def bihari_lasalle_check(
             excess = (m - ub) / ub
             checked_up += 1
             max_excess = max(max_excess, excess)
-            if excess > tol:
+            if excess > _LEMMA_TOL:
                 violations += 1
         if t < lower_window:
             lb = a * (1.0 - 0.5 * c * a**p * t) ** (-1.0 / p)
             excess = (lb - m) / lb
             checked_lo += 1
             max_excess = max(max_excess, excess)
-            if excess > tol:
+            if excess > _LEMMA_TOL:
                 violations += 1
         if t >= upper_window and t >= lower_window:
             break

@@ -422,13 +422,12 @@ def test_criterion_11_normalization_bound():
 
 def test_criterion_12_ridge_sanity():
     teacher = TeacherSpec(d=20, link=HE3)
-    aligned = NetworkSpec(W=teacher.theta_star[None, :], a=np.ones(1), b=np.zeros(1),
-                          activation=HE3)
+    aligned = NetworkSpec(W=teacher.theta_star[None, :], activation=HE3)
     fit_good = ridge_fit(aligned, teacher, RidgeConfig(lam=1e-6, n_fit=4000, n_test=4000),
                          SeedTree(SEED, (12, 0)).rng())
     w_orth = np.zeros(20)
     w_orth[1] = 1.0
-    orth = NetworkSpec(W=w_orth[None, :], a=np.ones(1), b=np.zeros(1), activation=HE3)
+    orth = NetworkSpec(W=w_orth[None, :], activation=HE3)
     fit_bad = ridge_fit(orth, teacher, RidgeConfig(lam=1e-3, n_fit=8000, n_test=8000),
                         SeedTree(SEED, (12, 1)).rng())
     ok = fit_good.test_mse < 1e-4 and fit_bad.test_mse >= 0.9 * fit_bad.test_label_second_moment

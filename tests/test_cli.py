@@ -393,20 +393,28 @@ class TestSimulateRunConfig:
         np.testing.assert_array_equal(got.teacher.theta_star, want.teacher.theta_star)
 
 
-BAD_VALUES = [  # (command, flag, message)
-    *[(c, "--oracle", "unknown oracle kind 'bogus'")
+BAD_VALUES = [  # (command, bad flags and values, message)
+    *[(c, ("--oracle", "bogus"), "unknown oracle kind 'bogus'")
       for c in ("mu", "simulate", "predict", "phase")],
-    *[(c, "--noise", "unknown noise family 'bogus'")
+    *[(c, ("--noise", "bogus"), "unknown noise family 'bogus'")
       for c in ("gen-data", "mu", "simulate", "predict", "phase")],
-    ("simulate", "--init", "unknown init mode 'bogus'"),
+    ("simulate", ("--init", "bogus"), "unknown init mode 'bogus'"),
+    ("simulate", ("--gamma", "-1"), "gamma must be nonnegative"),
+    ("simulate", ("--gamma", "nan"), "eta and gamma must be finite, got eta=0.0, gamma=nan"),
+    ("mu", ("--eta", "nan"), "eta and gamma must be finite, got eta=nan, gamma=0.0"),
+    ("mu", ("--eta", "inf"), "eta and gamma must be finite, got eta=inf, gamma=0.0"),
+    ("gen-data", ("--noise", "gaussian", "--tau", "nan"), "noise scale must be finite, got nan"),
+    ("predict", ("--gamma", "nan"), "gamma must be finite, got nan"),
+    ("phase", ("--eta-max", "inf"), "eta_range must satisfy 0 < lo < hi < inf, got (0.001, inf)"),
 ]
 
 
 class TestBadValuesExit1:
-    @pytest.mark.parametrize("command, flag, message", BAD_VALUES,
-                             ids=[f"{c}{f}" for c, f, _ in BAD_VALUES])
-    def test_spec_error(self, capsys, command, flag, message):
-        code, out, err = run_cli(capsys, command, *MINIMAL[command], flag, "bogus")
+    @pytest.mark.parametrize("command, bad, message", BAD_VALUES,
+                             ids=[c + b[-2] + ("" if b[-1] == "bogus" else "=" + b[-1])
+                                  for c, b, _ in BAD_VALUES])
+    def test_spec_error(self, capsys, command, bad, message):
+        code, out, err = run_cli(capsys, command, *MINIMAL[command], *bad)
         assert code == 1
         assert out == ""
         assert f"error: {message}" in err

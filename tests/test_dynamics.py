@@ -234,12 +234,7 @@ class TestRidgeFit:
         return TeacherSpec(d=d, link=HE3, noise=NoiseSpec())
 
     def _aligned_net(self, teacher):
-        return NetworkSpec(
-            W=teacher.theta_star[None, :],
-            a=np.ones(1),
-            b=np.zeros(1),
-            activation=HE3,
-        )
+        return NetworkSpec(W=teacher.theta_star[None, :], activation=HE3)
 
     def test_perfect_features(self):
         teacher = self._teacher()
@@ -261,7 +256,7 @@ class TestRidgeFit:
         teacher = self._teacher()
         w = np.zeros(20)
         w[1] = 1.0
-        net = NetworkSpec(W=w[None, :], a=np.ones(1), b=np.zeros(1), activation=HE3)
+        net = NetworkSpec(W=w[None, :], activation=HE3)
         fit = ridge_fit(net, teacher, RidgeConfig(lam=1e-3, n_fit=8000, n_test=8000),
                         SeedTree(3).rng())
         assert fit.test_mse >= 0.9 * fit.test_label_second_moment
@@ -269,7 +264,7 @@ class TestRidgeFit:
     def test_singular_without_penalty(self):
         teacher = self._teacher()
         w = np.tile(teacher.theta_star, (2, 1))
-        net = NetworkSpec(W=w, a=np.ones(2), b=np.zeros(2), activation=HE3)
+        net = NetworkSpec(W=w, activation=HE3)
         with pytest.raises(ValueError, match="lam > 0"):
             ridge_fit(net, teacher, RidgeConfig(lam=0.0, n_fit=1000, n_test=100),
                       SeedTree(4).rng())

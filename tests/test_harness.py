@@ -100,7 +100,7 @@ class TestSweep:
         assert any(c.final_alignment >= 0.5 for c in diverged)
         assert all(c.recovered == 0 for c in diverged)
         assert res.summary == ((1.0, None),)
-        emit(res, str(tmp_path), formats=("plotdata",))
+        emit(res, str(tmp_path))
         with open(tmp_path / "grid.plotdata") as fh:
             assert fh.read().splitlines()[1] == "1 0 0"
 

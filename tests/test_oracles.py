@@ -14,9 +14,6 @@ from silab import (
     expected_alignment_gain,
     hermite_poly,
     mu_table,
-    step_batch_reuse,
-    step_deep_alternating,
-    step_online,
 )
 from silab.hermite import DegreeOverflowError, HermiteExpansion, _moment_zj_hek, expand
 from silab.oracles import (
@@ -249,7 +246,7 @@ class TestSteps:
 
     def test_gamma_zero_keeps_w(self):
         spec = OracleSpec(kind="online", activation=HE3, gamma=0.0)
-        res = step_online(self.w, self.x, self.y, spec)
+        res = apply_step(self.w, self.x, self.y, spec)
         np.testing.assert_array_equal(res.w, self.w)
 
     def test_raw_update_orthogonal_to_w(self):
@@ -261,14 +258,7 @@ class TestSteps:
                        gamma=0.1, eta=0.5, depth=3),
         ]
         for spec in specs:
-            if spec.kind == "alternating":
-                res = apply_step(self.w, self.x, self.y, spec)
-            elif spec.kind == "batch_reuse":
-                res = step_batch_reuse(self.w, self.x, self.y, spec)
-            elif spec.kind == "deep_alternating":
-                res = step_deep_alternating(self.w, self.x, self.y, spec)
-            else:
-                res = step_online(self.w, self.x, self.y, spec)
+            res = apply_step(self.w, self.x, self.y, spec)
             assert abs(res.raw_update @ self.w) <= 1e-10
             assert np.linalg.norm(res.w) == pytest.approx(1.0, abs=1e-12)
 
@@ -280,20 +270,20 @@ class TestSteps:
         w = np.zeros(d)
         w[1] = 1.0
         spec = OracleSpec(kind="online", activation=hermite_poly(1), gamma=1.0)
-        res = step_online(w, theta, 1.0, spec)
+        res = apply_step(w, theta, 1.0, spec)
         np.testing.assert_allclose(res.w, (w + theta) / math.sqrt(2), atol=1e-15)
         assert res.w @ theta == pytest.approx(1 / math.sqrt(2))
 
     def test_batch_reuse_eta_zero_equals_online_bitwise(self):
         on = OracleSpec(kind="online", activation=HE3, gamma=0.05)
         br = OracleSpec(kind="batch_reuse", activation=HE3, gamma=0.05, eta=0.0)
-        a = step_online(self.w, self.x, self.y, on)
-        b = step_batch_reuse(self.w, self.x, self.y, br)
+        a = apply_step(self.w, self.x, self.y, on)
+        b = apply_step(self.w, self.x, self.y, br)
         assert np.array_equal(a.w, b.w)
 
     def test_batch_reuse_matches_straightline_reference(self):
         spec = OracleSpec(kind="batch_reuse", activation=HE3, gamma=0.05, eta=1e-3)
-        res = step_batch_reuse(self.w, self.x, self.y, spec)
+        res = apply_step(self.w, self.x, self.y, spec)
         # independent two-step reference
         sp = HE3.derivative()
         pw = np.eye(self.d) - np.outer(self.w, self.w)
@@ -306,7 +296,7 @@ class TestSteps:
     def test_alternating_eta_zero_equals_online_bitwise(self):
         on = OracleSpec(kind="online", activation=HE3, gamma=0.05)
         alt = OracleSpec(kind="alternating", activation=HE3, gamma=0.05, eta=0.0)
-        a = step_online(self.w, self.x, self.y, on)
+        a = apply_step(self.w, self.x, self.y, on)
         b = apply_step(self.w, self.x, self.y, alt)
         assert np.array_equal(a.w, b.w)
 
@@ -319,14 +309,14 @@ class TestSteps:
         alt = OracleSpec(kind="alternating", activation=HE3, gamma=0.05, eta=0.5)
         deep = OracleSpec(kind="deep_alternating", activation=HE3, gamma=0.05, eta=0.5, depth=2)
         a = apply_step(self.w, self.x, self.y, alt)
-        b = step_deep_alternating(self.w, self.x, self.y, deep)
+        b = apply_step(self.w, self.x, self.y, deep)
         assert np.array_equal(a.w, b.w)
 
     def test_deep_eta_zero_product_rule(self):
         # sigma = z^2, D = 3: the w-step coefficient is y * 2z * 2z^2 = 4yz^3
         sq = MonomialPoly.monomial(2)
         spec = OracleSpec(kind="deep_alternating", activation=sq, gamma=0.05, eta=0.0, depth=3)
-        res = step_deep_alternating(self.w, self.x, self.y, spec)
+        res = apply_step(self.w, self.x, self.y, spec)
         z = float(self.x @ self.w)
         pw_x = self.x - self.w * z
         expected = 4.0 * self.y * z**3 * pw_x
@@ -335,15 +325,15 @@ class TestSteps:
     def test_deep_gamma_zero(self):
         sq = MonomialPoly.monomial(2)
         spec = OracleSpec(kind="deep_alternating", activation=sq, gamma=0.0, eta=0.5, depth=3)
-        res = step_deep_alternating(self.w, self.x, self.y, spec)
+        res = apply_step(self.w, self.x, self.y, spec)
         np.testing.assert_array_equal(res.w, self.w)
 
     def test_batch_averages_raw_updates(self):
         spec = OracleSpec(kind="online", activation=HE3, gamma=0.05)
         xs = self.rng.standard_normal((4, self.d))
         ys = self.rng.standard_normal(4)
-        batched = step_online(self.w, xs, ys, spec)
-        singles = [step_online(self.w, xs[i], ys[i], spec).raw_update for i in range(4)]
+        batched = apply_step(self.w, xs, ys, spec)
+        singles = [apply_step(self.w, xs[i], ys[i], spec).raw_update for i in range(4)]
         np.testing.assert_allclose(batched.raw_update, np.mean(singles, axis=0), atol=1e-14)
 
 

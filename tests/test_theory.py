@@ -191,10 +191,7 @@ class TestRecursionOracle:
         d = 100
         mu = table((-50.0, 5.0), d=d)
         t_drop = recursion_oracle(mu, 0.002, d, c_target=0.4, t_max=10_000)
-        t_keep = recursion_oracle(mu, 0.002, d, c_target=0.4, t_max=10_000,
-                                  include_negative=True)
         assert t_drop is not None
-        assert t_keep is None  # the negative linear term dominates and blocks
 
 
 class TestLemmaChecks:
