@@ -51,8 +51,9 @@ from .theory import gamma_auto, phase_boundaries
 
 def log_grid(count: int, lo: float, hi: float) -> tuple[float, ...]:
     """Logarithmically spaced grid, inclusive of both endpoints."""
-    if count < 1 or not (0 < lo <= hi):
-        raise ValueError("need count >= 1 and 0 < lo <= hi")
+    if count < 1 or not 0 < lo <= hi < math.inf:  # also false for nan
+        raise ValueError(f"need count >= 1 and 0 < lo <= hi < inf, got count={count}, "
+                         f"lo={lo}, hi={hi}")
     if count == 1:
         return (float(lo),)
     return tuple(float(v) for v in np.geomspace(lo, hi, count))

@@ -350,8 +350,8 @@ class HermiteExpansion:
         """Smallest k >= 1 with |u_k| > tol, or None when all vanish."""
         if tol is None:
             tol = self.default_tol()
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < tol < math.inf:  # also false for nan
+            raise ValueError(f"tolerance must be finite and positive, got {tol}")
         for k in range(1, self.max_degree + 1):
             if abs(self.coeffs[k]) > tol:
                 return k

@@ -414,8 +414,13 @@ def mu_integrand_moments(spec: OracleSpec, link: MonomialPoly, noise: NoiseSpec,
     return np.array(means), np.array(variances)
 
 
+@lru_cache(maxsize=4096)
 def _corr_moment(m: int, n: int, rho: float) -> float:
-    """E[s^m z^n] for jointly standard normal (s, z) with correlation rho."""
+    """E[s^m z^n] for jointly standard normal (s, z) with correlation rho.
+
+    A pure function of (m, n, rho), memoized across calls in a bounded cache
+    (a theory_atlas pass reads 384 distinct moments, at three rho).
+    """
     total = 0.0
     for j in range(m + 1):
         em = gaussian_moment(m - j)
@@ -444,10 +449,10 @@ def alignment_gain_moments(
     (direct correlated-Gaussian moments instead of the Stein expansion); the
     variance, E[A(s) B(z) (s - kappa z)^2] summed over the pairs of psi's
     terms, fixes the exact standard error of the sampling estimate. Each
-    moment E[s^m z^n] is computed once per call.
+    moment E[s^m z^n] at correlation kappa is computed once and then read
+    from _corr_moment's cache, in this call and later ones.
     """
     terms = _psi_terms(_psi_polys(spec.activation, spec.kind, spec.depth), spec, d)
-    corr = lru_cache(maxsize=None)(lambda m, n: _corr_moment(m, n, kappa))
     mean = 0.0
     for k, qk in terms:
         for alpha, ca in enumerate(_noise_folded_power(link, noise, k).coeffs):
@@ -456,7 +461,10 @@ def alignment_gain_moments(
             for beta, cb in enumerate(qk):
                 if cb == 0.0:
                     continue
-                mean += ca * cb * (corr(alpha + 1, beta) - kappa * corr(alpha, beta + 1))
+                mean += ca * cb * (
+                    _corr_moment(alpha + 1, beta, kappa)
+                    - kappa * _corr_moment(alpha, beta + 1, kappa)
+                )
     second = 0.0
     for k, qk in terms:
         for l, ql in terms:
@@ -469,9 +477,9 @@ def alignment_gain_moments(
                     if cb == 0.0:
                         continue
                     total += ca * cb * (
-                        corr(alpha + 2, beta)
-                        - 2.0 * kappa * corr(alpha + 1, beta + 1)
-                        + kappa * kappa * corr(alpha, beta + 2)
+                        _corr_moment(alpha + 2, beta, kappa)
+                        - 2.0 * kappa * _corr_moment(alpha + 1, beta + 1, kappa)
+                        + kappa * kappa * _corr_moment(alpha, beta + 2, kappa)
                     )
             second += total
     return mean, max(second - mean * mean, 0.0)

@@ -16,7 +16,7 @@ import numpy as np
 from .oracles import MuTable, OracleSpec
 
 PHASE_GRID = 256  # points of phase_boundaries' log-spaced eta grid
-_SIGN_MARGIN = 1e-9  # relative margin at which a grid sign is read off C
+_SIGN_MARGIN = 1e-9  # relative margin at which a sign is read off C
 _C_AGREEMENT = 1e-12  # relative gap between the two ends' C that abstains
 _LEMMA_TOL = 1e-9  # relative excess over a lemma bound that counts as a violation
 
@@ -150,9 +150,14 @@ def _analytic_exponent(kind: str, mi: int, mj: int, ki: int, kj: int) -> float:
 def _eta_free_coefficients(lo: MuTable, hi: MuTable, eta_lo: float, eta_hi: float):
     """C[i, k] = components[k][i] / eta^(k-1), with the k-1 of each column.
 
-    Returns None (the scan then reads every grid point from a real table)
-    unless the two tables agree on r, on the component keys, on which entries
-    are exactly 0.0, and on every C to 1e-12 relative.
+    Returns (cols, powers, dpow, zero), so that mu_i(eta) = sum_k cols[k][i]
+    eta^powers[k] for the 0-based index i; dpow[i] is d^(a_(i+1)), with
+    a_i = max((i-2)/2, 0), and zero[i] marks an index whose components are
+    all 0.0. All four are Python lists, which a bisection midpoint reads for
+    less than numpy scalars cost. Returns None (the scan then reads every
+    sign from a real table) unless the two tables agree on r, on the
+    component keys, on which entries are exactly 0.0, and on every C to
+    1e-12 relative.
     """
     keys = [k for k, _ in hi.components]
     if lo.r != hi.r or [k for k, _ in lo.components] != keys:
@@ -166,38 +171,53 @@ def _eta_free_coefficients(lo: MuTable, hi: MuTable, eta_lo: float, eta_hi: floa
     c_hi = comp_hi / eta_hi**powers
     if not np.all(np.abs(c_lo - c_hi) <= _C_AGREEMENT * np.maximum(np.abs(c_lo), np.abs(c_hi))):
         return None
-    return c_hi, powers
+    dpow = [hi.d ** _d_exp_iterations(i) for i in range(1, hi.r + 1)]
+    zero = np.all(c_hi == 0.0, axis=1)
+    return c_hi.T.tolist(), powers.tolist(), dpow, zero.tolist()
 
 
-def _grid_signs(etas: np.ndarray, ends: tuple[MuTable, MuTable], mu_of_eta, d: int, r: int):
+def _c_verdict(fit, eta, i, j):
+    """What C says of log T_i - log T_j at eta, for 0-based indices i and j.
+
+    fit is what _eta_free_coefficients returns. Either eta is a float and
+    i, j are ints (a bisection midpoint), or eta, the index arrays i, j and
+    fit as arrays broadcast against each other (the grid).
+    Returns (gap, decided, nonpos). Where decided, both mu are positive and
+    log T_i - log T_j has the sign of gap; nonpos marks where either mu is
+    non-positive, and neither holds where C leaves the sign in doubt (see
+    phase_boundaries for the margins).
+    """
+    cols, powers, dpow, zero = fit
+    mu_i = mu_j = b_i = b_j = 0.0
+    for col, p in zip(cols, powers):
+        t = eta**p
+        v_i = col[i] * t
+        v_j = col[j] * t
+        mu_i, b_i = mu_i + v_i, b_i + abs(v_i)
+        mu_j, b_j = mu_j + v_j, b_j + abs(v_j)
+    nonpos = (mu_i < -_SIGN_MARGIN * b_i) | zero[i] | (mu_j < -_SIGN_MARGIN * b_j) | zero[j]
+    # log T_i - log T_j > 0 exactly when d^(a_i) mu_j - d^(a_j) mu_i > 0
+    gap = dpow[i] * mu_j - dpow[j] * mu_i
+    tol = _SIGN_MARGIN * (dpow[i] * b_j + dpow[j] * b_i)
+    decided = (mu_i > _SIGN_MARGIN * b_i) & (mu_j > _SIGN_MARGIN * b_j) & (abs(gap) > tol)
+    return gap, decided, nonpos
+
+
+def _grid_signs(etas: np.ndarray, ends: tuple[MuTable, MuTable], fit, mu_of_eta, d: int, r: int):
     """Sign of log T_i - log T_j for every pair i < j (in row-major order) at
     every grid eta, nan where mu_i <= 0 or mu_j <= 0, shape (pairs, grid).
 
-    Where the polynomial in eta through the two end tables fixes a sign with
-    margin (see phase_boundaries), it is read from there; every other grid
+    Where C (fit) fixes a sign, it is read from there; every other grid
     point, and both ends, is read from its real table, built once.
     """
     lo, hi = ends
     iu, ju = np.triu_indices(r, 1)
     signs = np.full((len(iu), len(etas)), np.nan)
     real = np.ones(len(etas), dtype=bool)
-    fit = _eta_free_coefficients(lo, hi, float(etas[0]), float(etas[-1]))
     if fit is not None:
-        coeffs, powers = fit
-        terms = etas[:, None] ** powers
-        mu = terms @ coeffs.T
-        bound = terms @ np.abs(coeffs).T
-        pos = mu > _SIGN_MARGIN * bound
-        nonpos = (mu < -_SIGN_MARGIN * bound) | np.all(coeffs == 0.0, axis=1)
-        dpow = np.array([d ** _d_exp_iterations(i) for i in range(1, r + 1)])
-        # log T_i - log T_j > 0 exactly when d^(a_i) mu_j - d^(a_j) mu_i > 0
-        gap = dpow[iu] * mu[:, ju] - dpow[ju] * mu[:, iu]
-        tol = _SIGN_MARGIN * (dpow[iu] * bound[:, ju] + dpow[ju] * bound[:, iu])
-        both_pos = pos[:, iu] & pos[:, ju]
-        either_nonpos = nonpos[:, iu] | nonpos[:, ju]
-        signs[:] = np.where(either_nonpos, np.nan, gap).T
-        certain = either_nonpos | (both_pos & (np.abs(gap) > tol))
-        real = ~np.all(certain, axis=1)
+        gap, decided, nonpos = _c_verdict([np.asarray(f) for f in fit], etas[:, None], iu, ju)
+        signs[:] = np.where(nonpos, np.nan, gap).T
+        real = ~np.all(nonpos | decided, axis=1)
         real[[0, -1]] = True
     for g in np.flatnonzero(real):
         tab = lo if g == 0 else hi if g == len(etas) - 1 else mu_of_eta(float(etas[g]))
@@ -226,20 +246,27 @@ def phase_boundaries(
     index and hence no T-pair crossing exists, are reported analytically at
     the constants-1 validity edge d**exponent.
 
-    The scan reads the grid only as signs. It builds real tables at the two
-    grid ends and relies on mu_table's contract: component k of a table
-    scales exactly as eta^(k-1), so mu_i(eta) = sum_k C[i, k] eta^(k-1) with
-    C free of eta, and the end tables fix C. With B_i = sum_k |C[i, k]
-    eta^(k-1)|, index i counts as positive where this polynomial exceeds
-    1e-9 B_i and as non-positive where it is below -1e-9 B_i; an index whose
-    components are all 0.0 at both ends is zero. For two positive indices,
+    The scan reads the grid and the bisection only as signs. It builds real
+    tables at the two grid ends and relies on mu_table's contract: component
+    k of a table scales exactly as eta^(k-1), so mu_i(eta) = sum_k C[i, k]
+    eta^(k-1) with C free of eta, and the end tables fix C. With B_i =
+    sum_k |C[i, k] eta^(k-1)|, index i counts as positive where this
+    polynomial exceeds 1e-9 B_i and as non-positive where it is below
+    -1e-9 B_i; an index whose components are all 0.0 at both ends is zero. For two positive indices,
     log T_i - log T_j has the sign of d^(a_i) mu_j - d^(a_j) mu_i, with
     a_i = max((i-2)/2, 0), and that sign counts where its size exceeds
     1e-9 (d^(a_i) B_j + d^(a_j) B_i). A grid point where any sign does not
-    count gets its real table. If the end tables differ in r, in their
-    component keys, in which entries are exactly 0.0, or in C by more than
-    1e-12 relative, every grid point gets its real table (the full scan).
-    The tables must carry d; a different one raises ValueError.
+    count gets its real table. Each bisection midpoint reads the sign of its
+    pair the same way (_c_verdict, shared with the grid). It gets its real
+    table only where an index of the pair does not count as positive or the
+    sign does not count, which near the root means within about 1e-9
+    relative of it. A sign that counts is the real table's and is not 0, so
+    every step of the bisection, and eta*, is bit for bit the full scan's. The
+    reference table at eta* and the two probes around it are real tables.
+    If the end tables differ in r, in their component keys, in which entries
+    are exactly 0.0, or in C by more than 1e-12 relative, every grid point
+    and every midpoint gets its real table (the full scan). The tables must
+    carry d; a different one raises ValueError.
     """
     lo, hi = eta_range
     if not 0 < lo < hi < math.inf:
@@ -252,7 +279,8 @@ def phase_boundaries(
     kind = spec.kind if spec is not None else None
 
     pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-    signs = _grid_signs(etas, ends, mu_of_eta, d, r)
+    fit = _eta_free_coefficients(*ends, float(etas[0]), float(etas[-1]))
+    signs = _grid_signs(etas, ends, fit, mu_of_eta, d, r)
     brackets = signs[:, :-1] * signs[:, 1:] <= 0  # false where either is nan
     out: list[PhaseBoundary] = []
     for (i, j), row, hits in zip(pairs, signs, brackets):
@@ -260,16 +288,23 @@ def phase_boundaries(
             continue
         g = int(np.argmax(hits))  # one boundary per pair: its first bracket
         e_lo, e_hi = float(etas[g]), float(etas[g + 1])
-        f_lo = row[g]
+        lo_above = row[g] > 0  # unchanged by every move of e_lo
         for _ in range(200):
             mid = math.sqrt(e_lo * e_hi)
-            tab = mu_of_eta(mid)
-            fm = math.log(_t_value(tab, i, d)) - math.log(_t_value(tab, j, d))
-            if fm == 0.0 or (e_hi - e_lo) <= 1e-15 * e_lo:
+            if (e_hi - e_lo) <= 1e-15 * e_lo:
                 e_lo = e_hi = mid
                 break
-            if (fm > 0) == (f_lo > 0):
-                e_lo, f_lo = mid, fm
+            decided = False
+            if fit is not None:
+                fm, decided, _ = _c_verdict(fit, mid, i - 1, j - 1)
+            if not decided:
+                tab = mu_of_eta(mid)
+                fm = math.log(_t_value(tab, i, d)) - math.log(_t_value(tab, j, d))
+                if fm == 0.0:
+                    e_lo = e_hi = mid
+                    break
+            if (fm > 0) == lo_above:
+                e_lo = mid
             else:
                 e_hi = mid
         eta_star = math.sqrt(e_lo * e_hi)

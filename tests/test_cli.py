@@ -406,6 +406,9 @@ BAD_VALUES = [  # (command, bad flags and values, message)
     ("gen-data", ("--noise", "gaussian", "--tau", "nan"), "noise scale must be finite, got nan"),
     ("predict", ("--gamma", "nan"), "gamma must be finite, got nan"),
     ("phase", ("--eta-max", "inf"), "eta_range must satisfy 0 < lo < hi < inf, got (0.001, inf)"),
+    ("hermite", ("--tol", "nan"), "tolerance must be finite and positive, got nan"),
+    ("sweep", ("--eta-max", "inf"),
+     "need count >= 1 and 0 < lo <= hi < inf, got count=50, lo=0.001, hi=inf"),
 ]
 
 
@@ -413,8 +416,9 @@ class TestBadValuesExit1:
     @pytest.mark.parametrize("command, bad, message", BAD_VALUES,
                              ids=[c + b[-2] + ("" if b[-1] == "bogus" else "=" + b[-1])
                                   for c, b, _ in BAD_VALUES])
-    def test_spec_error(self, capsys, command, bad, message):
+    def test_spec_error(self, capsys, recwarn, command, bad, message):
         code, out, err = run_cli(capsys, command, *MINIMAL[command], *bad)
         assert code == 1
         assert out == ""
         assert f"error: {message}" in err
+        assert not recwarn.list

@@ -68,6 +68,13 @@ class TestGrids:
         with pytest.raises(ValueError):
             log_grid(0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("lo, hi", [(1e-3, math.inf), (1e-3, math.nan), (math.nan, 1.0),
+                                        (0.0, 1.0), (2.0, 1.0)])
+    def test_bounds_must_be_finite_positive_and_ordered(self, lo, hi, recwarn):
+        with pytest.raises(ValueError, match="0 < lo <= hi < inf"):
+            log_grid(3, lo, hi)
+        assert not recwarn.list  # rejected before np.geomspace runs
+
 
 class TestSweep:
     def test_cell_count_and_order(self):

@@ -304,6 +304,11 @@ class TestExponents:
     def test_constant_ie_undefined(self):
         assert expand(MonomialPoly.const(1.0)).information_exponent() is None
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            expand(hermite_poly(3)).information_exponent(tol)
+
     def test_ie_scale_invariance(self):
         rng = np.random.default_rng(5)
         for _ in range(25):

@@ -646,6 +646,10 @@ def _reference_integrand_moments(spec, link, noise, d):
     return means, variances
 
 
+# the moment itself, without _corr_moment's cache
+_fresh_corr_moment = _corr_moment.__wrapped__
+
+
 def _reference_cross_expect(a_poly, b_poly, kappa):
     total = 0.0
     for alpha, ca in enumerate(a_poly.coeffs):
@@ -655,9 +659,9 @@ def _reference_cross_expect(a_poly, b_poly, kappa):
             if cb == 0.0:
                 continue
             total += ca * cb * (
-                _corr_moment(alpha + 2, beta, kappa)
-                - 2.0 * kappa * _corr_moment(alpha + 1, beta + 1, kappa)
-                + kappa * kappa * _corr_moment(alpha, beta + 2, kappa)
+                _fresh_corr_moment(alpha + 2, beta, kappa)
+                - 2.0 * kappa * _fresh_corr_moment(alpha + 1, beta + 1, kappa)
+                + kappa * kappa * _fresh_corr_moment(alpha, beta + 2, kappa)
             )
     return total
 
@@ -672,8 +676,8 @@ def _reference_gain_moments(spec, link, noise, d, kappa):
             for beta, cb in enumerate(qk.coeffs):
                 if cb == 0.0:
                     continue
-                mean += ca * cb * (_corr_moment(alpha + 1, beta, kappa)
-                                   - kappa * _corr_moment(alpha, beta + 1, kappa))
+                mean += ca * cb * (_fresh_corr_moment(alpha + 1, beta, kappa)
+                                   - kappa * _fresh_corr_moment(alpha, beta + 1, kappa))
     second = 0.0
     for k, qk in terms:
         for l, ql in terms:
@@ -739,6 +743,30 @@ class TestMemoizedTheoryBitIdentity:
             for kappa in (0.05, 0.5):
                 got = alignment_gain_moments(spec, HE3, noise, d, kappa)
                 assert got == _reference_gain_moments(spec, HE3, noise, d, kappa)
+
+    def test_gain_moments_read_across_calls_from_a_bounded_cache(self):
+        # kinds, noises and kappas interleave, twice over, so that most
+        # moments come from the cache that earlier queries filled. 0.2 and
+        # the next float above it get their own entries; 0.0 and -0.0 share
+        # one, and must still give the bits of a fresh evaluation.
+        from silab.oracles import alignment_gain_moments
+
+        kappas = (0.2, 0.05, math.nextafter(0.2, 1.0), 0.5, 0.0, -0.0, 0.2)
+        queries = [
+            (case, noise, kappa)
+            for kappa in kappas
+            for case in self.CASES
+            for noise in NOISES
+        ]
+        for case, noise, kappa in queries + queries[::-1]:
+            kind, act, depth, d = case
+            spec = OracleSpec(kind=kind, activation=act, eta=0.21, depth=depth)
+            got = alignment_gain_moments(spec, HE3, noise, d, kappa)
+            want = _reference_gain_moments(spec, HE3, noise, d, kappa)
+            assert repr(got) == repr(want)
+        info = _corr_moment.cache_info()
+        assert info.hits > 0
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
     @pytest.mark.parametrize("first, second", [
         (OracleSpec(kind="alternating", activation=HE3, eta=0.3),
@@ -893,11 +921,11 @@ class TestPhaseScanBitIdentity:
 
     # the theory_atlas families, each over the atlas' eta range
     ATLAS = [("alternating", HE3, 2), ("batch_reuse", HE3, 2), ("deep_alternating", Z2, 3)]
+    ATLAS_IDS = ["alternating", "batch_reuse", "deep-z2"]
 
-    @pytest.mark.parametrize("d", [25, 400])
-    @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.family)
-    @pytest.mark.parametrize("family", ATLAS, ids=["alternating", "batch_reuse", "deep-z2"])
-    def test_no_interior_grid_table(self, family, noise, d):
+    @staticmethod
+    def _atlas_scan(family, noise, d):
+        """The scan's boundaries and the etas of the real tables it built."""
         kind, act, depth = family
         spec = OracleSpec(kind=kind, activation=act, depth=depth)
         calls = []
@@ -906,10 +934,33 @@ class TestPhaseScanBitIdentity:
             calls.append(e)
             return mu_table(replace(spec, eta=e), HE3, noise, d)
 
-        phase_boundaries(spy, d, (1e-3, 1.0), spec=spec)
+        return phase_boundaries(spy, d, (1e-3, 1.0), spec=spec), calls
+
+    @pytest.mark.parametrize("d", [25, 400])
+    @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.family)
+    @pytest.mark.parametrize("family", ATLAS, ids=ATLAS_IDS)
+    def test_no_interior_grid_table(self, family, noise, d):
+        _, calls = self._atlas_scan(family, noise, d)
         grid = [float(e) for e in np.geomspace(1e-3, 1.0, PHASE_GRID)]
         assert calls[:2] == [grid[0], grid[-1]]
         assert not set(calls) & set(grid[1:-1])
+
+    @pytest.mark.parametrize("d", [25, 400])
+    @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.family)
+    @pytest.mark.parametrize("family", ATLAS, ids=ATLAS_IDS)
+    def test_bisection_reads_its_signs_off_c(self, family, noise, d):
+        # a bisection from one grid cell to 1e-15 relative takes about 45
+        # midpoints, and each crossing adds a reference table and two probes:
+        # 48 real tables a crossing when every midpoint builds one. Reading
+        # each midpoint's sign off C leaves the ~23 midpoints within about
+        # 1e-9 relative of the root, so about 26.
+        bounds, calls = self._atlas_scan(family, noise, d)
+        crossings = sum(not b.degenerate for b in bounds)
+        if family[0] == "deep_alternating":
+            assert crossings == 0
+        else:
+            assert crossings >= 1
+        assert len(calls) - 2 <= 30 * crossings
 
     def test_end_tables_off_the_polynomial_read_every_grid_table(self):
         # component 2 times (1 + eta) is not C eta^(k-1): the ends disagree on C
