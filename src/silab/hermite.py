@@ -102,6 +102,20 @@ def _expand(c: tuple, rows: tuple | None = None) -> tuple:
     return tuple(u)
 
 
+def _gaussian_mean(c: tuple) -> float:
+    """E[p(z)] for z ~ N(0, 1) of the polynomial c: _expand(c)[0], bit for bit.
+
+    Sums c_j E[z^j] over even j with c_j != 0, in increasing j, onto +0.0,
+    which is the sum _expand forms for u_0, without the other entries.
+    """
+    rows = _moment_rows(len(c) - 1)
+    u = 0.0
+    for j in range(0, len(c), 2):
+        if c[j] != 0.0:
+            u += c[j] * rows[j][0][1]
+    return u
+
+
 @dataclass(frozen=True)
 class MonomialPoly:
     """Polynomial in the monomial basis: coeffs[j] multiplies z**j.

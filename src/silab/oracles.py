@@ -49,6 +49,7 @@ from .hermite import (
     MAX_DEGREE,
     MonomialPoly,
     _expand,
+    _gaussian_mean,
     _hermite_block,
     _hermite_coeffs,
     _is_zero,
@@ -265,12 +266,16 @@ class _MuPlan(NamedTuple):
     parts: _psi_polys of the family; rows: the moment rows _expand reads,
     covering every q_k the family's psi can have; labels[k]: the Hermite
     expansion of E_zeta[(link(s) + zeta)^k], padded with zeros to one past
-    the longest table the family gives.
+    the longest table the family gives; u_first: _expand(parts[0], rows),
+    the expansion of q_1, which for online, alternating and batch_reuse is
+    parts[0] unscaled at every eta (None for deep_alternating, whose q_1 is
+    a product over its layers).
     """
 
     parts: tuple
     rows: tuple
     labels: tuple
+    u_first: tuple | None
 
 
 @lru_cache(maxsize=None)
@@ -290,7 +295,9 @@ def _mu_plan(
     for k in range(1, n_powers + 1):
         u_y = _expand(_noise_folded_power(link, noise, k).coeffs)
         labels.append(u_y + (0.0,) * (deg + 2 - len(u_y)))
-    return _MuPlan(parts, _moment_rows(deg), tuple(labels))
+    rows = _moment_rows(deg)
+    u_first = None if kind == "deep_alternating" else _expand(parts[0], rows)
+    return _MuPlan(parts, rows, tuple(labels), u_first)
 
 
 def mu_table(spec: OracleSpec, link: MonomialPoly, noise: NoiseSpec, d: int) -> MuTable:
@@ -302,8 +309,9 @@ def mu_table(spec: OracleSpec, link: MonomialPoly, noise: NoiseSpec, d: int) -> 
 
     Only q_k depends on eta. Everything else is memoized in a plan per
     (activation, kind, depth, link, noise) (_mu_plan): the unscaled oracle
-    polynomials, the moment rows of the change of basis and the label side's
-    Hermite expansions. The keys are frozen values, and per call the table
+    polynomials, the moment rows of the change of basis, the label side's
+    Hermite expansions and, but for deep_alternating, the expansion of the
+    eta-free q_1. The keys are frozen values, and per call the table
     runs the float operations a construction from fresh polynomials runs, in
     the same order, on coefficient tuples (see effective_psi), so a table is
     bit for bit what it would be without the plan. An index past an
@@ -316,7 +324,9 @@ def mu_table(spec: OracleSpec, link: MonomialPoly, noise: NoiseSpec, d: int) -> 
     components = []
     mus = [0.0] * r
     for k, q in terms:
-        u_q = _expand(q, plan.rows)
+        # q_1 is parts[0], or the zero fallback when parts[0] is zero: the
+        # same expansion either way
+        u_q = plan.u_first if k == 1 and plan.u_first is not None else _expand(q, plan.rows)
         u_q += (0.0,) * (r - len(u_q))
         u_y = plan.labels[k]
         contrib = tuple([u_y[i] * u_q[i - 1] for i in range(1, r + 1)])
@@ -349,13 +359,21 @@ def check_sign_assumption(mu: MuTable) -> SignCheck:
     return SignCheck(passed=all(mu.mu(i) > 0 for i in istar), istar=istar)
 
 
+def _check_kappa(kappa: float) -> None:
+    """An alignment is a correlation: finite, with |kappa| <= 1."""
+    if not (math.isfinite(kappa) and abs(kappa) <= 1.0):
+        raise ValueError(f"kappa must be finite with |kappa| <= 1, got {kappa}")
+
+
 def expected_alignment_gain(mu: MuTable, kappa: float) -> float:
     """Exact one-step drift E[<theta_star, g>] at alignment kappa.
 
     Equals sum_i mu_i kappa^{i-1} (1 - kappa^2) / (i-1)! for the unnormalized
     mu convention used here (Stein's lemma applied to the bivariate Hermite
-    expansion of the oracle).
+    expansion of the oracle). Raises ValueError unless kappa is finite with
+    |kappa| <= 1.
     """
+    _check_kappa(kappa)
     total = 0.0
     for i, m in enumerate(mu.mus, start=1):
         if m != 0.0:
@@ -381,7 +399,7 @@ def _label_moment(link: MonomialPoly, noise: NoiseSpec, k: int, i: int, times: i
     hei = _hermite_coeffs(i)
     for _ in range(times):
         p = _pmul(p, hei)
-    return _expand(p)[0]
+    return _gaussian_mean(p)
 
 
 def mu_integrand_moments(spec: OracleSpec, link: MonomialPoly, noise: NoiseSpec, d: int):
@@ -392,10 +410,14 @@ def mu_integrand_moments(spec: OracleSpec, link: MonomialPoly, noise: NoiseSpec,
     standard error of any Monte Carlo estimate of mu_i, which for the
     heavy-tailed high-index integrands is far more reliable than a sample
     standard error. The label side depends on (link, noise, k, i) only and
-    is memoized (_label_moment).
+    is memoized (_label_moment). Each expectation is E[p(z)] =
+    _expand(p)[0], read through _gaussian_mean, which sums only that entry,
+    in the same order; the pair products q_k q_l are formed once for every
+    index.
     """
     terms = _psi_terms(_psi_polys(spec.activation, spec.kind, spec.depth), spec, d)
     r = max(len(q) for _, q in terms)
+    pairs = [(k + l, _pmul(qk, ql)) for k, qk in terms for l, ql in terms]
     means = []
     variances = []
     for i in range(1, r + 1):
@@ -403,12 +425,10 @@ def mu_integrand_moments(spec: OracleSpec, link: MonomialPoly, noise: NoiseSpec,
         mean = 0.0
         second = 0.0
         for k, qk in terms:
-            mean += _label_moment(link, noise, k, i, 1) * _expand(_pmul(qk, heim1))[0]
-        for k, qk in terms:
-            for l, ql in terms:
-                e_s = _label_moment(link, noise, k + l, i, 2)
-                e_b = _expand(_pmul(_pmul(_pmul(qk, ql), heim1), heim1))[0]
-                second += e_s * e_b
+            mean += _label_moment(link, noise, k, i, 1) * _gaussian_mean(_pmul(qk, heim1))
+        for kl, qkl in pairs:
+            e_s = _label_moment(link, noise, kl, i, 2)
+            second += e_s * _gaussian_mean(_pmul(_pmul(qkl, heim1), heim1))
         means.append(mean)
         variances.append(max(second - mean * mean, 0.0))
     return np.array(means), np.array(variances)
@@ -450,8 +470,11 @@ def alignment_gain_moments(
     variance, E[A(s) B(z) (s - kappa z)^2] summed over the pairs of psi's
     terms, fixes the exact standard error of the sampling estimate. Each
     moment E[s^m z^n] at correlation kappa is computed once and then read
-    from _corr_moment's cache, in this call and later ones.
+    from _corr_moment's cache, in this call and later ones. Raises
+    ValueError, before any moment is read, unless kappa is finite with
+    |kappa| <= 1.
     """
+    _check_kappa(kappa)
     terms = _psi_terms(_psi_polys(spec.activation, spec.kind, spec.depth), spec, d)
     mean = 0.0
     for k, qk in terms:
@@ -568,8 +591,10 @@ def alignment_gain_monte_carlo(
     The weight is held fixed at alignment kappa with theta_star; inputs are
     full d-dimensional Gaussian draws. blocks > 1 gives a median-of-means
     estimate (see mu_monte_carlo); alignment_gain_moments provides the exact
-    yardstick. Raises ValueError unless n_draws >= blocks >= 1 and chunk >= 1.
+    yardstick. Raises ValueError unless kappa is finite with |kappa| <= 1
+    and n_draws >= blocks >= 1 and chunk >= 1.
     """
+    _check_kappa(kappa)
     _check_draws(n_draws, blocks, chunk)
     psi = effective_psi(spec, d)
     theta = np.zeros(d)

@@ -176,25 +176,34 @@ def _eta_free_coefficients(lo: MuTable, hi: MuTable, eta_lo: float, eta_hi: floa
     return c_hi.T.tolist(), powers.tolist(), dpow, zero.tolist()
 
 
-def _c_verdict(fit, eta, i, j):
-    """What C says of log T_i - log T_j at eta, for 0-based indices i and j.
+def _c_mu(fit, eta, idx):
+    """mu and B = sum_k |C[idx, k] eta^(k-1)| of 0-based indices idx, off C.
 
-    fit is what _eta_free_coefficients returns. Either eta is a float and
-    i, j are ints (a bisection midpoint), or eta, the index arrays i, j and
-    fit as arrays broadcast against each other (the grid).
-    Returns (gap, decided, nonpos). Where decided, both mu are positive and
-    log T_i - log T_j has the sign of gap; nonpos marks where either mu is
+    fit is what _eta_free_coefficients returns. Either eta is a float and idx
+    an int (a bisection midpoint), or fit holds arrays, eta is a column of
+    grid etas and idx an index array (the grid: shape (grid, len(idx))). Each
+    element runs the float operations of the scalar case, in its order.
+    """
+    cols, powers, _, _ = fit
+    mu = b = 0.0
+    for col, p in zip(cols, powers):
+        v = col[idx] * eta**p
+        mu, b = mu + v, b + abs(v)
+    return mu, b
+
+
+def _c_pair(fit, i, j, mb_i, mb_j):
+    """What C says of log T_i - log T_j, from the (mu, B) of 0-based i and j.
+
+    mb_i and mb_j are what _c_mu returns for i and j, at one eta (ints i, j)
+    or over the grid (index arrays i, j, with fit as arrays). Returns (gap,
+    decided, nonpos). Where decided, both mu are positive and log T_i -
+    log T_j has the sign of gap; nonpos marks where either mu is
     non-positive, and neither holds where C leaves the sign in doubt (see
     phase_boundaries for the margins).
     """
-    cols, powers, dpow, zero = fit
-    mu_i = mu_j = b_i = b_j = 0.0
-    for col, p in zip(cols, powers):
-        t = eta**p
-        v_i = col[i] * t
-        v_j = col[j] * t
-        mu_i, b_i = mu_i + v_i, b_i + abs(v_i)
-        mu_j, b_j = mu_j + v_j, b_j + abs(v_j)
+    _, _, dpow, zero = fit
+    (mu_i, b_i), (mu_j, b_j) = mb_i, mb_j
     nonpos = (mu_i < -_SIGN_MARGIN * b_i) | zero[i] | (mu_j < -_SIGN_MARGIN * b_j) | zero[j]
     # log T_i - log T_j > 0 exactly when d^(a_i) mu_j - d^(a_j) mu_i > 0
     gap = dpow[i] * mu_j - dpow[j] * mu_i
@@ -207,16 +216,24 @@ def _grid_signs(etas: np.ndarray, ends: tuple[MuTable, MuTable], fit, mu_of_eta,
     """Sign of log T_i - log T_j for every pair i < j (in row-major order) at
     every grid eta, nan where mu_i <= 0 or mu_j <= 0, shape (pairs, grid).
 
-    Where C (fit) fixes a sign, it is read from there; every other grid
-    point, and both ends, is read from its real table, built once.
+    Where C (fit) fixes a sign, it is read from there: mu and B of every
+    index once over the grid, then the verdict of the live pairs, those with
+    no index that is zero (a pair with one is non-positive wherever C is
+    read). Every other grid point, and both ends, is read from its real
+    table, built once, for every pair.
     """
     lo, hi = ends
     iu, ju = np.triu_indices(r, 1)
     signs = np.full((len(iu), len(etas)), np.nan)
     real = np.ones(len(etas), dtype=bool)
     if fit is not None:
-        gap, decided, nonpos = _c_verdict([np.asarray(f) for f in fit], etas[:, None], iu, ju)
-        signs[:] = np.where(nonpos, np.nan, gap).T
+        fit = [np.asarray(f) for f in fit]
+        zero = fit[3]
+        live = np.flatnonzero(~(zero[iu] | zero[ju]))
+        i, j = iu[live], ju[live]
+        mu, b = _c_mu(fit, etas[:, None], np.arange(r))
+        gap, decided, nonpos = _c_pair(fit, i, j, (mu[:, i], b[:, i]), (mu[:, j], b[:, j]))
+        signs[live] = np.where(nonpos, np.nan, gap).T
         real = ~np.all(nonpos | decided, axis=1)
         real[[0, -1]] = True
     for g in np.flatnonzero(real):
@@ -252,17 +269,23 @@ def phase_boundaries(
     eta^(k-1) with C free of eta, and the end tables fix C. With B_i =
     sum_k |C[i, k] eta^(k-1)|, index i counts as positive where this
     polynomial exceeds 1e-9 B_i and as non-positive where it is below
-    -1e-9 B_i; an index whose components are all 0.0 at both ends is zero. For two positive indices,
-    log T_i - log T_j has the sign of d^(a_i) mu_j - d^(a_j) mu_i, with
-    a_i = max((i-2)/2, 0), and that sign counts where its size exceeds
-    1e-9 (d^(a_i) B_j + d^(a_j) B_i). A grid point where any sign does not
-    count gets its real table. Each bisection midpoint reads the sign of its
-    pair the same way (_c_verdict, shared with the grid). It gets its real
-    table only where an index of the pair does not count as positive or the
-    sign does not count, which near the root means within about 1e-9
-    relative of it. A sign that counts is the real table's and is not 0, so
-    every step of the bisection, and eta*, is bit for bit the full scan's. The
-    reference table at eta* and the two probes around it are real tables.
+    -1e-9 B_i; an index whose components are all 0.0 at both ends is zero.
+    For two positive indices, log T_i - log T_j has the sign of
+    d^(a_i) mu_j - d^(a_j) mu_i, with a_i = max((i-2)/2, 0), and that sign
+    counts where its size exceeds 1e-9 (d^(a_i) B_j + d^(a_j) B_i). Two
+    helpers read C, for the grid and the bisection alike: _c_mu gives (mu_i,
+    B_i) and _c_pair the verdict of a pair from them. The grid takes (mu, B)
+    of every index once and the verdict of the live pairs only, those
+    without a zero index (the others are non-positive wherever C is read). A
+    grid point where any sign does not count gets its real table, which
+    fills every pair. Each bisection midpoint reads the sign of its pair the
+    same way until C first leaves it in doubt: an index of the pair that
+    does not count as positive, or a sign that does not count, which near
+    the root means within about 1e-9 relative of it. That midpoint and every
+    later one of the crossing get their real tables without asking C again.
+    A sign that counts is the real table's and is not 0, so every step of
+    the bisection, and eta*, is bit for bit the full scan's. The reference
+    table at eta* and the two probes around it are real tables.
     If the end tables differ in r, in their component keys, in which entries
     are exactly 0.0, or in C by more than 1e-12 relative, every grid point
     and every midpoint gets its real table (the full scan). The tables must
@@ -282,21 +305,24 @@ def phase_boundaries(
     fit = _eta_free_coefficients(*ends, float(etas[0]), float(etas[-1]))
     signs = _grid_signs(etas, ends, fit, mu_of_eta, d, r)
     brackets = signs[:, :-1] * signs[:, 1:] <= 0  # false where either is nan
+    first = np.argmax(brackets, axis=1)  # one boundary per pair: its first bracket
     out: list[PhaseBoundary] = []
-    for (i, j), row, hits in zip(pairs, signs, brackets):
-        if not hits.any():
-            continue
-        g = int(np.argmax(hits))  # one boundary per pair: its first bracket
+    for p in np.flatnonzero(brackets[np.arange(len(pairs)), first]):
+        i, j = pairs[p]
+        g = int(first[p])
         e_lo, e_hi = float(etas[g]), float(etas[g + 1])
-        lo_above = row[g] > 0  # unchanged by every move of e_lo
+        lo_above = signs[p, g] > 0  # unchanged by every move of e_lo
+        in_doubt = fit is None  # set at the first midpoint C leaves in doubt
         for _ in range(200):
             mid = math.sqrt(e_lo * e_hi)
             if (e_hi - e_lo) <= 1e-15 * e_lo:
                 e_lo = e_hi = mid
                 break
             decided = False
-            if fit is not None:
-                fm, decided, _ = _c_verdict(fit, mid, i - 1, j - 1)
+            if not in_doubt:
+                fm, decided, _ = _c_pair(
+                    fit, i - 1, j - 1, _c_mu(fit, mid, i - 1), _c_mu(fit, mid, j - 1))
+                in_doubt = not decided
             if not decided:
                 tab = mu_of_eta(mid)
                 fm = math.log(_t_value(tab, i, d)) - math.log(_t_value(tab, j, d))

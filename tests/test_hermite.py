@@ -198,6 +198,22 @@ class TestArithmeticBits:
                 want.append(u)
             assert repr(expand(p).coeffs) == repr(tuple(want))
 
+    def test_gaussian_mean(self):
+        # E[p(z)] is _expand's u_0 bit for bit, on raw tuples: odd and even
+        # degrees, zeros of both signs, trailing zeros
+        from silab.hermite import _expand, _gaussian_mean
+
+        rng = np.random.default_rng(6)
+        cases = [(0.0,), (-0.0,), (-0.0, 2.0), (0.0, 0.0, -0.0), (1.5, -0.0, -0.0)]
+        for _ in range(300):
+            c = rng.normal(size=rng.integers(1, 22)) * 10.0 ** rng.integers(-3, 4)
+            c[rng.random(size=len(c)) < 0.2] = 0.0
+            c[rng.random(size=len(c)) < 0.2] = -0.0
+            cases.append(tuple(float(v) for v in c))
+        assert any(len(c) % 2 == 0 for c in cases)  # odd degree
+        for c in cases:
+            assert repr(_gaussian_mean(c)) == repr(_expand(c)[0])
+
 
 def brute_force_moment_zj_hek(j, k):
     """E[z^j He_k] as an exact integer, from the integer coefficients of He_k."""

@@ -25,6 +25,7 @@ from silab.oracles import (
     apply_step,
     mu_monte_carlo,
 )
+from silab import theory
 from silab.theory import (
     PHASE_GRID,
     PhaseBoundary,
@@ -526,6 +527,39 @@ class TestExactIntegrandMoments:
         assert abs(sample_var - variances[2]) <= 4 * se_var
 
 
+class TestAlignmentInputs:
+    """An alignment is a correlation: the exact gain, its moments and its
+    Monte Carlo estimate all refuse a kappa that is not finite with
+    |kappa| <= 1, before a moment is computed or cached."""
+
+    SPEC = OracleSpec(kind="alternating", activation=HE3, eta=0.1)
+
+    def _routes(self, kappa):
+        from silab.oracles import alignment_gain_moments
+
+        mu = mu_table(self.SPEC, HE3, NOISELESS, 50)
+        rng = np.random.default_rng(0)
+        return (
+            lambda: expected_alignment_gain(mu, kappa),
+            lambda: alignment_gain_moments(self.SPEC, HE3, NOISELESS, 50, kappa),
+            lambda: alignment_gain_monte_carlo(self.SPEC, HE3, NOISELESS, 50, kappa, 100, rng),
+        )
+
+    @pytest.mark.parametrize("kappa", [1.5, -1.5, math.nextafter(1.0, 2.0), math.nan,
+                                       math.inf, -math.inf])
+    def test_refused(self, kappa):
+        _corr_moment.cache_clear()
+        for call in self._routes(kappa):
+            with pytest.raises(ValueError, match=r"kappa must be finite with \|kappa\| <= 1"):
+                call()
+        assert _corr_moment.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("kappa", [-1.0, -0.0, 0.0, 0.5, 1.0])
+    def test_edges_accepted(self, kappa):
+        gain, (mean, var), (est, se) = (call() for call in self._routes(kappa))
+        assert all(math.isfinite(v) for v in (gain, mean, var, est, se))
+
+
 class TestSteinIdentity:
     def test_online_drift_matches_prediction(self):
         rng = np.random.default_rng(77)
@@ -961,6 +995,59 @@ class TestPhaseScanBitIdentity:
         else:
             assert crossings >= 1
         assert len(calls) - 2 <= 30 * crossings
+
+    @staticmethod
+    def _spy_pair_verdicts(monkeypatch):
+        """Record every call of the pair verdict: (i, j, decided), with index
+        arrays for the grid and ints for a bisection midpoint."""
+        calls = []
+        verdict = theory._c_pair
+
+        def spy(fit, i, j, mb_i, mb_j):
+            out = verdict(fit, i, j, mb_i, mb_j)
+            calls.append((i, j, out[1]))
+            return out
+
+        monkeypatch.setattr(theory, "_c_pair", spy)
+        return calls
+
+    # live pairs, those with no index whose components are all 0.0: 6 of the
+    # 15 pairs of alternating He3 (r = 6), 10 of the 21 of batch_reuse He3
+    # (r = 7) and 3 of the 66 of deep z2 at depth 3 (r = 12)
+    @pytest.mark.parametrize("d", [25, 400])
+    @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.family)
+    @pytest.mark.parametrize("family, live", zip(ATLAS, (6, 10, 3)), ids=ATLAS_IDS)
+    def test_grid_verdict_reads_only_live_pairs(self, family, live, noise, d, monkeypatch):
+        calls = self._spy_pair_verdicts(monkeypatch)
+        self._atlas_scan(family, noise, d)
+        grid = [(i, j) for i, j, _ in calls if isinstance(i, np.ndarray)]
+        assert len(grid) == 1
+        i, j = grid[0]
+        kind, act, depth = family
+        spec = OracleSpec(kind=kind, activation=act, eta=1.0, depth=depth)
+        end = mu_table(spec, HE3, noise, d)
+        nonzero = {n for n in range(end.r) if any(c[n] != 0.0 for _, c in end.components)}
+        want = [(a, b) for a in sorted(nonzero) for b in sorted(nonzero) if a < b]
+        assert list(zip(i.tolist(), j.tolist())) == want
+        assert len(want) == live
+
+    @pytest.mark.parametrize("d", [25, 400])
+    @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.family)
+    @pytest.mark.parametrize("family", ATLAS[:2], ids=ATLAS_IDS[:2])
+    def test_bisection_stops_asking_c_once_in_doubt(self, family, noise, d, monkeypatch):
+        # each crossing asks C at its midpoints until C first leaves the sign
+        # in doubt, near the root; that midpoint and the later ones build
+        # their real tables without a verdict
+        calls = self._spy_pair_verdicts(monkeypatch)
+        bounds, _ = self._atlas_scan(family, noise, d)
+        per_crossing: dict = {}
+        for i, j, decided in calls:
+            if not isinstance(i, np.ndarray):
+                per_crossing.setdefault((i + 1, j + 1), []).append(bool(decided))
+        assert sorted(per_crossing) == sorted((b.i, b.j) for b in bounds if not b.degenerate)
+        for verdicts in per_crossing.values():
+            assert verdicts[-1] is False
+            assert all(verdicts[:-1])
 
     def test_end_tables_off_the_polynomial_read_every_grid_table(self):
         # component 2 times (1 + eta) is not C eta^(k-1): the ends disagree on C
