@@ -143,10 +143,11 @@ def run(config: RunConfig) -> Trajectory:
     noiseless case; the blocking itself is a fixed implementation constant).
 
     Each step hands apply_step, called through this module's global, a
-    C-contiguous (B, d) row slice of the drawn block and its 1-D label slice,
-    both float64, which the step core takes as they are. The loop reads the
-    config and each step's result once, and records with W.dot(theta), the
-    same BLAS call as W @ theta, so its bits are those of the plain loop.
+    C-contiguous (B, d) row block of the drawn data and its 1-D labels, both
+    float64 views, which the step core takes as they are. The loop reads the
+    config once and unpacks each step's result, and records into arrays sized
+    for every checkpoint with W.dot(theta, out=row), the same BLAS call as
+    W @ theta, so its bits are those of the plain loop.
     """
     teacher = config.teacher
     oracle = config.oracle
@@ -167,8 +168,14 @@ def run(config: RunConfig) -> Trajectory:
     theta = teacher.theta_star
     W = net.W
 
-    rec_steps = [0]
-    rec_kappa = [alignment(net, teacher)]
+    # the start, every record_every-th step and the last; a diverging run
+    # records the step that blew up in place of the next of these
+    n_records = 1 + n_steps // record_every + (n_steps % record_every != 0)
+    rec_steps = np.empty(n_records, dtype=int)
+    rec_kappa = np.empty((n_records, n_neurons))
+    rec_steps[0] = 0
+    rec_kappa[0] = alignment(net, teacher)
+    n_rec = 1
     audit_rows: list[tuple] = [] if audit else None
     diverged = False
     rejected = 0
@@ -178,22 +185,18 @@ def run(config: RunConfig) -> Trajectory:
     while step < n_steps:
         n_block = min(block, n_steps - step)
         x_all, y_all = draw_batch(teacher, n_block * bsz, data_rng)
-        for lo in range(0, n_block * bsz, bsz):
-            x = x_all[lo : lo + bsz]
-            y = y_all[lo : lo + bsz]
+        x_steps = x_all.reshape(n_block, bsz, teacher.d)
+        for x, y in zip(x_steps, y_all.reshape(n_block, bsz)):
             bad = False
             for j in range(n_neurons):
                 w_before = W[j]
-                res = apply_step(w_before, x, y, oracle)
-                w_new = res.w
-                prenorm = res.prenorm
-                if res.rejected:
+                w_new, g, prenorm, step_rejected = apply_step(w_before, x, y, oracle)
+                if step_rejected:
                     rejected += 1
                 if not math.isfinite(prenorm) or prenorm >= DIVERGENCE_NORM:
                     bad = True
                 if audit:
                     # capture before the row buffer is overwritten below
-                    g = res.raw_update
                     audit_rows.append(
                         (
                             step,
@@ -206,19 +209,18 @@ def run(config: RunConfig) -> Trajectory:
                     )
                 W[j] = w_new
             step += 1
+            if bad or step % record_every == 0 or step == n_steps:
+                rec_steps[n_rec] = step
+                W.dot(theta, out=rec_kappa[n_rec])
+                n_rec += 1
             if bad:
                 diverged = True
-                rec_steps.append(step)
-                rec_kappa.append(W.dot(theta))
                 break
-            if step % record_every == 0 or step == n_steps:
-                rec_steps.append(step)
-                rec_kappa.append(W.dot(theta))
         if diverged:
             break
 
-    steps_arr = np.asarray(rec_steps)
-    kappa_arr = np.asarray(rec_kappa)
+    steps_arr = rec_steps[:n_rec]
+    kappa_arr = rec_kappa[:n_rec]
     best = np.max(kappa_arr, axis=1)
     weak = None if diverged else _first_crossing(steps_arr, best, config.weak_threshold)
     strong = None if diverged else _first_crossing(steps_arr, best, 1.0 - config.strong_eps)

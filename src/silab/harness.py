@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -188,6 +187,9 @@ def sweep(spec: SweepSpec) -> SweepResult:
         for rep in range(spec.replicates)
     ]
     if spec.jobs > 1:
+        # imported here: the pool loads multiprocessing, socket and logging
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(payloads) // (spec.jobs * 8))
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             cells = list(pool.map(_run_cell, payloads, chunksize=chunk))

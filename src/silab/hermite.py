@@ -116,6 +116,23 @@ def _gaussian_mean(c: tuple) -> float:
     return u
 
 
+def _horner(c: tuple, z):
+    """sum_j c[j] z**j by Horner's rule, on a Python float or a numpy array;
+    MonomialPoly.__call__ and the step coefficients both use it.
+
+    The rule starts from the float 0.0 + c[-1], which is c[-1] itself for a
+    stripped tuple of two or more coefficients (its last one is nonzero), so
+    the result has z's shape and the bits of z * c[-1] + c[-2] ... A
+    constant gives that float whatever z is (-0.0 becomes 0.0), which
+    MonomialPoly.__call__ broadcasts to z's shape.
+    """
+    rest = reversed(c)
+    acc = 0.0 + next(rest)
+    for v in rest:
+        acc = acc * z + v
+    return acc
+
+
 @dataclass(frozen=True)
 class MonomialPoly:
     """Polynomial in the monomial basis: coeffs[j] multiplies z**j.
@@ -174,23 +191,20 @@ class MonomialPoly:
         return self.degree == 0
 
     def __call__(self, z):
-        """Evaluate by Horner's rule; works on scalars and numpy arrays.
+        """Evaluate by Horner's rule (_horner); works on scalars and numpy arrays.
 
         Scalars give a Python float, arrays an array of z's shape. Python
-        floats (the per-sample step) and arrays of rank >= 1 skip the
-        broadcasting set-up; the bits are the same, because the leading
-        coefficient c_n is nonzero and so z * c_n equals (0 + c_n) * z.
+        floats and arrays of rank >= 1 go to _horner as they are; other
+        scalars, 0-d arrays and sequences as float arrays. A constant is
+        broadcast to z's shape.
         """
         c = self.coeffs
-        if len(c) > 1 and (type(z) is float or isinstance(z, np.ndarray) and z.ndim):
-            acc = z * c[-1] + c[-2]
-            for v in c[-3::-1]:
-                acc = acc * z + v
-            return acc
-        acc = np.zeros_like(np.asarray(z, dtype=float)) + c[-1]
-        for v in c[-2::-1]:
-            acc = acc * z + v
-        if np.isscalar(z):
+        as_is = type(z) is float or isinstance(z, np.ndarray) and z.ndim
+        zf = z if as_is else np.asarray(z, dtype=float)
+        acc = _horner(c, zf)
+        if len(c) == 1 and type(z) is not float:
+            acc = np.zeros_like(zf, dtype=float) + acc
+        if not as_is and np.isscalar(z):
             return float(acc)
         return acc
 

@@ -6,9 +6,9 @@ Every variant fits the generic step
 
 where psi is a bivariate polynomial in the label y and the preactivation z.
 Four oracles are provided, both as literal multi-step procedures (what the
-algorithms execute: apply_step, with each oracle's per-sample coefficient in
-a _c_* function) and as effective single-step polynomials (what the analysis
-uses, see effective_psi):
+algorithms execute: apply_step, with each oracle's per-sample coefficient
+built once per spec by _step_coefficient) and as effective single-step
+polynomials (what the analysis uses, see effective_psi):
 
   online            psi(y, z) = y sigma'(z)
   batch_reuse       psi(y, z) = y sigma'(z)
@@ -52,6 +52,7 @@ from .hermite import (
     _gaussian_mean,
     _hermite_block,
     _hermite_coeffs,
+    _horner,
     _is_zero,
     _moment_rows,
     _padd,
@@ -73,7 +74,8 @@ class OracleSpec:
     eta scales the non-correlational part of the update (unused by the
     online oracle); gamma is the global step size; depth only applies to
     deep_alternating. Instances are treated as immutable once used: derived
-    activation coefficients are cached on first access.
+    activation coefficients and the step coefficient are cached on first
+    access.
     """
 
     kind: OracleKind
@@ -99,6 +101,16 @@ class OracleSpec:
     @cached_property
     def _sigma_prime(self) -> MonomialPoly:
         return self.activation.derivative()
+
+    @cached_property
+    def _coefficient(self) -> Callable:
+        return _step_coefficient(self)
+
+    def __getstate__(self) -> dict:
+        # pickle cannot send the coefficient closure; it is rebuilt on first use
+        state = dict(self.__dict__)
+        state.pop("_coefficient", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -630,8 +642,7 @@ def alignment_gain_monte_carlo(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     """Outcome of one update: new weight, mean raw update, pre-normalization
     norm, and whether the step was rejected (zero denominator)."""
 
@@ -645,13 +656,15 @@ _FLOAT64 = np.dtype(float)
 
 
 def _as_batch(x, y):
-    """x as a (B, d) float array and y as a (B,) one.
+    """x as a (B, d) float array and y as a (B,) one, with B >= 1.
 
     A 2-D float64 ndarray x with a 1-D float64 ndarray y, which is what run()
     passes (a row block of the drawn data and its label slice), comes back as
     the very same objects: np.asarray(..., dtype=float) would return them
     unchanged too, so skipping it cannot change a bit. Anything else (lists,
     other dtypes, ndarray subclasses, a single sample) goes through np.asarray.
+    Either way, a batch with no samples or with a label count other than its
+    sample count raises ValueError.
     """
     if (
         type(x) is np.ndarray
@@ -661,81 +674,77 @@ def _as_batch(x, y):
         and x.ndim == 2
         and y.ndim == 1
     ):
-        return x, y
-    xb = np.asarray(x, dtype=float)
-    if xb.ndim == 1:
-        xb = xb[None, :]
-    yb = np.asarray(y, dtype=float)
-    if yb.ndim == 0:
-        yb = yb[None]
+        xb, yb = x, y
+    else:
+        xb = np.asarray(x, dtype=float)
+        if xb.ndim == 1:
+            xb = xb[None, :]
+        yb = np.asarray(y, dtype=float)
+        if yb.ndim == 0:
+            yb = yb[None]
+    n = len(xb)
+    if n != len(yb) or not n:
+        raise ValueError(
+            f"a step needs one label per sample and at least one sample, "
+            f"got {n} samples and {len(yb)} labels"
+        )
     return xb, yb
 
 
-# Per-sample step coefficients c(y, z): the literal update moves w along
-# mean(c x), projected onto the tangent space at w. Each one runs unchanged
-# on Python floats (one sample) and on arrays (a batch). xsq is |x|^2 per
-# sample, computed only for batch_reuse.
+def _step_coefficient(spec: OracleSpec) -> Callable:
+    """The per-sample step coefficient c(y, z, xsq) of spec's oracle.
 
-
-def _c_online(spec: OracleSpec, y, z, xsq):
-    """Spherical correlation-loss SGD."""
-    return y * spec._sigma_prime(z)
-
-
-def _c_batch_reuse(spec: OracleSpec, y, z, xsq):
-    """Literal two-pass step: an eta-step preactivation shift on the same
-    sample, then the gamma-step. Both gradient evaluations reuse the sample;
-    no Taylor surrogate is involved here."""
-    # <x, w~> for the per-sample intermediate w~ = w + eta y sigma'(z) P_w x
-    t = z + spec.eta * y * spec._sigma_prime(z) * (xsq - z * z)
-    return y * spec._sigma_prime(t)
-
-
-def _c_alternating(spec: OracleSpec, y, z, xsq):
-    atilde = 1.0 + spec.eta * y * spec.activation(z)
-    return (y * atilde) * spec._sigma_prime(z)
-
-
-def _c_deep_alternating(spec: OracleSpec, y, z, xsq):
-    """Layer-wise trial updates on the sparse deep recurrence.
-
-    Every layer scalar gets a transient a~ computed from the same sample
-    (persistent scalars stay at 1), and the first-layer step uses the product
-    of a~_i sigma'(F_{i-1}).
+    The literal update moves w along mean(c x), projected onto the tangent
+    space at w. The coefficient runs unchanged on Python floats (one sample)
+    and on arrays (a batch), with the Horner coefficients of the activation
+    and of sigma' and the hyperparameters bound in; OracleSpec builds it once.
+    xsq is |x|^2 per sample, which apply_step computes only for batch_reuse.
     """
-    depth = spec.depth
-    f_vals = [z]
-    for _ in range(1, depth):
-        f_vals.append(spec.activation(f_vals[-1]))
-    sp_vals = [spec._sigma_prime(f_vals[i - 1]) for i in range(1, depth)]
-    c = y
-    for i in range(1, depth):
-        tail = 1.0
-        for j in range(i + 1, depth):
-            tail = tail * sp_vals[j - 1]
-        atilde = 1.0 + spec.eta * y * tail * f_vals[i]
-        c = (c * atilde) * sp_vals[i - 1]
-    return c
+    act, sp, eta = spec.activation.coeffs, spec._sigma_prime.coeffs, spec.eta
+    if spec.kind == "online":
+        # spherical correlation-loss SGD
 
+        def coef(y, z, xsq):
+            return y * _horner(sp, z)
 
-_COEFFICIENTS = {
-    "online": _c_online,
-    "batch_reuse": _c_batch_reuse,
-    "alternating": _c_alternating,
-    "deep_alternating": _c_deep_alternating,
-}
+    elif spec.kind == "batch_reuse":
+        # Literal two-pass step: an eta-step preactivation shift on the same
+        # sample, then the gamma-step. Both gradient evaluations reuse the
+        # sample; no Taylor surrogate is involved here.
 
+        def coef(y, z, xsq):
+            # <x, w~> for the per-sample intermediate w~ = w + eta y sigma'(z) P_w x
+            t = z + eta * y * _horner(sp, z) * (xsq - z * z)
+            return y * _horner(sp, t)
 
-def _normalize_step(w: np.ndarray, g: np.ndarray, gamma: float) -> StepResult:
-    if gamma == 0.0:
-        # exact no-op; w is already unit so renormalizing would only add noise
-        return StepResult(w, g, 1.0, False)
-    v = w + gamma * g
-    prenorm = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a vector
-    if prenorm == 0.0:
-        return StepResult(w, g, prenorm, True)
-    v /= prenorm  # v is fresh; in place gives the bits of v / prenorm
-    return StepResult(v, g, prenorm, False)
+    elif spec.kind == "alternating":
+        # the first-layer step times the trial scalar a~ = 1 + eta y sigma(z)
+
+        def coef(y, z, xsq):
+            return (y * (1.0 + eta * y * _horner(act, z))) * _horner(sp, z)
+
+    else:
+        # Layer-wise trial updates on the sparse deep recurrence. Every layer
+        # scalar gets a transient a~ computed from the same sample (persistent
+        # scalars stay at 1), and the first-layer step uses the product of
+        # a~_i sigma'(F_{i-1}).
+        depth = spec.depth
+
+        def coef(y, z, xsq):
+            f_vals = [z]
+            for _ in range(1, depth):
+                f_vals.append(_horner(act, f_vals[-1]))
+            sp_vals = [_horner(sp, f_vals[i - 1]) for i in range(1, depth)]
+            c = y
+            for i in range(1, depth):
+                tail = 1.0
+                for j in range(i + 1, depth):
+                    tail = tail * sp_vals[j - 1]
+                atilde = 1.0 + eta * y * tail * f_vals[i]
+                c = (c * atilde) * sp_vals[i - 1]
+            return c
+
+    return coef
 
 
 def apply_step(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
@@ -745,7 +754,9 @@ def apply_step(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
 
     With one sample the coefficient is scalar arithmetic on Python floats,
     and the mean update is x c; with a batch it is the same arithmetic on
-    arrays. Both give the bits of the batched array formulas.
+    arrays. Both give the bits of the batched array formulas. The update
+    w + gamma v is formed in place as (v gamma) + w, the same products and
+    sums, and divided by its norm in place.
 
     The bits of a step depend on the memory layout of x. xb w and w v are
     taken with ndarray.dot, which costs less dispatch than @. On a block
@@ -756,17 +767,27 @@ def apply_step(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
     as X[::2, 1::2], takes a different product loop and may differ in the
     last bit; pass np.ascontiguousarray(x) to replay a run from such a view.
     """
-    coef = _COEFFICIENTS[spec.kind]
     xb, yb = _as_batch(x, y)
+    coef = spec._coefficient
     z = xb.dot(w)
-    xsq = np.einsum("ij,ij->i", xb, xb) if coef is _c_batch_reuse else None
+    xsq = np.einsum("ij,ij->i", xb, xb) if spec.kind == "batch_reuse" else None
     if len(xb) == 1:
-        c = coef(spec, yb.item(0), z.item(0), None if xsq is None else xsq.item(0))
+        c = coef(yb.item(0), z.item(0), None if xsq is None else xsq.item(0))
         v = xb[0] * c
     else:
-        c = coef(spec, yb, z, xsq)
+        c = coef(yb, z, xsq)
         v = xb.T @ c / c.shape[0]
     # Projection is linear, so projecting the batch mean equals the mean of
     # per-sample projected updates. v is fresh, so it is projected in place.
     v -= w * w.dot(v)
-    return _normalize_step(w, v, spec.gamma)
+    gamma = spec.gamma
+    if gamma == 0.0:
+        # exact no-op; w is already unit so renormalizing would only add noise
+        return StepResult(w, v, 1.0, False)
+    t = v * gamma
+    t += w
+    prenorm = math.sqrt(t.dot(t))  # what np.linalg.norm computes for a vector
+    if prenorm == 0.0:
+        return StepResult(w, v, prenorm, True)
+    t /= prenorm  # t is fresh; in place gives the bits of t / prenorm
+    return StepResult(t, v, prenorm, False)

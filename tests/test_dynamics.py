@@ -18,6 +18,7 @@ from silab import (
     run,
     weak_recovery_sample_size,
 )
+from silab import dynamics
 from silab.dynamics import DIVERGENCE_NORM
 from silab.model import ROLE_DATA, ROLE_INIT, draw_batch, init_network
 from silab.oracles import apply_step
@@ -388,3 +389,35 @@ class TestRunMatchesHandReplay:
         traj = _assert_run_matches_hand_replay(cfg)
         assert traj.diverged
         assert traj.steps[-1] < 200
+
+    @pytest.mark.parametrize("record_every", [1, 7, 100, 101])
+    def test_record_every_around_the_step_count(self, record_every):
+        cfg = make_config(kind="alternating", eta=0.5, gamma=0.01, n=100, batch=1, seed=6,
+                          n_neurons=2, record_every=record_every, audit=True)
+        traj = _assert_run_matches_hand_replay(cfg)
+        on_grid = list(range(0, 101, record_every))
+        assert traj.steps.tolist() == on_grid + ([100] if on_grid[-1] != 100 else [])
+
+    def test_diverging_at_the_first_step(self):
+        cfg = make_config(kind="alternating", d=10, eta=1.0, gamma=1e15, n=200, batch=1,
+                          seed=2, n_neurons=2, record_every=3, audit=True)
+        traj = _assert_run_matches_hand_replay(cfg)
+        assert traj.diverged
+        assert traj.steps.tolist() == [0, 1]
+        assert traj.alignments.shape == (2, 2)
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_run_steps_through_the_module_global(self, batch, monkeypatch):
+        """Tracers rebind dynamics.apply_step; run() must call it once per
+        step and neuron."""
+        calls = []
+
+        def spy(w, x, y, spec):
+            calls.append(len(x))
+            return apply_step(w, x, y, spec)
+
+        monkeypatch.setattr(dynamics, "apply_step", spy)
+        cfg = make_config(kind="online", gamma=0.01, n=50 * batch, batch=batch, seed=1,
+                          n_neurons=3, record_every=10)
+        run(cfg)
+        assert calls == [batch] * (cfg.n_steps * cfg.n_neurons)

@@ -1,9 +1,12 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import silab
 from silab import (
     NoiseSpec,
     OracleSpec,
@@ -89,6 +92,15 @@ class TestSweep:
         parallel = sweep(tiny_spec(jobs=2))
         assert serial.cells == parallel.cells
         assert serial.summary == parallel.summary
+
+    def test_import_leaves_the_process_pool_out(self):
+        """Only jobs > 1 needs the pool, which loads multiprocessing."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(silab.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, silab; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
     def test_recovered_flag_semantics(self):
         res = sweep(tiny_spec())

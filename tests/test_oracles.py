@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from silab import (
 )
 from silab.hermite import DegreeOverflowError, HermiteExpansion, _moment_zj_hek, expand
 from silab.oracles import (
+    ORACLE_KINDS,
     MuTable,
     _as_batch,
     _corr_moment,
@@ -337,6 +339,52 @@ class TestSteps:
         singles = [apply_step(self.w, xs[i], ys[i], spec).raw_update for i in range(4)]
         np.testing.assert_allclose(batched.raw_update, np.mean(singles, axis=0), atol=1e-14)
 
+    def test_step_result_is_an_immutable_record(self):
+        spec = OracleSpec(kind="online", activation=HE3, gamma=0.05)
+        res = apply_step(self.w, self.x, self.y, spec)
+        w, raw_update, prenorm, rejected = res
+        assert w is res.w and raw_update is res.raw_update
+        assert prenorm == res.prenorm and rejected is res.rejected is False
+        with pytest.raises(AttributeError):
+            res.w = self.w
+
+    def test_used_spec_pickles_and_steps_alike(self):
+        spec = OracleSpec(kind="alternating", activation=HE3, gamma=0.05, eta=0.5)
+        before = apply_step(self.w, self.x, self.y, spec)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec
+        after = apply_step(self.w, self.x, self.y, copy)
+        assert np.array_equal(before.w, after.w) and before.prenorm == after.prenorm
+
+
+class TestBatchCounts:
+    """A step needs one label per sample and at least one sample."""
+
+    SPEC = OracleSpec(kind="alternating", activation=HE3, gamma=0.05, eta=0.5)
+
+    def setup_method(self):
+        rng = np.random.default_rng(7)
+        self.w = unit(rng.standard_normal(6))
+        self.x = rng.standard_normal((3, 6))
+
+    def test_fewer_labels_than_samples(self):
+        with pytest.raises(ValueError, match="3 samples and 1 labels"):
+            apply_step(self.w, self.x, np.array([1.0]), self.SPEC)
+
+    def test_more_labels_than_samples(self):
+        with pytest.raises(ValueError, match="1 samples and 2 labels"):
+            apply_step(self.w, self.x[:1], np.array([1.0, -1.0]), self.SPEC)
+
+    def test_empty_batch(self):
+        with pytest.raises(ValueError, match="0 samples and 0 labels"):
+            apply_step(self.w, self.x[:0], np.empty(0), self.SPEC)
+
+    def test_conversion_path_checks_too(self):
+        with pytest.raises(ValueError, match="3 samples and 1 labels"):
+            _as_batch(self.x.tolist(), 1.0)
+        with pytest.raises(ValueError, match="1 samples and 2 labels"):
+            _as_batch(self.x[0], [1.0, 2.0])
+
 
 def _array_horner(coeffs, z):
     acc = np.full_like(z, coeffs[-1])
@@ -389,6 +437,14 @@ class TestStepCoreBitIdentity:
         OracleSpec(kind="deep_alternating", activation=MonomialPoly.monomial(2),
                    gamma=0.05, eta=0.5, depth=3),
         OracleSpec(kind="deep_alternating", activation=HE3, gamma=0.05, eta=0.5, depth=2),
+    ] + [
+        # sigma' constant (the one-coefficient Horner case), and zero and -0.0
+        # coefficients inside the activation and inside sigma'
+        pytest.param(OracleSpec(kind=kind, activation=act, gamma=0.05, eta=0.5, depth=3),
+                     id=f"{kind}-{name}")
+        for name, act in (("linear", MonomialPoly((0.3, 1.5))),
+                          ("signed-zeros", MonomialPoly((0.5, 0.0, -0.0, -0.0, 0.25))))
+        for kind in ORACLE_KINDS
     ]
 
     @pytest.mark.parametrize("batch", [1, 4])
@@ -472,8 +528,9 @@ class TestStepCoreBitIdentity:
     @pytest.mark.parametrize(
         "poly",
         [HE3, HE3.derivative(), MonomialPoly.monomial(2), MonomialPoly.monomial(1),
-         MonomialPoly.const(2.5), MonomialPoly.zero()],
-        ids=["He3", "He3'", "z2", "z", "const", "zero"],
+         MonomialPoly.const(2.5), MonomialPoly.zero(),
+         MonomialPoly((0.5, 0.0, -0.0, -0.0, 0.25))],
+        ids=["He3", "He3'", "z2", "z", "const", "zero", "signed-zeros"],
     )
     def test_poly_call_matches_general_horner(self, poly):
         def general(z):
