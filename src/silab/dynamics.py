@@ -147,7 +147,9 @@ def run(config: RunConfig) -> Trajectory:
     float64 views, which the step core takes as they are. The loop reads the
     config once and unpacks each step's result, and records into arrays sized
     for every checkpoint with W.dot(theta, out=row), the same BLAS call as
-    W @ theta, so its bits are those of the plain loop.
+    W @ theta, so its bits are those of the plain loop. With the audit on,
+    each step's audited quantities go into (steps, neurons) arrays in the
+    same way, and the trace holds the rows of the steps taken.
     """
     teacher = config.teacher
     oracle = config.oracle
@@ -176,7 +178,9 @@ def run(config: RunConfig) -> Trajectory:
     rec_steps[0] = 0
     rec_kappa[0] = alignment(net, teacher)
     n_rec = 1
-    audit_rows: list[tuple] = [] if audit else None
+    if audit:
+        # kappa before, kappa after, <theta, g> and |g|^2 of every step
+        kb_rows, ka_rows, tg_rows, gg_rows = np.empty((4, n_steps, n_neurons))
     diverged = False
     rejected = 0
 
@@ -197,16 +201,10 @@ def run(config: RunConfig) -> Trajectory:
                     bad = True
                 if audit:
                     # capture before the row buffer is overwritten below
-                    audit_rows.append(
-                        (
-                            step,
-                            j,
-                            float(theta.dot(w_before)),
-                            float(theta.dot(w_new)),
-                            float(theta.dot(g)),
-                            float(g.dot(g)),
-                        )
-                    )
+                    kb_rows[step, j] = theta.dot(w_before)
+                    ka_rows[step, j] = theta.dot(w_new)
+                    tg_rows[step, j] = theta.dot(g)
+                    gg_rows[step, j] = g.dot(g)
                 W[j] = w_new
             step += 1
             if bad or step % record_every == 0 or step == n_steps:
@@ -226,15 +224,13 @@ def run(config: RunConfig) -> Trajectory:
     strong = None if diverged else _first_crossing(steps_arr, best, 1.0 - config.strong_eps)
 
     trace = None
-    if audit and audit_rows:
-        arr = np.asarray(audit_rows)
-        n_rows = len(audit_rows) // n_neurons
-        shape = (n_rows, n_neurons)
+    if audit:
+        # the steps taken: a diverged run stops early
         trace = AuditTrace(
-            kappa_before=arr[:, 2].reshape(shape),
-            kappa_after=arr[:, 3].reshape(shape),
-            theta_dot_g=arr[:, 4].reshape(shape),
-            g_norm_sq=arr[:, 5].reshape(shape),
+            kappa_before=kb_rows[:step],
+            kappa_after=ka_rows[:step],
+            theta_dot_g=tg_rows[:step],
+            g_norm_sq=gg_rows[:step],
         )
 
     return Trajectory(

@@ -73,9 +73,8 @@ class OracleSpec:
 
     eta scales the non-correlational part of the update (unused by the
     online oracle); gamma is the global step size; depth only applies to
-    deep_alternating. Instances are treated as immutable once used: derived
-    activation coefficients and the step coefficient are cached on first
-    access.
+    deep_alternating. Instances are treated as immutable once used: the
+    step coefficient is cached on first access.
     """
 
     kind: OracleKind
@@ -97,10 +96,6 @@ class OracleSpec:
             raise ValueError("gamma must be nonnegative")
         if self.kind == "deep_alternating" and self.depth < 2:
             raise ValueError("deep_alternating needs depth >= 2")
-
-    @cached_property
-    def _sigma_prime(self) -> MonomialPoly:
-        return self.activation.derivative()
 
     @cached_property
     def _coefficient(self) -> Callable:
@@ -183,14 +178,13 @@ def _psi_polys(activation: MonomialPoly, kind: str, depth: int) -> tuple[tuple[f
     return tuple(q.coeffs for q in polys)
 
 
-def _psi_terms(parts: tuple, spec: OracleSpec, d: int) -> list:
+def _psi_terms(parts: tuple, kind: str, eta: float, d: int) -> list:
     """effective_psi's terms as (k, coefficient tuple), from _psi_polys parts.
 
     The scales by eta or (eta d)^(k-1)/(k-1)! and, for deep_alternating,
     the bivariate product over the layers: the float operations, in the
     order, that building psi from fresh polynomials applies.
     """
-    kind, eta = spec.kind, spec.eta
     if kind == "online":
         raw = {1: parts[0]}
     elif kind == "alternating":
@@ -207,6 +201,23 @@ def _psi_terms(parts: tuple, spec: OracleSpec, d: int) -> list:
         raw = {k + 1: q for k, q in acc.items()}  # leading y of the w-step
     terms = [(k, raw[k]) for k in sorted(raw) if not _is_zero(raw[k])]
     return terms or [(1, (0.0,))]
+
+
+@lru_cache(maxsize=256, typed=True)
+def _psi_terms_and_pairs(
+    activation: MonomialPoly, kind: str, depth: int, eta: float, d: int
+) -> tuple[tuple, tuple]:
+    """psi's terms (k, q_k) and their pair products (k + l, q_k q_l).
+
+    The pairs run over k, then l, both in the terms' order. Both exact
+    moment routes read them, so a (spec, d) forms its products once for
+    every index and every kappa. A bounded cache (a theory_atlas pass asks
+    for 24 keys), typed so that an int eta or d, which can round differently
+    in (eta d)^(k-1), gets its own entry.
+    """
+    terms = tuple(_psi_terms(_psi_polys(activation, kind, depth), kind, eta, d))
+    pairs = tuple((k + l, _pmul(qk, ql)) for k, qk in terms for l, ql in terms)
+    return terms, pairs
 
 
 def effective_psi(spec: OracleSpec, d: int) -> Psi:
@@ -228,7 +239,7 @@ def effective_psi(spec: OracleSpec, d: int) -> Psi:
     never in a mu table, whose expansions skip zero coefficients.)
     """
     parts = _psi_polys(spec.activation, spec.kind, spec.depth)
-    terms = _psi_terms(parts, spec, d)
+    terms = _psi_terms(parts, spec.kind, spec.eta, d)
     return Psi(tuple((k, MonomialPoly._of(q)) for k, q in terms))
 
 
@@ -331,7 +342,7 @@ def mu_table(spec: OracleSpec, link: MonomialPoly, noise: NoiseSpec, d: int) -> 
     the sign of a zero component.
     """
     plan = _mu_plan(spec.activation, spec.kind, spec.depth, link, noise)
-    terms = _psi_terms(plan.parts, spec, d)
+    terms = _psi_terms(plan.parts, spec.kind, spec.eta, d)
     r = max(len(q) for _, q in terms)
     components = []
     mus = [0.0] * r
@@ -424,12 +435,12 @@ def mu_integrand_moments(spec: OracleSpec, link: MonomialPoly, noise: NoiseSpec,
     standard error. The label side depends on (link, noise, k, i) only and
     is memoized (_label_moment). Each expectation is E[p(z)] =
     _expand(p)[0], read through _gaussian_mean, which sums only that entry,
-    in the same order; the pair products q_k q_l are formed once for every
-    index.
+    in the same order. psi's terms and their pair products q_k q_l come
+    from _psi_terms_and_pairs, formed once per (spec, d) for every index and
+    shared with alignment_gain_moments.
     """
-    terms = _psi_terms(_psi_polys(spec.activation, spec.kind, spec.depth), spec, d)
+    terms, pairs = _psi_terms_and_pairs(spec.activation, spec.kind, spec.depth, spec.eta, d)
     r = max(len(q) for _, q in terms)
-    pairs = [(k + l, _pmul(qk, ql)) for k, qk in terms for l, ql in terms]
     means = []
     variances = []
     for i in range(1, r + 1):
@@ -468,6 +479,23 @@ def _corr_moment(m: int, n: int, rho: float) -> float:
     return total
 
 
+def _coefficient_sum(total: float, a: tuple, b: tuple, bracket: Callable) -> float:
+    """total + sum of a_alpha b_beta bracket(alpha, beta) over nonzero a_alpha, b_beta.
+
+    Each term is added to the running total in turn (alpha outer, beta
+    inner), so a caller that passes its running sum gets the bits of one
+    flat loop.
+    """
+    for alpha, ca in enumerate(a):
+        if ca == 0.0:
+            continue
+        for beta, cb in enumerate(b):
+            if cb == 0.0:
+                continue
+            total += ca * cb * bracket(alpha, beta)
+    return total
+
+
 def alignment_gain_moments(
     spec: OracleSpec,
     link: MonomialPoly,
@@ -480,43 +508,33 @@ def alignment_gain_moments(
     The mean reproduces expected_alignment_gain by an independent route
     (direct correlated-Gaussian moments instead of the Stein expansion); the
     variance, E[A(s) B(z) (s - kappa z)^2] summed over the pairs of psi's
-    terms, fixes the exact standard error of the sampling estimate. Each
-    moment E[s^m z^n] at correlation kappa is computed once and then read
-    from _corr_moment's cache, in this call and later ones. Raises
-    ValueError, before any moment is read, unless kappa is finite with
-    |kappa| <= 1.
+    terms, fixes the exact standard error of the sampling estimate. The
+    kappa-free terms and pair products are read from _psi_terms_and_pairs,
+    so the kappas of one (spec, d) form them once. Each moment E[s^m z^n] at
+    correlation kappa is computed once and then read from _corr_moment's
+    cache, in this call and later ones. Raises ValueError, before any moment
+    is read, unless kappa is finite with |kappa| <= 1.
     """
     _check_kappa(kappa)
-    terms = _psi_terms(_psi_polys(spec.activation, spec.kind, spec.depth), spec, d)
+    terms, pairs = _psi_terms_and_pairs(spec.activation, spec.kind, spec.depth, spec.eta, d)
+
+    def mean_bracket(alpha, beta):
+        return _corr_moment(alpha + 1, beta, kappa) - kappa * _corr_moment(alpha, beta + 1, kappa)
+
+    def second_bracket(alpha, beta):
+        return (
+            _corr_moment(alpha + 2, beta, kappa)
+            - 2.0 * kappa * _corr_moment(alpha + 1, beta + 1, kappa)
+            + kappa * kappa * _corr_moment(alpha, beta + 2, kappa)
+        )
+
     mean = 0.0
     for k, qk in terms:
-        for alpha, ca in enumerate(_noise_folded_power(link, noise, k).coeffs):
-            if ca == 0.0:
-                continue
-            for beta, cb in enumerate(qk):
-                if cb == 0.0:
-                    continue
-                mean += ca * cb * (
-                    _corr_moment(alpha + 1, beta, kappa)
-                    - kappa * _corr_moment(alpha, beta + 1, kappa)
-                )
+        mean = _coefficient_sum(mean, _noise_folded_power(link, noise, k).coeffs, qk, mean_bracket)
     second = 0.0
-    for k, qk in terms:
-        for l, ql in terms:
-            qkl = _pmul(qk, ql)
-            total = 0.0
-            for alpha, ca in enumerate(_noise_folded_power(link, noise, k + l).coeffs):
-                if ca == 0.0:
-                    continue
-                for beta, cb in enumerate(qkl):
-                    if cb == 0.0:
-                        continue
-                    total += ca * cb * (
-                        _corr_moment(alpha + 2, beta, kappa)
-                        - 2.0 * kappa * _corr_moment(alpha + 1, beta + 1, kappa)
-                        + kappa * kappa * _corr_moment(alpha, beta + 2, kappa)
-                    )
-            second += total
+    for kl, qkl in pairs:
+        label = _noise_folded_power(link, noise, kl).coeffs
+        second += _coefficient_sum(0.0, label, qkl, second_bracket)
     return mean, max(second - mean * mean, 0.0)
 
 
@@ -525,11 +543,37 @@ def alignment_gain_moments(
 # ---------------------------------------------------------------------------
 
 
-def _check_draws(n_draws: int, blocks: int, chunk: int) -> None:
+def _median_of_means(sample: Callable, n_outputs: int, n_draws: int, chunk: int, blocks: int):
+    """Median-of-means estimate and standard error of n_outputs expectations.
+
+    sample(m) draws m samples and returns one row of m integrand values per
+    output. The n_draws // blocks draws of each block are taken in chunks of
+    at most chunk; each row's sum and sum of squares accumulate per block.
+    The estimate is the median of the block means (their only entry when
+    blocks is 1), and the standard error comes from the variance about the
+    grand mean of all used draws. Returns two arrays of length n_outputs.
+    Raises ValueError unless n_draws >= blocks >= 1 and chunk >= 1.
+    """
     if not n_draws >= blocks >= 1:
         raise ValueError(f"need n_draws >= blocks >= 1, got n_draws={n_draws}, blocks={blocks}")
     if chunk < 1:
         raise ValueError(f"chunk must be a positive integer, got {chunk}")
+    per_block = n_draws // blocks
+    block_means = np.zeros((blocks, n_outputs))
+    total_sq = np.zeros(n_outputs)
+    for row in block_means:
+        seen = 0
+        while seen < per_block:
+            m = min(chunk, per_block - seen)
+            for i, v in enumerate(sample(m)):
+                row[i] += v.sum()
+                total_sq[i] += (v * v).sum()
+            seen += m
+        row /= per_block
+    used = per_block * blocks
+    mean = block_means[0] if blocks == 1 else np.median(block_means, axis=0)
+    var = np.maximum(total_sq / used - block_means.mean(axis=0) ** 2, 0.0)
+    return mean, np.sqrt(var / used)
 
 
 def mu_monte_carlo(
@@ -551,40 +595,20 @@ def mu_monte_carlo(
     either estimator is mu_integrand_moments. Raises ValueError unless
     n_draws >= blocks >= 1 and chunk >= 1.
     """
-    _check_draws(n_draws, blocks, chunk)
     psi = effective_psi(spec, d)
     r = psi.z_degree + 1
-    per_block = n_draws // blocks
-    block_means = np.zeros((blocks, r))
-    total_sq = np.zeros(r)
 
-    def accumulate(count, out_row):
-        seen = 0
-        while seen < count:
-            m = min(chunk, count - seen)
-            s = rng.standard_normal(m)
-            b = rng.standard_normal(m)
-            y = link(s) + noise.draw(rng, m)
-            psi_val = psi(y, b)
-            he_s = _hermite_block(s, r)
-            he_b = _hermite_block(b, r - 1)
-            for i in range(1, r + 1):
-                v = psi_val * he_s[i] * he_b[i - 1]
-                out_row[i - 1] += v.sum()
-                total_sq[i - 1] += (v * v).sum()
-            seen += m
+    def sample(m):
+        s = rng.standard_normal(m)
+        b = rng.standard_normal(m)
+        y = link(s) + noise.draw(rng, m)
+        psi_val = psi(y, b)
+        he_s = _hermite_block(s, r)
+        he_b = _hermite_block(b, r - 1)
+        # a generator: the estimator holds one index's row at a time
+        return (psi_val * he_s[i] * he_b[i - 1] for i in range(1, r + 1))
 
-    for blk in range(blocks):
-        accumulate(per_block, block_means[blk])
-        block_means[blk] /= per_block
-    used = per_block * blocks
-    if blocks == 1:
-        mean = block_means[0]
-    else:
-        mean = np.median(block_means, axis=0)
-    grand = block_means.mean(axis=0)
-    var = np.maximum(total_sq / used - grand**2, 0.0)
-    return mean, np.sqrt(var / used)
+    return _median_of_means(sample, r, n_draws, chunk, blocks)
 
 
 def alignment_gain_monte_carlo(
@@ -607,34 +631,22 @@ def alignment_gain_monte_carlo(
     and n_draws >= blocks >= 1 and chunk >= 1.
     """
     _check_kappa(kappa)
-    _check_draws(n_draws, blocks, chunk)
     psi = effective_psi(spec, d)
     theta = np.zeros(d)
     theta[0] = 1.0
     w = np.zeros(d)
     w[0] = kappa
     w[1] = math.sqrt(1.0 - kappa**2)
-    per_block = n_draws // blocks
-    block_means = np.zeros(blocks)
-    total_sq = 0.0
-    for blk in range(blocks):
-        seen = 0
-        acc = 0.0
-        while seen < per_block:
-            m = min(chunk, per_block - seen)
-            x = rng.standard_normal((m, d))
-            z = x @ w
-            s = x @ theta
-            y = link(s) + noise.draw(rng, m)
-            v = psi(y, z) * (s - kappa * z)
-            acc += v.sum()
-            total_sq += (v * v).sum()
-            seen += m
-        block_means[blk] = acc / per_block
-    used = per_block * blocks
-    mean = float(block_means[0] if blocks == 1 else np.median(block_means))
-    var = max(total_sq / used - block_means.mean() ** 2, 0.0)
-    return mean, math.sqrt(var / used)
+
+    def sample(m):
+        x = rng.standard_normal((m, d))
+        z = x @ w
+        s = x @ theta
+        y = link(s) + noise.draw(rng, m)
+        return (psi(y, z) * (s - kappa * z),)
+
+    mean, se = _median_of_means(sample, 1, n_draws, chunk, blocks)
+    return float(mean[0]), float(se[0])
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +675,9 @@ def _as_batch(x, y):
     the very same objects: np.asarray(..., dtype=float) would return them
     unchanged too, so skipping it cannot change a bit. Anything else (lists,
     other dtypes, ndarray subclasses, a single sample) goes through np.asarray.
-    Either way, a batch with no samples or with a label count other than its
-    sample count raises ValueError.
+    There a scalar label is lifted to one sample, and labels that are not
+    1-D raise ValueError. Either way, a batch with no samples or with a label
+    count other than its sample count raises ValueError.
     """
     if (
         type(x) is np.ndarray
@@ -682,6 +695,8 @@ def _as_batch(x, y):
         yb = np.asarray(y, dtype=float)
         if yb.ndim == 0:
             yb = yb[None]
+        elif yb.ndim != 1:
+            raise ValueError(f"a step needs 1-D labels, got labels of shape {yb.shape}")
     n = len(xb)
     if n != len(yb) or not n:
         raise ValueError(
@@ -700,7 +715,7 @@ def _step_coefficient(spec: OracleSpec) -> Callable:
     and of sigma' and the hyperparameters bound in; OracleSpec builds it once.
     xsq is |x|^2 per sample, which apply_step computes only for batch_reuse.
     """
-    act, sp, eta = spec.activation.coeffs, spec._sigma_prime.coeffs, spec.eta
+    act, sp, eta = spec.activation.coeffs, spec.activation.derivative().coeffs, spec.eta
     if spec.kind == "online":
         # spherical correlation-loss SGD
 

@@ -367,9 +367,9 @@ def phase_boundaries(
         ref = ends[1]
         leading: dict[int, list[int]] = {}
         for k, contrib in ref.components:
-            nz = [idx + 1 for idx, v in enumerate(contrib) if v != 0.0]
-            if nz:
-                leading.setdefault(min(nz), []).append(k)
+            lead = _first_nonzero(contrib)
+            if lead is not None:
+                leading.setdefault(lead, []).append(k)
         for m, ks in leading.items():
             ks = sorted(ks)
             for a_idx in range(len(ks)):

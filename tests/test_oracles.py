@@ -16,7 +16,13 @@ from silab import (
     hermite_poly,
     mu_table,
 )
-from silab.hermite import DegreeOverflowError, HermiteExpansion, _moment_zj_hek, expand
+from silab.hermite import (
+    DegreeOverflowError,
+    HermiteExpansion,
+    _hermite_block,
+    _moment_zj_hek,
+    expand,
+)
 from silab.oracles import (
     ORACLE_KINDS,
     MuTable,
@@ -216,6 +222,106 @@ class TestMonteCarloArguments:
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(se))
 
 
+def _reference_mu_monte_carlo(spec, link, noise, d, n_draws, rng, chunk, blocks):
+    """mu_monte_carlo with its own block loop, as it was before the two
+    sampling routes shared one median-of-means estimator."""
+    psi = effective_psi(spec, d)
+    r = psi.z_degree + 1
+    per_block = n_draws // blocks
+    block_means = np.zeros((blocks, r))
+    total_sq = np.zeros(r)
+    for blk in range(blocks):
+        seen = 0
+        while seen < per_block:
+            m = min(chunk, per_block - seen)
+            s = rng.standard_normal(m)
+            b = rng.standard_normal(m)
+            y = link(s) + noise.draw(rng, m)
+            psi_val = psi(y, b)
+            he_s = _hermite_block(s, r)
+            he_b = _hermite_block(b, r - 1)
+            for i in range(1, r + 1):
+                v = psi_val * he_s[i] * he_b[i - 1]
+                block_means[blk, i - 1] += v.sum()
+                total_sq[i - 1] += (v * v).sum()
+            seen += m
+        block_means[blk] /= per_block
+    used = per_block * blocks
+    mean = block_means[0] if blocks == 1 else np.median(block_means, axis=0)
+    var = np.maximum(total_sq / used - block_means.mean(axis=0) ** 2, 0.0)
+    return mean, np.sqrt(var / used)
+
+
+def _reference_gain_monte_carlo(spec, link, noise, d, kappa, n_draws, rng, chunk, blocks):
+    """alignment_gain_monte_carlo with its own scalar block loop, as it was
+    before the two sampling routes shared one median-of-means estimator."""
+    psi = effective_psi(spec, d)
+    theta = np.zeros(d)
+    theta[0] = 1.0
+    w = np.zeros(d)
+    w[0] = kappa
+    w[1] = math.sqrt(1.0 - kappa**2)
+    per_block = n_draws // blocks
+    block_means = np.zeros(blocks)
+    total_sq = 0.0
+    for blk in range(blocks):
+        seen = 0
+        acc = 0.0
+        while seen < per_block:
+            m = min(chunk, per_block - seen)
+            x = rng.standard_normal((m, d))
+            z = x @ w
+            s = x @ theta
+            y = link(s) + noise.draw(rng, m)
+            v = psi(y, z) * (s - kappa * z)
+            acc += v.sum()
+            total_sq += (v * v).sum()
+            seen += m
+        block_means[blk] = acc / per_block
+    used = per_block * blocks
+    mean = float(block_means[0] if blocks == 1 else np.median(block_means))
+    var = max(total_sq / used - block_means.mean() ** 2, 0.0)
+    return mean, math.sqrt(var / used)
+
+
+class TestMonteCarloBitIdentity:
+    """Both sampling routes give the bits of their former block loops."""
+
+    DRAWS = pytest.mark.parametrize("n_draws, chunk, blocks", [
+        (2000, 600, 1),    # the last chunk is short
+        (1600, 100, 16),   # chunks tile each block
+        (1700, 40, 16),    # 106 draws a block: chunks split it unevenly
+    ])
+    NOISE = pytest.mark.parametrize("noise", [NOISELESS, NoiseSpec("gaussian", 0.5)],
+                                    ids=["noiseless", "gaussian"])
+    SPECS = pytest.mark.parametrize("spec", [
+        OracleSpec(kind="alternating", activation=HE3, eta=0.5),
+        OracleSpec(kind="deep_alternating", activation=hermite_poly(2), eta=0.3, depth=3),
+    ], ids=["alternating", "deep"])
+
+    @SPECS
+    @NOISE
+    @DRAWS
+    def test_mu(self, spec, noise, n_draws, chunk, blocks):
+        got = mu_monte_carlo(spec, HE3, noise, 10, n_draws, np.random.default_rng(5),
+                             chunk=chunk, blocks=blocks)
+        want = _reference_mu_monte_carlo(spec, HE3, noise, 10, n_draws,
+                                         np.random.default_rng(5), chunk, blocks)
+        assert all(type(a) is np.ndarray for a in got)
+        assert repr([a.tolist() for a in got]) == repr([a.tolist() for a in want])
+
+    @SPECS
+    @NOISE
+    @DRAWS
+    def test_gain(self, spec, noise, n_draws, chunk, blocks):
+        got = alignment_gain_monte_carlo(spec, HE3, noise, 10, 0.3, n_draws,
+                                         np.random.default_rng(5), chunk=chunk, blocks=blocks)
+        want = _reference_gain_monte_carlo(spec, HE3, noise, 10, 0.3, n_draws,
+                                           np.random.default_rng(5), chunk, blocks)
+        assert all(type(a) is float for a in got)
+        assert repr(got) == repr(want)
+
+
 class TestSignAssumption:
     def test_single_positive_entry(self):
         mu = MuTable(mus=(0.0, 0.0, 108.0), d=50, components=())
@@ -384,6 +490,14 @@ class TestBatchCounts:
             _as_batch(self.x.tolist(), 1.0)
         with pytest.raises(ValueError, match="1 samples and 2 labels"):
             _as_batch(self.x[0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("rows", [3, 1])
+    def test_labels_must_be_one_dimensional(self, rows):
+        # (3, 1) labels used to fail inside the projection with numpy's
+        # broadcast error, and a (1, 1) label used to step
+        y = np.ones((rows, 1))
+        with pytest.raises(ValueError, match=rf"labels of shape \({rows}, 1\)"):
+            apply_step(self.w, self.x[:rows], y, self.SPEC)
 
 
 def _array_horner(coeffs, z):
@@ -858,6 +972,42 @@ class TestMemoizedTheoryBitIdentity:
         info = _corr_moment.cache_info()
         assert info.hits > 0
         assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_kappas_of_one_spec_form_the_pair_products_once(self, case, monkeypatch):
+        # the kappa-free terms and pair products come from a bounded cache
+        # shared by both exact routes: the first kappa forms every q_k q_l,
+        # and the later kappas and mu_integrand_moments read them from it
+        from silab import oracles
+
+        kind, act, depth, d = case
+        spec = OracleSpec(kind=kind, activation=act, eta=0.21, depth=depth)
+        n_terms = len(effective_psi(spec, d).terms)
+        kappas = (0.05, 0.2, 0.5)
+        want = [_reference_gain_moments(spec, HE3, NOISELESS, d, kappa) for kappa in kappas]
+        oracles._psi_terms_and_pairs.cache_clear()
+        products = []
+        real_pmul = oracles._pmul
+
+        def spy(a, b):
+            products.append((a, b))
+            return real_pmul(a, b)
+
+        monkeypatch.setattr(oracles, "_pmul", spy)
+        counts = []
+        for kappa, ref in zip(kappas, want):
+            before = len(products)
+            got = oracles.alignment_gain_moments(spec, HE3, NOISELESS, d, kappa)
+            counts.append(len(products) - before)
+            assert repr(got) == repr(ref)
+        # deep_alternating's terms are themselves products over the layers
+        assert counts[0] >= n_terms**2 and counts[1:] == [0, 0]
+        if kind != "deep_alternating":
+            assert counts[0] == n_terms**2
+        oracles.mu_integrand_moments(spec, HE3, NOISELESS, d)
+        info = oracles._psi_terms_and_pairs.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        assert info.maxsize is not None
 
     @pytest.mark.parametrize("first, second", [
         (OracleSpec(kind="alternating", activation=HE3, eta=0.3),
