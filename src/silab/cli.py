@@ -9,9 +9,7 @@ takes every key, and its ``--config`` file's values yield to the flags.
 names the trajectory CSV file (stdout when omitted), not the sweep's output
 directory. A value that the spec objects reject exits 1 with ``error:``.
 
-Polynomial arguments accept three forms: Hermite shorthand ``He3``, monomial
-shorthand ``z3`` / ``z^3``, or comma/space-separated monomial coefficients
-``c0,c1,...`` (lowest degree first).
+Polynomial arguments take the forms that ``hermite.parse_poly`` reads.
 """
 
 from __future__ import annotations
@@ -26,22 +24,10 @@ from .harness import (
     CONFIG, emit, oracle_spec, parse_config, resolve, resolve_gamma, run_config,
     spec_from_config, sweep, teacher_spec,
 )
-from .hermite import MonomialPoly, expand, exponent_report, hermite_poly
+from .hermite import expand, exponent_report, parse_poly
 from .model import SeedTree, draw_batch
 from .oracles import check_sign_assumption, mu_of_eta, mu_table
 from .theory import phase_boundaries, predict_T
-
-
-def parse_poly(text: str) -> MonomialPoly:
-    """Parse He/z shorthand or raw monomial coefficients."""
-    s = text.strip().lower().lstrip("\\")
-    if s.startswith("he"):
-        return hermite_poly(int(s[2:].lstrip("_")))
-    if s.startswith("z"):
-        rest = s[1:].lstrip("^")
-        return MonomialPoly.monomial(int(rest) if rest else 1)
-    parts = text.replace(",", " ").split()
-    return MonomialPoly.from_coeffs(float(p) for p in parts)
 
 
 def _cmd_hermite(args, cfg) -> int:
@@ -60,7 +46,7 @@ def _cmd_hermite(args, cfg) -> int:
 
 
 def _cmd_gen_data(args, cfg) -> int:
-    teacher = teacher_spec(cfg, parse_poly)
+    teacher = teacher_spec(cfg)
     x, y = draw_batch(teacher, args.n, SeedTree(args.seed).rng())
     out = csv.writer(sys.stdout)
     out.writerow([f"x_{j + 1}" for j in range(teacher.d)] + ["y"])
@@ -70,8 +56,8 @@ def _cmd_gen_data(args, cfg) -> int:
 
 
 def _cmd_mu(args, cfg) -> int:
-    teacher = teacher_spec(cfg, parse_poly)
-    mu = mu_table(oracle_spec(cfg, parse_poly, args.eta), teacher.link, teacher.noise, teacher.d)
+    teacher = teacher_spec(cfg)
+    mu = mu_table(oracle_spec(cfg, args.eta), teacher.link, teacher.noise, teacher.d)
     try:
         verdict = check_sign_assumption(mu)
         print(f"# sign_assumption={'pass' if verdict.passed else 'fail'} "
@@ -88,8 +74,8 @@ def _cmd_mu(args, cfg) -> int:
 
 
 def _cmd_simulate(args, cfg) -> int:
-    teacher = teacher_spec(cfg, parse_poly)
-    spec = oracle_spec(cfg, parse_poly, args.eta)
+    teacher = teacher_spec(cfg)
+    spec = oracle_spec(cfg, args.eta)
     spec = replace(spec, gamma=resolve_gamma(cfg["gamma"], spec, teacher))
     config = run_config(cfg, teacher, spec, args.n, args.seed, args.audit)
     stream = open(args.out, "w") if args.out else sys.stdout
@@ -120,8 +106,8 @@ def _cmd_simulate(args, cfg) -> int:
 
 
 def _cmd_predict(args, cfg) -> int:
-    teacher = teacher_spec(cfg, parse_poly)
-    spec = oracle_spec(cfg, parse_poly, args.eta)
+    teacher = teacher_spec(cfg)
+    spec = oracle_spec(cfg, args.eta)
     mu = mu_table(spec, teacher.link, teacher.noise, teacher.d)
     gamma = resolve_gamma(cfg["gamma"], spec, teacher, mu)
     pred = predict_T(mu, gamma, teacher.d)
@@ -135,8 +121,8 @@ def _cmd_predict(args, cfg) -> int:
 
 
 def _cmd_phase(args, cfg) -> int:
-    teacher = teacher_spec(cfg, parse_poly)
-    spec = oracle_spec(cfg, parse_poly)
+    teacher = teacher_spec(cfg)
+    spec = oracle_spec(cfg)
     bounds = phase_boundaries(
         mu_of_eta(spec, teacher), teacher.d, (cfg["eta_min"], cfg["eta_max"]), spec=spec
     )
@@ -150,7 +136,7 @@ def _cmd_phase(args, cfg) -> int:
 
 
 def _cmd_sweep(args, cfg) -> int:
-    spec = spec_from_config(cfg, parse_poly)
+    spec = spec_from_config(cfg)
     result = sweep(spec)
     paths = emit(result, cfg["out"])
     if spec.slope_window is not None:

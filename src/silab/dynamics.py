@@ -346,7 +346,7 @@ class RidgeConfig:
     n_test: int
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
+        if not self.lam >= 0:  # also true for nan
             raise ValueError("penalty must be nonnegative")
         if self.n_fit < 1 or self.n_test < 1:
             raise ValueError("need positive sample counts")

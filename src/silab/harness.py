@@ -43,6 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import RunConfig, recovery_alignment, run
+from .hermite import parse_poly
 from .model import NoiseSpec, SeedTree, TeacherSpec
 from .oracles import OracleSpec, mu_of_eta, mu_table
 from .theory import gamma_auto, phase_boundaries
@@ -385,14 +386,14 @@ def resolve(cfg: dict) -> dict:
     }
 
 
-def teacher_spec(cfg: dict, parse_poly) -> TeacherSpec:
+def teacher_spec(cfg: dict) -> TeacherSpec:
     """The teacher of a resolved config (d, link, noise, tau)."""
     return TeacherSpec(
         d=cfg["d"], link=parse_poly(cfg["link"]), noise=NoiseSpec(cfg["noise"], cfg["tau"])
     )
 
 
-def oracle_spec(cfg: dict, parse_poly, eta: float = 0.0) -> OracleSpec:
+def oracle_spec(cfg: dict, eta: float = 0.0) -> OracleSpec:
     """The oracle of a resolved config (oracle, act, depth) at eta, with gamma 0."""
     return OracleSpec(
         kind=cfg["oracle"], activation=parse_poly(cfg["act"]), eta=eta, depth=cfg["depth"]
@@ -431,17 +432,13 @@ def resolve_gamma(
     return gamma_auto(oracle, mu, teacher.d)
 
 
-def spec_from_config(cfg: dict, parse_poly) -> SweepSpec:
-    """Build a SweepSpec from merged config values.
-
-    parse_poly converts a polynomial spec string to a MonomialPoly (supplied
-    by the CLI layer so the shorthand lives in one place).
-    """
+def spec_from_config(cfg: dict) -> SweepSpec:
+    """Build a SweepSpec from merged config values."""
     merged = resolve(cfg)
     base = run_config(
         merged,
-        teacher_spec(merged, parse_poly),
-        oracle_spec(merged, parse_poly),
+        teacher_spec(merged),
+        oracle_spec(merged),
         n=max(merged["n_min"], merged["batch"]),
         seed=merged["master_seed"],
     )

@@ -13,9 +13,14 @@ Hermite coefficients are stored *unnormalized*:
 so that orthogonality reads E[He_i He_j] = j! delta_ij and a function is
 reconstructed as g(z) = sum_k (u_k / k!) He_k(z).
 
-All expansions of polynomials are computed exactly from integer Gaussian
-moment tables (E[z^{2m}] = (2m-1)!!); Gauss-Hermite quadrature is provided
-separately as an independent numerical route.
+All expansions of polynomials are computed exactly from one integer count,
+the number of ways to pick m disjoint pairs among n points (Wick/Isserlis),
+
+    P(n, m) = n! / (m! 2^m (n - 2m)!),
+
+which gives the coefficients of He_k, the moments E[z^j He_k] and E[z^m]
+(_pairings); Gauss-Hermite quadrature is provided separately as an
+independent numerical route. parse_poly reads the polynomial text format.
 """
 
 from __future__ import annotations
@@ -213,9 +218,6 @@ class MonomialPoly:
     def __add__(self, other: "MonomialPoly") -> "MonomialPoly":
         return MonomialPoly._of(_padd(self.coeffs, other.coeffs))
 
-    def __sub__(self, other: "MonomialPoly") -> "MonomialPoly":
-        return self + other.scale(-1.0)
-
     def scale(self, c: float) -> "MonomialPoly":
         return MonomialPoly._of(_pscale(c, self.coeffs))
 
@@ -273,27 +275,9 @@ def hermite_eval(k: int, z):
     return float(row) if z.ndim == 0 else row
 
 
-@lru_cache(maxsize=None)
-def _hermite_int_coeffs(k: int) -> tuple[int, ...]:
-    """Integer monomial coefficients of He_k."""
-    if k < 0:
-        raise ValueError("Hermite index must be nonnegative")
-    _check_degree(k, "Hermite polynomial")
-    if k == 0:
-        return (1,)
-    if k == 1:
-        return (0, 1)
-    prev, cur = (1,), (0, 1)
-    for j in range(1, k):
-        shifted = (0,) + cur                       # z * He_j
-        scaled = tuple(-j * c for c in prev)       # -j * He_{j-1}
-        nxt = [0] * (j + 2)
-        for idx, v in enumerate(shifted):
-            nxt[idx] += v
-        for idx, v in enumerate(scaled):
-            nxt[idx] += v
-        prev, cur = cur, tuple(nxt)
-    return cur
+def _pairings(n: int, m: int) -> int:
+    """The number of ways to pick m disjoint pairs among n points, 0 <= 2m <= n."""
+    return math.factorial(n) // (math.factorial(m) * 2**m * math.factorial(n - 2 * m))
 
 
 def hermite_poly(k: int) -> MonomialPoly:
@@ -303,27 +287,43 @@ def hermite_poly(k: int) -> MonomialPoly:
 
 @lru_cache(maxsize=None)
 def _hermite_coeffs(k: int) -> tuple[float, ...]:
-    """Float monomial coefficients of He_k, the tuple hermite_poly wraps."""
-    return tuple(float(c) for c in _hermite_int_coeffs(k))
+    """Float monomial coefficients of He_k, the tuple hermite_poly wraps:
+    z^(k-2m) has the coefficient (-1)^m _pairings(k, m)."""
+    if k < 0:
+        raise ValueError("Hermite index must be nonnegative")
+    _check_degree(k, "Hermite polynomial")
+    c = [0.0] * (k + 1)
+    for m in range(k // 2 + 1):
+        c[k - 2 * m] = float((-1) ** m * _pairings(k, m))
+    return tuple(c)
+
+
+def parse_poly(text: str) -> MonomialPoly:
+    """Read a polynomial in one of three forms: Hermite shorthand ``He3``,
+    monomial shorthand ``z3`` / ``z^3``, or comma/space-separated monomial
+    coefficients ``c0,c1,...`` (lowest degree first)."""
+    s = text.strip().lower().lstrip("\\")
+    if s.startswith("he"):
+        return hermite_poly(int(s[2:].lstrip("_")))
+    if s.startswith("z"):
+        rest = s[1:].lstrip("^")
+        return MonomialPoly.monomial(int(rest) if rest else 1)
+    parts = text.replace(",", " ").split()
+    return MonomialPoly.from_coeffs(float(p) for p in parts)
 
 
 @lru_cache(maxsize=None)
 def gaussian_moment(m: int) -> int:
-    """E[z^m] for z ~ N(0,1): (m-1)!! for even m, 0 for odd m."""
-    if m % 2 == 1:
-        return 0
-    out = 1
-    for v in range(m - 1, 0, -2):
-        out *= v
-    return out
+    """E[z^m] for z ~ N(0,1): _pairings(m, m/2) = (m-1)!! for even m, 0 for odd m."""
+    return 0 if m % 2 else _pairings(m, m // 2)
 
 
-@lru_cache(maxsize=None)
 def _moment_zj_hek(j: int, k: int) -> int:
-    """E[z^j He_k(z)], exact, from the double-factorial moment table."""
-    if (j + k) % 2 == 1 or j < k:
+    """E[z^j He_k(z)], exact: z^j = sum_m _pairings(j, m) He_{j-2m}(z), and
+    E[He_i He_k] = k! delta_ik, so it is k! _pairings(j, (j-k)/2) or 0."""
+    if (j - k) % 2 or j < k:
         return 0
-    return sum(c * gaussian_moment(i + j) for i, c in enumerate(_hermite_int_coeffs(k)))
+    return math.factorial(k) * _pairings(j, (j - k) // 2)
 
 
 @lru_cache(maxsize=None)

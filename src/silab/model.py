@@ -113,7 +113,7 @@ class TeacherSpec:
         self.theta_star = np.asarray(self.theta_star, dtype=float)
         if self.theta_star.shape != (self.d,):
             raise ValueError("theta_star has wrong dimension")
-        if abs(np.linalg.norm(self.theta_star) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(self.theta_star) - 1.0) <= 1e-12:  # also true for nan
             raise ValueError("theta_star must be a unit vector (within 1e-12)")
 
 
@@ -144,7 +144,7 @@ class NetworkSpec:
     def __post_init__(self) -> None:
         self.W = np.atleast_2d(np.asarray(self.W, dtype=float))
         norms = np.linalg.norm(self.W, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-10):
+        if not np.all(np.abs(norms - 1.0) <= 1e-10):  # also true for nan
             raise ValueError("all first-layer rows must be unit vectors")
 
     @property

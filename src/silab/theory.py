@@ -38,6 +38,13 @@ def _check_d(mu: MuTable, d: int | None) -> int:
     return mu.d
 
 
+def _check_gamma(gamma: float) -> None:
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+
+
 @dataclass(frozen=True)
 class Prediction:
     """Predicted weak-recovery iteration counts.
@@ -71,10 +78,7 @@ def predict_T(mu: MuTable, gamma: float, d: int | None = None) -> Prediction:
     """Evaluate the recovery-time formula at a given step size and, jointly,
     at the best admissible one."""
     d = _check_d(mu, d)
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_gamma(gamma)
     entries = [
         (i, d ** _d_exp_iterations(i) / (gamma * m))
         for i, m in enumerate(mu.mus, 1)
@@ -403,9 +407,10 @@ def recursion_oracle(
 
     reaches c_target, or None within t_max. Negative-mu terms are dropped
     (their contribution is asymptotically negligible under the sign
-    condition).
+    condition). gamma must be finite and positive, as for predict_T.
     """
     d = _check_d(mu, d)
+    _check_gamma(gamma)
     if not 0 < c_target < 1:
         raise ValueError("c_target must lie in (0, 1)")
     terms = [(i, m) for i, m in enumerate(mu.mus, 1) if m > 0]
@@ -527,17 +532,10 @@ def _first_nonzero(contrib: Sequence[float]) -> int | None:
     return None
 
 
-def gamma_auto(
-    spec: OracleSpec,
-    mu: MuTable,
-    d: int | None = None,
-    mode: str = "weak",
-    eps: float = 0.1,
-    c: float = 0.5,
-) -> float:
+def gamma_auto(spec: OracleSpec, mu: MuTable, d: int | None = None) -> float:
     """Step-size choice with constants set to 1.
 
-    weak mode returns the oracle-specific prescription built from the leading
+    The oracle-specific weak-recovery prescription built from the leading
     index of each oracle power (for matched activations these indices are the
     information exponents of the corresponding link powers):
 
@@ -545,19 +543,8 @@ def gamma_auto(
         alternating       max{ d^-(p/2 v 1), eta d^-(p2/2 v 1) }
         batch_reuse       max_k (eta d)^{k-1} d^-(p_k/2 v 1)
         deep_alternating  max_k eta^{k-1} d^-(p_k/2 v 1)
-
-    strong mode scales the generic cap by the accuracy target:
-    d^-1 eps max_i mu_i c^{i-1}.
     """
     d = _check_d(mu, d)
-    if mode == "strong":
-        vals = [m * c ** (i - 1) for i, m in enumerate(mu.mus, 1) if m > 0]
-        if not vals:
-            raise ValueError("no positive mu entry")
-        return eps * max(vals) / d
-    if mode != "weak":
-        raise ValueError(f"unknown mode {mode!r}")
-
     comps = dict(mu.components)
     if spec.kind == "online":
         p = _first_nonzero(mu.mus)

@@ -270,6 +270,12 @@ class TestRidgeFit:
             ridge_fit(net, teacher, RidgeConfig(lam=0.0, n_fit=1000, n_test=100),
                       SeedTree(4).rng())
 
+    @pytest.mark.parametrize("lam", [math.nan, -1e-3])
+    def test_bad_penalty_rejected(self, lam):
+        # nan passed the old check, whose comparison is false for nan
+        with pytest.raises(ValueError, match="penalty must be nonnegative"):
+            RidgeConfig(lam=lam, n_fit=1000, n_test=100)
+
 
 class TestConfigValidation:
     def test_n_below_batch_rejected(self):

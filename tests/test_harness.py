@@ -265,9 +265,7 @@ class TestConfig:
         cfg = parse_config(text)
         assert cfg["oracle"] == "alternating"
         assert cfg["mean_mode"] is True
-        from silab.cli import parse_poly
-
-        spec = spec_from_config(cfg, parse_poly)
+        spec = spec_from_config(cfg)
         assert spec.base.teacher.d == 10
         assert spec.replicates == 2
         assert spec.use_mean
@@ -284,10 +282,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["window_min", "window_max"])
     def test_lone_window_bound_rejected(self, key):
-        from silab.cli import parse_poly
-
         with pytest.raises(ValueError, match="must be given together"):
-            spec_from_config({key: 0.1}, parse_poly)
+            spec_from_config({key: 0.1})
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="key = value"):

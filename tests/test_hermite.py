@@ -12,22 +12,15 @@ from silab import (
     hermite_eval,
     hermite_poly,
 )
-from silab.hermite import MAX_DEGREE, HermiteExpansion, _hermite_coeffs, _hermite_int_coeffs
+from silab.hermite import (
+    MAX_DEGREE, HermiteExpansion, _hermite_coeffs, _moment_rows, gaussian_moment,
+)
 
 
 def brute_force_coeff(p: MonomialPoly, k: int) -> float:
     """Independent oracle: E[p He_k] via product coefficients and (2m-1)!!."""
     prod = np.polynomial.polynomial.polymul(p.coeffs, hermite_poly(k).coeffs)
-
-    def moment(m: int) -> int:
-        if m % 2:
-            return 0
-        out = 1
-        for v in range(m - 1, 0, -2):
-            out *= v
-        return out
-
-    return float(sum(c * moment(j) for j, c in enumerate(prod)))
+    return float(sum(c * double_factorial_moment(j) for j, c in enumerate(prod)))
 
 
 class TestHermiteEval:
@@ -111,9 +104,8 @@ class TestNegativeHermiteIndex:
 
     @pytest.mark.parametrize("k", [-1, -3])
     def test_coefficient_tables(self, k):
-        for table in (_hermite_int_coeffs, _hermite_coeffs):
-            with pytest.raises(ValueError, match="Hermite index must be nonnegative"):
-                table(k)
+        with pytest.raises(ValueError, match="Hermite index must be nonnegative"):
+            _hermite_coeffs(k)
 
     def test_hermite_eval(self):
         with pytest.raises(ValueError, match="Hermite index must be nonnegative"):
@@ -215,21 +207,51 @@ class TestArithmeticBits:
             assert repr(_gaussian_mean(c)) == repr(_expand(c)[0])
 
 
-def brute_force_moment_zj_hek(j, k):
-    """E[z^j He_k] as an exact integer, from the integer coefficients of He_k."""
-    he = [1]
-    prev = []
-    for n in range(k):                                   # He_{n+1} = z He_n - n He_{n-1}
+def recurrence_int_coeffs(k):
+    """Integer monomial coefficients of He_k by He_{n+1} = z He_n - n He_{n-1}."""
+    he, prev = [1], []
+    for n in range(k):
         nxt = [0] + he
         for idx, v in enumerate(prev):
             nxt[idx] -= n * v
         prev, he = he, nxt
-    total = 0
-    for i, c in enumerate(he):
-        m = i + j
-        if m % 2 == 0:
-            total += c * math.prod(range(m - 1, 0, -2))
-    return total
+    return he
+
+
+def double_factorial_moment(m):
+    """E[z^m] = (m-1)!! for even m, 0 for odd m."""
+    return 0 if m % 2 else math.prod(range(m - 1, 0, -2))
+
+
+def brute_force_moment_zj_hek(j, k):
+    """E[z^j He_k] as an exact integer, from the integer coefficients of He_k."""
+    return sum(c * double_factorial_moment(i + j) for i, c in enumerate(recurrence_int_coeffs(k)))
+
+
+class TestPairingTables:
+    """The tables that the pairing count builds equal those of the
+    three-term recurrence and the double-factorial moment sum, bit for bit,
+    over the whole supported degree range."""
+
+    def test_hermite_coeffs(self):
+        for k in range(MAX_DEGREE + 1):
+            want = tuple(float(c) for c in recurrence_int_coeffs(k))
+            got = _hermite_coeffs(k)
+            assert repr(got) == repr(want)
+            assert all(type(v) is float for v in got)
+
+    def test_moment_rows(self):
+        want = tuple(
+            tuple((k, float(brute_force_moment_zj_hek(j, k))) for k in range(j % 2, j + 1, 2))
+            for j in range(MAX_DEGREE + 1)
+        )
+        for n in range(MAX_DEGREE + 1):
+            assert repr(_moment_rows(n)) == repr(want[: n + 1])
+
+    def test_gaussian_moment(self):
+        for m in range(2 * MAX_DEGREE + 3):
+            got = gaussian_moment(m)
+            assert type(got) is int and got == double_factorial_moment(m)
 
 
 class TestExpand:

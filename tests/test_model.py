@@ -13,7 +13,7 @@ from silab import (
     hermite_poly,
     init_network,
 )
-from silab.model import unit_vector
+from silab.model import NetworkSpec, unit_vector
 
 
 def he3_teacher(d=10, noise=NoiseSpec()):
@@ -124,6 +124,20 @@ class TestTeacherValidation:
     def test_non_unit_theta_rejected(self):
         with pytest.raises(ValueError):
             TeacherSpec(d=3, link=hermite_poly(1), theta_star=np.array([1.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_theta_rejected(self, bad):
+        # nan passed the old check, whose comparison is false for nan
+        with pytest.raises(ValueError, match="unit vector"):
+            TeacherSpec(d=3, link=hermite_poly(1), theta_star=[bad, 0.0, 0.0])
+
+
+class TestNetworkValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.0])
+    def test_non_unit_row_rejected(self, bad):
+        # nan passed the old check, whose comparison is false for nan
+        with pytest.raises(ValueError, match="unit vectors"):
+            NetworkSpec(W=[[1.0, 0.0, 0.0], [bad, 0.0, 0.0]], activation=hermite_poly(3))
 
 
 class TestInitNetwork:

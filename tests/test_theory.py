@@ -193,6 +193,17 @@ class TestRecursionOracle:
         t_drop = recursion_oracle(mu, 0.002, d, c_target=0.4, t_max=10_000)
         assert t_drop is not None
 
+    @pytest.mark.parametrize("gamma", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+    def test_step_size_that_cannot_move_rejected(self, gamma):
+        # these used to step through all t_max iterations (10**7 by default)
+        # and return None; predict_T refuses the same gamma with the same error
+        mu = table((0.0, 0.0, 2.0), d=100)
+        with pytest.raises(ValueError) as want:
+            predict_T(mu, gamma, 100)
+        with pytest.raises(ValueError, match="gamma must be") as got:
+            recursion_oracle(mu, gamma, 100)
+        assert str(got.value) == str(want.value)
+
 
 class TestLemmaChecks:
     def test_gronwall_tight_case(self):
@@ -288,13 +299,6 @@ class TestGammaAuto:
         # powers contribute (eta d)^{k-1} d^-(p_k/2 v 1) with p = (3, 2, 1)
         expected = max(d**-1.5, 1.0 / d, 1.0 / d)
         assert gamma_auto(spec, mu, d) == pytest.approx(expected)
-
-    def test_strong_mode(self):
-        spec = OracleSpec(kind="online", activation=HE3)
-        mu = table((0.0, 4.0, 10.0), d=50)
-        got = gamma_auto(spec, mu, 50, mode="strong", eps=0.2, c=0.5)
-        expected = 0.2 * max(4.0 * 0.5, 10.0 * 0.25) / 50
-        assert got == pytest.approx(expected)
 
     def test_degenerate_errors(self):
         spec = OracleSpec(kind="online", activation=HE3)
