@@ -150,6 +150,13 @@ def run(config: RunConfig) -> Trajectory:
     W @ theta, so its bits are those of the plain loop. With the audit on,
     each step's audited quantities go into (steps, neurons) arrays in the
     same way, and the trace holds the rows of the steps taken.
+
+    Every block is drawn into one (min(block, n_steps) B, d) buffer that the
+    run owns, and a short last block fills its leading rows, so a run holds
+    one data block, not two. The rows a step receives are valid for that
+    step only, since the next block overwrites them. Nothing keeps them past
+    it: apply_step returns fresh w and v, the audit stores dot products, and
+    Trajectory holds no data.
     """
     teacher = config.teacher
     oracle = config.oracle
@@ -185,10 +192,11 @@ def run(config: RunConfig) -> Trajectory:
     rejected = 0
 
     block = max(1, 4096 // bsz)
+    x_buf = np.empty((min(block, n_steps) * bsz, teacher.d))
     step = 0
     while step < n_steps:
         n_block = min(block, n_steps - step)
-        x_all, y_all = draw_batch(teacher, n_block * bsz, data_rng)
+        x_all, y_all = draw_batch(teacher, n_block * bsz, data_rng, out=x_buf)
         x_steps = x_all.reshape(n_block, bsz, teacher.d)
         for x, y in zip(x_steps, y_all.reshape(n_block, bsz)):
             bad = False

@@ -279,7 +279,9 @@ def emit(result: SweepResult, out_dir: str):
     cells.csv has one row per cell and summary.csv the pairs (eta, n_star).
     grid.plotdata is a text matrix of 0/1 recovery indicators (rows eta,
     columns n, replicate-aggregated alignments thresholded at the weak
-    threshold), and phase.csv holds the predicted boundary markers.
+    threshold), and phase.csv holds the predicted boundary markers: only its
+    header for the online oracle, and for gamma_mode 'eta_as_gamma', where
+    every cell runs at eta = 0 and the grid is the step size.
     """
     os.makedirs(out_dir, exist_ok=True)
     spec = result.spec
@@ -310,7 +312,11 @@ def emit(result: SweepResult, out_dir: str):
     eta_lo, eta_hi = spec.eta_grid[0], spec.eta_grid[-1]
     with open(phase_path, "w") as fh:
         fh.write("i,j,eta_star,exponent\n")
-        if spec.base.oracle.kind != "online" and eta_lo < eta_hi:
+        if (
+            spec.base.oracle.kind != "online"
+            and spec.gamma_mode != "eta_as_gamma"
+            and eta_lo < eta_hi
+        ):
             bounds = phase_boundaries(
                 mu_of_eta(spec.base.oracle, spec.base.teacher),
                 spec.base.teacher.d,

@@ -117,11 +117,29 @@ class TeacherSpec:
             raise ValueError("theta_star must be a unit vector (within 1e-12)")
 
 
-def draw_batch(teacher: TeacherSpec, size: int, rng: np.random.Generator):
-    """Draw `size` i.i.d. samples; returns (X, y) with X of shape (size, d)."""
+def draw_batch(
+    teacher: TeacherSpec,
+    size: int,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
+):
+    """Draw `size` i.i.d. samples; returns (X, y) with X of shape (size, d).
+
+    With `out`, a C-contiguous float64 array of at least `size` rows and d
+    columns, X is the view out[:size], filled in place with the bits the
+    allocating call would draw; the labels are computed as without it (x
+    first, then the noise), so the stream is the same either way.
+    """
     if size < 0:
         raise ValueError(f"sample count must be nonnegative, got {size}")
-    x = rng.standard_normal((size, teacher.d))
+    if out is None:
+        x = rng.standard_normal((size, teacher.d))
+    elif out.ndim == 2 and out.shape[0] >= size and out.shape[1] == teacher.d:
+        x = rng.standard_normal(out=out[:size])
+    else:
+        raise ValueError(
+            f"out must have at least {size} rows and {teacher.d} columns, got shape {out.shape}"
+        )
     y = teacher.link(x @ teacher.theta_star)
     if not teacher.noise.is_none:
         y = y + teacher.noise.draw(rng, size)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,27 @@ class TestWeakRecoverySampleSize:
         slow = weak_recovery_sample_size(cfg, grid, replicates=3, full_scan=True)
         assert fast == slow
 
+    def test_bisection_visits_middle_levels(self, monkeypatch):
+        """Level 0 fails and the last recovers, so the search runs its loop:
+        the levels it evaluates are the ends and the midpoints 64, 16, 32."""
+        cfg = make_config(
+            kind="online", link=hermite_poly(1), act=hermite_poly(1),
+            d=25, gamma=0.04, batch=1, n=64, seed=0,
+        )
+        grid = [8, 16, 32, 64, 128, 256, 512]
+        slow = weak_recovery_sample_size(cfg, grid, replicates=3, full_scan=True)
+        seen = []
+        real_run = dynamics.run
+
+        def counted(config):
+            seen.append(config.n)
+            return real_run(config)
+
+        monkeypatch.setattr(dynamics, "run", counted)
+        fast = weak_recovery_sample_size(cfg, grid, replicates=3)
+        assert fast == slow == 32
+        assert seen == [n for n in (512, 8, 64, 16, 32) for _ in range(3)]
+
 
 class TestRidgeFit:
     def _teacher(self, d=20):
@@ -427,3 +449,57 @@ class TestRunMatchesHandReplay:
                           n_neurons=3, record_every=10)
         run(cfg)
         assert calls == [batch] * (cfg.n_steps * cfg.n_neurons)
+
+
+class TestDataBuffer:
+    """run() draws every block into one buffer it owns.
+
+    At B = 128 a block is 32 steps; 80 steps read blocks of 32, 32 and 16.
+    """
+
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec("laplace", 0.3)])
+    def test_bits_equal_the_allocating_draw(self, noise, monkeypatch):
+        cfg = make_config(kind="alternating", d=10, eta=0.5, gamma=0.01, n=80 * 128,
+                          seed=4, n_neurons=2, record_every=7, audit=True, noise=noise)
+        traj = run(cfg)
+
+        def allocating(teacher, size, rng, out=None):
+            return draw_batch(teacher, size, rng)
+
+        monkeypatch.setattr(dynamics, "draw_batch", allocating)
+        ref = run(cfg)
+        assert traj.steps.tolist() == ref.steps.tolist()
+        assert traj.alignments.tobytes() == ref.alignments.tobytes()
+        assert traj.final_network.W.tobytes() == ref.final_network.W.tobytes()
+        for name in ("kappa_before", "kappa_after", "theta_dot_g", "g_norm_sq"):
+            got, want = getattr(traj.audit_trace, name), getattr(ref.audit_trace, name)
+            assert got.tobytes() == want.tobytes()
+
+    def test_steps_read_rows_of_one_buffer(self, monkeypatch):
+        starts = []
+
+        def spy(w, x, y, spec):
+            starts.append(x.ctypes.data)
+            return apply_step(w, x, y, spec)
+
+        monkeypatch.setattr(dynamics, "apply_step", spy)
+        run(make_config(d=10, n=80 * 128, record_every=10))
+        row_block = 128 * 10 * 8
+        offsets = [s - starts[0] for s in starts]
+        assert offsets == [row_block * (k % 32) for k in range(80)]
+
+    def test_peak_memory_holds_one_block(self):
+        cfg = make_config(d=50, n=3 * 32 * 128)
+        block_bytes = 32 * 128 * 50 * 8
+        run(make_config(d=50, n=4 * 128))  # fill one-time caches first
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 1.5 * block_bytes

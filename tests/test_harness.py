@@ -229,6 +229,20 @@ class TestEmit:
         assert os.path.exists(os.path.join(tmp_path, "summary.csv"))
         assert len(paths) == 4
 
+    def test_eta_as_gamma_writes_only_the_phase_header(self, tmp_path):
+        """The grid is the step size and every cell runs at eta = 0, so no
+        eta boundary applies; the same grid under gamma auto has some."""
+        spec = tiny_spec(replicates=1)
+        spec.n_grid = (64,)
+        phase = {}
+        for mode in ("auto", "eta_as_gamma"):
+            spec.gamma_mode = mode
+            emit(sweep(spec), str(tmp_path / mode))
+            with open(tmp_path / mode / "phase.csv") as fh:
+                phase[mode] = fh.read().splitlines()
+        assert phase["eta_as_gamma"] == ["i,j,eta_star,exponent"]
+        assert len(phase["auto"]) > 1
+
     def test_empty_recovery_still_writes_sidecar(self, tmp_path):
         spec = tiny_spec(kind="online")
         spec.base.oracle.gamma = 0.0

@@ -91,6 +91,29 @@ class TestDrawSample:
         _, y = draw_batch(t, 50, SeedTree(2).rng())
         assert np.all(y == 1.0)
 
+    @pytest.mark.parametrize(
+        "noise", [NoiseSpec(), NoiseSpec("gaussian", 0.5), NoiseSpec("laplace", 0.3)]
+    )
+    @pytest.mark.parametrize("size", [96, 40])
+    def test_out_buffer_keeps_the_stream(self, noise, size):
+        """With out, X is the view out[:size] holding the allocating call's
+        bits, the labels follow it (x first, then the noise), later rows are
+        left alone, and the generator ends in the same state."""
+        t = he3_teacher(noise=noise)
+        rng_ref, rng = SeedTree(7).rng(), SeedTree(7).rng()
+        x_ref, y_ref = draw_batch(t, size, rng_ref)
+        buf = np.full((96, t.d), -7.0)
+        x, y = draw_batch(t, size, rng, out=buf)
+        assert x.shape == (size, t.d) and x.ctypes.data == buf.ctypes.data
+        assert x.tobytes() == x_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+        assert np.all(buf[size:] == -7.0)
+        assert rng.standard_normal(3).tobytes() == rng_ref.standard_normal(3).tobytes()
+
+    @pytest.mark.parametrize("shape", [(39, 10), (40, 9), (40, 11), (400,)])
+    def test_out_buffer_too_small_names_the_shape(self, shape):
+        with pytest.raises(ValueError, match=r"at least 40 rows and 10 columns"):
+            draw_batch(he3_teacher(), 40, SeedTree(0).rng(), out=np.empty(shape))
+
     def test_noise_clt(self):
         tau = 0.5
         t = he3_teacher(noise=NoiseSpec("gaussian", tau))

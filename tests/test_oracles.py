@@ -358,6 +358,17 @@ class TestSteps:
         res = apply_step(self.w, self.x, self.y, spec)
         np.testing.assert_array_equal(res.w, self.w)
 
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_zero_weight_step_is_rejected(self, batch):
+        """A zero w and zero labels give a zero update, so w + gamma v has
+        norm 0: the step cannot renormalize and hands w back rejected."""
+        spec = OracleSpec(kind="alternating", activation=HE3, gamma=0.1, eta=0.5)
+        w = np.zeros(self.d)
+        x = self.rng.standard_normal((batch, self.d))
+        res = apply_step(w, x, np.zeros(batch), spec)
+        assert res.rejected is True and res.prenorm == 0.0
+        assert res.w is w and np.all(w == 0.0)
+
     def test_raw_update_orthogonal_to_w(self):
         specs = [
             OracleSpec(kind="online", activation=HE3, gamma=0.1),
