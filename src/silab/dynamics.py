@@ -9,6 +9,7 @@ outcome, never an exception.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, replace
 from typing import get_args
 
@@ -28,6 +29,7 @@ from .model import (
 from .oracles import OracleSpec, apply_step
 
 DIVERGENCE_NORM = 1e12
+_DRAW_VALUES = 2**16  # float64 values a noiseless run draws at once: 512 KB
 
 
 @dataclass
@@ -138,9 +140,16 @@ def run(config: RunConfig) -> Trajectory:
 
     Neurons evolve independently on the shared sample stream. With the
     alternating oracle the persistent second-layer weights are never
-    replaced by the trial values. Samples are drawn in blocks (values and
-    order identical for identical seeds regardless of block size in the
-    noiseless case; the blocking itself is a fixed implementation constant).
+    replaced by the trial values. Samples are drawn in blocks of whole
+    steps. A noiseless run's x stream is the same however it is cut, so its
+    blocks hold max(1, min(4096 // B, 2**16 // (B d))) steps: at most 4096
+    samples and, where a step fits, at most 2**16 values (_DRAW_VALUES,
+    512 KB), so the buffer stops growing with d. Its labels are cut-free
+    too when theta_star is a coordinate vector, such as the default e_1,
+    since x @ theta_star is then exact; for another theta_star, BLAS may
+    round the labels of rows near a cut in the last bit. A noisy run keeps
+    max(1, 4096 // B) steps: draw_batch draws a block's noise after its x,
+    so its bits depend on the block.
 
     Each step hands apply_step, called through this module's global, a
     C-contiguous (B, d) row block of the drawn data and its 1-D labels, both
@@ -192,6 +201,8 @@ def run(config: RunConfig) -> Trajectory:
     rejected = 0
 
     block = max(1, 4096 // bsz)
+    if teacher.noise.is_none:
+        block = max(1, min(block, _DRAW_VALUES // (bsz * teacher.d)))
     x_buf = np.empty((min(block, n_steps) * bsz, teacher.d))
     step = 0
     while step < n_steps:
@@ -310,6 +321,8 @@ def weak_recovery_sample_size(
     Binary search over the grid assumes recovery is monotone in n and reuses
     evaluated levels; full_scan evaluates every level instead.
     """
+    if replicates < 1:
+        raise ValueError(f"need at least one replicate, got {replicates}")
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
@@ -322,7 +335,7 @@ def weak_recovery_sample_size(
                 cfg = replace(config, n=n_grid[idx], seed=config.seed.child(idx, rep))
                 traj = run(cfg)
                 finals.append(recovery_alignment(traj.final_alignment, traj.diverged))
-            cache[idx] = bool(np.median(finals) >= config.weak_threshold)
+            cache[idx] = statistics.median(finals) >= config.weak_threshold
         return cache[idx]
 
     if full_scan:

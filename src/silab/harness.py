@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import os
+import statistics
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -134,7 +135,7 @@ def _aggregated(spec: SweepSpec, cells: Sequence[Cell]) -> dict[tuple[int, int],
     for c in cells:
         val = recovery_alignment(c.final_alignment, c.diverged)
         groups.setdefault((c.eta_index, c.n_index), []).append(val)
-    agg = np.mean if spec.use_mean else np.median
+    agg = np.mean if spec.use_mean else statistics.median
     return {key: agg(vals) for key, vals in groups.items()}
 
 
@@ -258,13 +259,13 @@ def knee_eta(result: SweepResult) -> float | None:
     vals = [math.inf if n is None else float(n) for _, n in result.summary]
     half = _KNEE_SMOOTH // 2
     vals = [
-        float(np.median(vals[max(0, i - half) : i + half + 1]))
+        statistics.median(vals[max(0, i - half) : i + half + 1])
         for i in range(len(vals))
     ]
     finite = [(eta, v) for eta, v in zip(etas, vals) if math.isfinite(v)]
     if len(finite) < _KNEE_FLAT_POINTS + _KNEE_SUSTAIN:
         return None
-    ref = float(np.median([v for _, v in finite[:_KNEE_FLAT_POINTS]]))
+    ref = statistics.median([v for _, v in finite[:_KNEE_FLAT_POINTS]])
     level = ref / _KNEE_DROP
     for idx in range(len(finite) - _KNEE_SUSTAIN + 1):
         window = finite[idx : idx + _KNEE_SUSTAIN]

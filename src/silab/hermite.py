@@ -26,6 +26,7 @@ independent numerical route. parse_poly reads the polynomial text format.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -298,18 +299,32 @@ def _hermite_coeffs(k: int) -> tuple[float, ...]:
     return tuple(c)
 
 
+_HERMITE_TEXT = re.compile(r"he_?([+-]?\d+)")
+_MONOMIAL_TEXT = re.compile(r"z(?:\^?(\d+))?")
+_COEFF_SEP = re.compile(r"\s*,\s*|\s+")
+
+
 def parse_poly(text: str) -> MonomialPoly:
     """Read a polynomial in one of three forms: Hermite shorthand ``He3``,
-    monomial shorthand ``z3`` / ``z^3``, or comma/space-separated monomial
-    coefficients ``c0,c1,...`` (lowest degree first)."""
+    monomial shorthand ``z``, ``z3`` / ``z^3``, or comma/space-separated
+    monomial coefficients ``c0,c1,...`` (lowest degree first). Any other
+    text, such as ``""``, ``"z^"``, ``"1,,2"`` or ``"1,nan"``, raises
+    ValueError naming it."""
     s = text.strip().lower().lstrip("\\")
-    if s.startswith("he"):
-        return hermite_poly(int(s[2:].lstrip("_")))
-    if s.startswith("z"):
-        rest = s[1:].lstrip("^")
-        return MonomialPoly.monomial(int(rest) if rest else 1)
-    parts = text.replace(",", " ").split()
-    return MonomialPoly.from_coeffs(float(p) for p in parts)
+    if m := _HERMITE_TEXT.fullmatch(s):
+        return hermite_poly(int(m[1]))
+    if m := _MONOMIAL_TEXT.fullmatch(s):
+        return MonomialPoly.monomial(int(m[1]) if m[1] else 1)
+    try:
+        coeffs = [float(p) for p in _COEFF_SEP.split(s)]
+    except ValueError:
+        raise ValueError(
+            f"cannot read polynomial {text!r}: expected He<k>, z, z<k>, z^<k> or "
+            "coefficients c0,c1,... (lowest degree first)"
+        ) from None
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ValueError(f"cannot read polynomial {text!r}: coefficients must be finite")
+    return MonomialPoly.from_coeffs(coeffs)
 
 
 @lru_cache(maxsize=None)

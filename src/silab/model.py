@@ -134,6 +134,12 @@ def draw_batch(
         raise ValueError(f"sample count must be nonnegative, got {size}")
     if out is None:
         x = rng.standard_normal((size, teacher.d))
+    elif out.dtype != np.float64:
+        raise ValueError(f"out must be float64, got dtype {out.dtype}")
+    elif not out.flags.c_contiguous:
+        raise ValueError(
+            "out must be C-contiguous: a strided or Fortran-order array draws other bits"
+        )
     elif out.ndim == 2 and out.shape[0] >= size and out.shape[1] == teacher.d:
         x = rng.standard_normal(out=out[:size])
     else:

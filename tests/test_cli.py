@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -35,6 +36,19 @@ class TestParsePoly:
     def test_raw_coefficients(self):
         assert parse_poly("0,-3,0,1") == hermite_poly(3)
         assert parse_poly("1 2 3").coeffs == (1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("text", ["", "  ", "z^", "1,,2", ",1", "1,", "He", "z^^2", "x3",
+                                      "nan", "1,inf", "1e400"])
+    def test_rejects_malformed_text(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"cannot read polynomial {text!r}")):
+            parse_poly(text)
+
+    def test_malformed_link_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "mu", "--oracle", "alternating", "--link", "z^",
+                                 "--act", "He3", "--d", "50")
+        assert code == 1
+        assert out == ""
+        assert "error: cannot read polynomial 'z^'" in err
 
 
 class TestHermiteCommand:

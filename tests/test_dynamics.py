@@ -205,6 +205,12 @@ class TestWeakRecoverySampleSize:
         cfg = make_config(gamma=0.0, n=1280)
         assert weak_recovery_sample_size(cfg, [256, 512, 1024], replicates=2) is None
 
+    @pytest.mark.parametrize("replicates", [0, -1])
+    def test_needs_a_replicate(self, replicates):
+        cfg = make_config(gamma=0.0, n=1280)
+        with pytest.raises(ValueError, match="at least one replicate"):
+            weak_recovery_sample_size(cfg, [256, 512], replicates=replicates)
+
     def test_trivial_target_finite(self):
         cfg = make_config(
             kind="online", link=hermite_poly(1), act=hermite_poly(1),
@@ -503,3 +509,64 @@ class TestDataBuffer:
             if not was_tracing:
                 tracemalloc.stop()
         assert peak < 1.5 * block_bytes
+
+    def _row_offsets(self, cfg, monkeypatch):
+        starts = []
+
+        def spy(w, x, y, spec):
+            starts.append(x.ctypes.data)
+            return apply_step(w, x, y, spec)
+
+        monkeypatch.setattr(dynamics, "apply_step", spy)
+        run(cfg)
+        return [s - starts[0] for s in starts]
+
+    def test_noiseless_blocks_fit_the_draw_budget(self, monkeypatch):
+        """At d = 50, B = 128 a noiseless block is 2**16 // 6400 = 10 steps."""
+        offsets = self._row_offsets(make_config(d=50, n=25 * 128), monkeypatch)
+        row_block = 128 * 50 * 8
+        assert offsets == [row_block * (k % 10) for k in range(25)]
+
+    def test_noisy_blocks_keep_4096_samples(self, monkeypatch):
+        cfg = make_config(d=50, n=40 * 128, noise=NoiseSpec("gaussian", 0.1))
+        offsets = self._row_offsets(cfg, monkeypatch)
+        row_block = 128 * 50 * 8
+        assert offsets == [row_block * (k % 32) for k in range(40)]
+
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec("gaussian", 0.1)])
+    def test_bits_do_not_depend_on_the_draw_budget(self, noise, monkeypatch):
+        """A d = 50 run equals in bytes one that draws 32-step (4096-sample)
+        blocks with the allocating call."""
+        cfg = make_config(kind="alternating", d=50, eta=0.5, gamma=0.01, n=40 * 128,
+                          seed=5, n_neurons=2, record_every=7, audit=True, noise=noise)
+        traj = run(cfg)
+
+        def allocating(teacher, size, rng, out=None):
+            return draw_batch(teacher, size, rng)
+
+        monkeypatch.setattr(dynamics, "draw_batch", allocating)
+        monkeypatch.setattr(dynamics, "_DRAW_VALUES", 4096 * 50)
+        ref = run(cfg)
+        assert traj.steps.tolist() == ref.steps.tolist()
+        assert traj.alignments.tobytes() == ref.alignments.tobytes()
+        assert traj.final_network.W.tobytes() == ref.final_network.W.tobytes()
+        for name in ("kappa_before", "kappa_after", "theta_dot_g", "g_norm_sq"):
+            got, want = getattr(traj.audit_trace, name), getattr(ref.audit_trace, name)
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_stays_in_the_draw_budget(self):
+        """At d = 400, B = 128 a noiseless run draws one step at a time."""
+        d, bsz = 400, 128
+        cfg = make_config(d=d, n=24 * bsz)
+        run(make_config(d=d, n=2 * bsz))  # fill one-time caches first
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 1.5 * max(2**16, bsz * d) * 8

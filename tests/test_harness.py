@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import silab
+from silab import harness
 from silab import (
     NoiseSpec,
     OracleSpec,
@@ -102,6 +103,27 @@ class TestSweep:
                              text=True, check=True, timeout=60)
         assert out.stdout.strip() == "False"
 
+    def test_sweep_leaves_numpy_ma_out(self, tmp_path):
+        """The sweep's medians are statistics.median, so a sweep process
+        never loads numpy.ma, which np.median imports on first use."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(silab.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [
+            "sweep", "--oracle", "alternating", "--link", "He3", "--act", "He3",
+            "--d", "10", "--eta-min", "0.05", "--eta-max", "0.5", "--eta-count", "2",
+            "--n-min", "64", "--n-max", "256", "--n-count", "2", "--replicates", "3",
+            "--batch", "32", "--master-seed", "9", "--out", str(tmp_path / "sweep"),
+        ]
+        code = (
+            "import sys; from silab import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.splitlines()[-1] == "False"  # after the paths the sweep prints
+        assert (tmp_path / "sweep" / "cells.csv").stat().st_size > 0
+
     def test_recovered_flag_semantics(self):
         res = sweep(tiny_spec())
         for c in res.cells:
@@ -169,6 +191,19 @@ class TestSweep:
         n_stars = [n for _, n in res.summary]
         assert None not in n_stars
         assert n_stars[-1] < n_stars[0] / 2
+
+    def test_replicate_median_has_numpy_bits(self):
+        """statistics.median takes the middle value, or (a + b) / 2 of the two
+        middle ones, as np.median does, so each aggregate keeps its bits."""
+        rng = np.random.default_rng(5)
+        cells, groups = [], {}
+        for ni, count in enumerate((1, 2, 3, 4, 7)):
+            vals = [float(v) for v in rng.uniform(-1.0, 1.0, count)]
+            groups[(0, ni)] = vals
+            cells += [Cell(0, ni, rep, 0.1, 64, 0, v, 0, 64, 0) for rep, v in enumerate(vals)]
+        agg = harness._aggregated(tiny_spec(), cells)
+        for key, vals in groups.items():
+            assert np.float64(agg[key]).tobytes() == np.median(vals).tobytes()
 
 
 class TestBoundaryFit:

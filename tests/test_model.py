@@ -114,6 +114,17 @@ class TestDrawSample:
         with pytest.raises(ValueError, match=r"at least 40 rows and 10 columns"):
             draw_batch(he3_teacher(), 40, SeedTree(0).rng(), out=np.empty(shape))
 
+    def test_fortran_order_out_is_rejected(self):
+        """A Fortran-order out would be filled with other bits than the
+        allocating call draws."""
+        with pytest.raises(ValueError, match="C-contiguous"):
+            draw_batch(he3_teacher(d=4), 3, SeedTree(0).rng(), out=np.empty((4, 3)).T)
+
+    def test_float32_out_is_rejected(self):
+        out = np.empty((40, 10), dtype=np.float32)
+        with pytest.raises(ValueError, match="float64, got dtype float32"):
+            draw_batch(he3_teacher(), 40, SeedTree(0).rng(), out=out)
+
     def test_noise_clt(self):
         tau = 0.5
         t = he3_teacher(noise=NoiseSpec("gaussian", tau))
