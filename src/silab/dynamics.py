@@ -308,54 +308,27 @@ def normalization_error_audit(traj: Trajectory, tol: float = 1e-10) -> AuditRepo
     )
 
 
-def weak_recovery_sample_size(
-    config: RunConfig,
-    n_grid,
-    replicates: int,
-    full_scan: bool = False,
-) -> int | None:
+def weak_recovery_sample_size(config: RunConfig, n_grid, replicates: int) -> int | None:
     """Smallest grid n whose median final alignment clears the weak
     threshold, or None when no grid point recovers. Diverged runs count as
     alignment -1 (see recovery_alignment).
 
-    Binary search over the grid assumes recovery is monotone in n and reuses
-    evaluated levels; full_scan evaluates every level instead.
+    The search runs the levels in increasing n and stops at the first level
+    that recovers; replicate rep of level idx runs on seed child(idx, rep).
     """
     if replicates < 1:
         raise ValueError(f"need at least one replicate, got {replicates}")
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
-    cache: dict[int, bool] = {}
-
-    def recovers(idx: int) -> bool:
-        if idx not in cache:
-            finals = []
-            for rep in range(replicates):
-                cfg = replace(config, n=n_grid[idx], seed=config.seed.child(idx, rep))
-                traj = run(cfg)
-                finals.append(recovery_alignment(traj.final_alignment, traj.diverged))
-            cache[idx] = statistics.median(finals) >= config.weak_threshold
-        return cache[idx]
-
-    if full_scan:
-        for idx in range(len(n_grid)):
-            if recovers(idx):
-                return n_grid[idx]
-        return None
-
-    lo, hi = 0, len(n_grid) - 1
-    if not recovers(hi):
-        return None
-    if recovers(lo):
-        return n_grid[lo]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if recovers(mid):
-            hi = mid
-        else:
-            lo = mid
-    return n_grid[hi]
+    for idx, n in enumerate(n_grid):
+        finals = []
+        for rep in range(replicates):
+            traj = run(replace(config, n=n, seed=config.seed.child(idx, rep)))
+            finals.append(recovery_alignment(traj.final_alignment, traj.diverged))
+        if statistics.median(finals) >= config.weak_threshold:
+            return n
+    return None
 
 
 @dataclass(frozen=True)

@@ -363,10 +363,17 @@ CONFIG = {  # key: (type, default)
     "window_max": (float, None),
     "mean_mode": (bool, False),
 }
+_BOOL_TEXT = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
 
 
 def parse_config(text: str) -> dict:
-    """Parse a line-oriented key = value sweep config."""
+    """Parse a line-oriented key = value sweep config.
+
+    A bool reads 1/true/yes/on or 0/false/no/off, in any case. Any other
+    text, or a value its key's type cannot read, raises ValueError naming
+    the line and the key.
+    """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -378,10 +385,10 @@ def parse_config(text: str) -> dict:
         if key not in CONFIG:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         typ = CONFIG[key][0]
-        if typ is bool:
-            out[key] = value.lower() in ("1", "true", "yes", "on")
-        else:
-            out[key] = typ(value)
+        try:
+            out[key] = _BOOL_TEXT[value.lower()] if typ is bool else typ(value)
+        except (KeyError, ValueError):
+            raise ValueError(f"config line {lineno}: bad value {value!r} for {key}") from None
     return out
 
 
@@ -452,6 +459,8 @@ def spec_from_config(cfg: dict) -> SweepSpec:
     lo, hi = merged["window_min"], merged["window_max"]
     if (lo is None) != (hi is None):
         raise ValueError("window_min and window_max must be given together")
+    if lo is not None and not lo <= hi:  # also true for nan
+        raise ValueError(f"need window_min <= window_max, got ({lo}, {hi})")
     gamma_mode = merged["gamma"]
     if gamma_mode not in ("auto", "eta_as_gamma"):
         gamma_mode = float(gamma_mode)

@@ -178,27 +178,32 @@ def _psi_polys(activation: MonomialPoly, kind: str, depth: int) -> tuple[tuple[f
     return tuple(q.coeffs for q in polys)
 
 
+def _eta_rate(kind: str, eta: float, d: int) -> float:
+    """The rate s at which the oracle's y^k term scales, as s^(k-1)/(k-1)!:
+    eta d for batch_reuse, whose surrogate replaces the squared projected
+    norm of x by d, and eta for every other kind."""
+    return eta * d if kind == "batch_reuse" else eta
+
+
 def _psi_terms(parts: tuple, kind: str, eta: float, d: int) -> list:
     """effective_psi's terms as (k, coefficient tuple), from _psi_polys parts.
 
-    The scales by eta or (eta d)^(k-1)/(k-1)! and, for deep_alternating,
-    the bivariate product over the layers: the float operations, in the
-    order, that building psi from fresh polynomials applies.
+    The y^k term is parts[k - 1] scaled by s^(k-1)/(k-1)!, s = _eta_rate
+    (for alternating, eta^1/1! is eta exactly); deep_alternating takes the
+    bivariate product over the layers instead. These are the float
+    operations, in the order, that building psi from fresh polynomials
+    applies.
     """
-    if kind == "online":
-        raw = {1: parts[0]}
-    elif kind == "alternating":
-        raw = {1: parts[0], 2: _pscale(eta, parts[1])}
-    elif kind == "batch_reuse":
-        raw = {1: parts[0]}
-        for k in range(2, len(parts) + 1):
-            coeff = (eta * d) ** (k - 1) / math.factorial(k - 1)
-            raw[k] = _pscale(coeff, parts[k - 1])
-    else:  # deep_alternating: one factor a~_i sigma'(F_{i-1}) per layer
+    if kind == "deep_alternating":  # one factor a~_i sigma'(F_{i-1}) per layer
         acc = {0: (1.0,)}
         for sp_level, eta_part in zip(parts[::2], parts[1::2]):
             acc = _bivariate_product(acc, {0: sp_level, 1: _pscale(eta, eta_part)})
         raw = {k + 1: q for k, q in acc.items()}  # leading y of the w-step
+    else:
+        s = _eta_rate(kind, eta, d)
+        raw = {1: parts[0]}
+        for k in range(2, len(parts) + 1):
+            raw[k] = _pscale(s ** (k - 1) / math.factorial(k - 1), parts[k - 1])
     terms = [(k, raw[k]) for k in sorted(raw) if not _is_zero(raw[k])]
     return terms or [(1, (0.0,))]
 
@@ -230,7 +235,7 @@ def effective_psi(spec: OracleSpec, d: int) -> Psi:
     The eta-free polynomials (sigma', sigma sigma', sigma^(k) sigma'^(k-1),
     and the deep recurrence's sigma'(F_{i-1}) and tail_i F_i sigma'(F_{i-1}))
     are memoized per (activation, kind, depth) in _psi_polys; each call only
-    scales them by eta or (eta d)^(k-1)/(k-1)! and, for deep_alternating,
+    scales them by s^(k-1)/(k-1)!, s = _eta_rate, or, for deep_alternating,
     forms the bivariate product over the layers (_psi_terms). Those are the
     operations, in the order, that a fresh construction applies to the same
     products, so the result is bit for bit the same. (Keys compare by value:
@@ -311,7 +316,7 @@ def _mu_plan(
         n_powers = len(parts) // 2 + 1
         deg = sum(max(len(sp), len(eta_part)) - 1 for sp, eta_part in zip(parts[::2], parts[1::2]))
     else:
-        n_powers = {"online": 1, "alternating": 2}.get(kind, len(parts))
+        n_powers = len(parts)
         deg = max(len(q) for q in parts) - 1
     deg = min(deg, MAX_DEGREE)  # a longer product raises before it is expanded
     labels = [()]

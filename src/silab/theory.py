@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .oracles import MuTable, OracleSpec
+from .oracles import MuTable, OracleSpec, _eta_rate
 
 PHASE_GRID = 256  # points of phase_boundaries' log-spaced eta grid
 _SIGN_MARGIN = 1e-9  # relative margin at which a sign is read off C
@@ -255,7 +255,7 @@ def phase_boundaries(
     mu_of_eta: Callable[[float], MuTable],
     d: int,
     eta_range: tuple[float, float],
-    spec: OracleSpec | None = None,
+    spec: OracleSpec,
 ) -> tuple[PhaseBoundary, ...]:
     """Locate recovery-time crossings over a learning-rate range.
 
@@ -303,7 +303,7 @@ def phase_boundaries(
     for tab in ends:
         _check_d(tab, d)
     r = ends[0].r
-    kind = spec.kind if spec is not None else None
+    kind = spec.kind
 
     pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
     fit = _eta_free_coefficients(*ends, float(etas[0]), float(etas[-1]))
@@ -343,9 +343,7 @@ def phase_boundaries(
         kj = _power_attribution(ref, j)
         exponent = None
         powers = None
-        if kind in ("batch_reuse", "alternating", "deep_alternating") and (
-            ki is not None and kj is not None and ki != kj
-        ):
+        if ki is not None and kj is not None and ki != kj:
             if ki < kj:
                 exponent = _analytic_exponent(kind, i, j, ki, kj)
             else:
@@ -367,29 +365,28 @@ def phase_boundaries(
         )
 
     # Within-index boundaries: two powers sharing the leading Hermite index.
-    if kind in ("batch_reuse", "alternating", "deep_alternating"):
-        ref = ends[1]
-        leading: dict[int, list[int]] = {}
-        for k, contrib in ref.components:
-            lead = _first_nonzero(contrib)
-            if lead is not None:
-                leading.setdefault(lead, []).append(k)
-        for m, ks in leading.items():
-            ks = sorted(ks)
-            for a_idx in range(len(ks)):
-                for b_idx in range(a_idx + 1, len(ks)):
-                    exp = _analytic_exponent(kind, m, m, ks[a_idx], ks[b_idx])
-                    out.append(
-                        PhaseBoundary(
-                            i=m,
-                            j=m,
-                            eta_star=float(d**exp),
-                            exponent=exp,
-                            powers=(ks[a_idx], ks[b_idx]),
-                            degenerate=True,
-                            argmin_switch=False,
-                        )
+    ref = ends[1]
+    leading: dict[int, list[int]] = {}
+    for k, contrib in ref.components:
+        lead = _first_nonzero(contrib)
+        if lead is not None:
+            leading.setdefault(lead, []).append(k)
+    for m, ks in leading.items():
+        ks = sorted(ks)
+        for a_idx in range(len(ks)):
+            for b_idx in range(a_idx + 1, len(ks)):
+                exp = _analytic_exponent(kind, m, m, ks[a_idx], ks[b_idx])
+                out.append(
+                    PhaseBoundary(
+                        i=m,
+                        j=m,
+                        eta_star=float(d**exp),
+                        exponent=exp,
+                        powers=(ks[a_idx], ks[b_idx]),
+                        degenerate=True,
+                        argmin_switch=False,
                     )
+                )
     return tuple(sorted(out, key=lambda b: (b.eta_star, b.i, b.j)))
 
 
@@ -536,31 +533,20 @@ def gamma_auto(spec: OracleSpec, mu: MuTable, d: int | None = None) -> float:
     """Step-size choice with constants set to 1.
 
     The oracle-specific weak-recovery prescription built from the leading
-    index of each oracle power (for matched activations these indices are the
-    information exponents of the corresponding link powers):
+    index p_k of each oracle power k (for matched activations these indices
+    are the information exponents of the corresponding link powers):
 
-        online            d^-(p/2 v 1)
-        alternating       max{ d^-(p/2 v 1), eta d^-(p2/2 v 1) }
-        batch_reuse       max_k (eta d)^{k-1} d^-(p_k/2 v 1)
-        deep_alternating  max_k eta^{k-1} d^-(p_k/2 v 1)
+        max_k s^(k-1) d^-(p_k/2 v 1),   s = _eta_rate: eta d for batch_reuse, eta otherwise.
+
+    Online has the one power k = 1, so its rule reads d^-(p/2 v 1).
     """
     d = _check_d(mu, d)
-    comps = dict(mu.components)
-    if spec.kind == "online":
-        p = _first_nonzero(mu.mus)
-        if p is None:
-            raise ValueError("degenerate oracle: every mu_i vanishes")
-        return float(d ** (-_d_exp_gamma(p)))
+    s = _eta_rate(spec.kind, spec.eta, d)
     terms = []
-    for k, contrib in sorted(comps.items()):
+    for k, contrib in sorted(mu.components):
         p_k = _first_nonzero(contrib)
-        if p_k is None:
-            continue
-        if spec.kind in ("alternating", "deep_alternating"):
-            scale = spec.eta ** (k - 1)
-        else:  # batch_reuse
-            scale = (spec.eta * d) ** (k - 1)
-        terms.append(scale * d ** (-_d_exp_gamma(p_k)))
+        if p_k is not None:
+            terms.append(s ** (k - 1) * d ** (-_d_exp_gamma(p_k)))
     if not terms:
         raise ValueError("degenerate oracle: every mu_i vanishes")
     return float(max(terms))

@@ -181,6 +181,26 @@ class TestSweepCommand:
         assert code == 1
         assert "unknown key" in err
 
+    def test_mistyped_bool_in_config_exits_1_before_any_cell(self, capsys, tmp_path, monkeypatch):
+        cells = []
+        monkeypatch.setattr(harness, "run", lambda cfg: cells.append(cfg))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("d = 10\nmean_mode = ture\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: config line 2: bad value 'ture' for mean_mode")
+        assert cells == []
+
+    def test_inverted_window_exits_1_before_any_cell(self, capsys, tmp_path, monkeypatch):
+        cells = []
+        monkeypatch.setattr(harness, "run", lambda cfg: cells.append(cfg))
+        # the later flags override QUICK_SWEEP's window
+        code, _, err = run_cli(capsys, *QUICK_SWEEP, "--window-min", "0.5", "--window-max", "0.01",
+                               "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: need window_min <= window_max")
+        assert cells == []
+
 
 # Online He1 at a fixed gamma: every eta recovers at the smallest n, so all
 # grid points of the window are recovering.

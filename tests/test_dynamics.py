@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -226,36 +227,26 @@ class TestWeakRecoverySampleSize:
                           record_every=10, weak_threshold=0.3)
         assert weak_recovery_sample_size(cfg, [1024], replicates=5) is None
 
-    def test_full_scan_agrees_with_bisection(self):
-        cfg = make_config(
-            kind="online", link=hermite_poly(1), act=hermite_poly(1),
-            d=25, gamma=0.04, batch=1, n=64, seed=21,
-        )
-        grid = [100, 400, 1600, 6400, 25_600]
-        fast = weak_recovery_sample_size(cfg, grid, replicates=3)
-        slow = weak_recovery_sample_size(cfg, grid, replicates=3, full_scan=True)
-        assert fast == slow
-
-    def test_bisection_visits_middle_levels(self, monkeypatch):
-        """Level 0 fails and the last recovers, so the search runs its loop:
-        the levels it evaluates are the ends and the midpoints 64, 16, 32."""
-        cfg = make_config(
-            kind="online", link=hermite_poly(1), act=hermite_poly(1),
-            d=25, gamma=0.04, batch=1, n=64, seed=0,
-        )
-        grid = [8, 16, 32, 64, 128, 256, 512]
-        slow = weak_recovery_sample_size(cfg, grid, replicates=3, full_scan=True)
+    def test_non_monotone_grid_returns_smallest_recovering_level(self, monkeypatch):
+        """Recovery at 16 but not at 32 or 64: the search reports 16 after
+        running levels 8 and 16 only, each replicate on seed child(idx, rep)."""
+        cfg = make_config(batch=1, n=64)
+        grid = [8, 16, 32, 64, 128, 256, 512, 1024]
+        recovering = {16, 128, 256, 512, 1024}
         seen = []
-        real_run = dynamics.run
 
-        def counted(config):
-            seen.append(config.n)
-            return real_run(config)
+        def fake_run(config):
+            seen.append((config.n, config.seed))
+            return SimpleNamespace(
+                final_alignment=0.9 if config.n in recovering else 0.1, diverged=False
+            )
 
-        monkeypatch.setattr(dynamics, "run", counted)
-        fast = weak_recovery_sample_size(cfg, grid, replicates=3)
-        assert fast == slow == 32
-        assert seen == [n for n in (512, 8, 64, 16, 32) for _ in range(3)]
+        monkeypatch.setattr(dynamics, "run", fake_run)
+        assert weak_recovery_sample_size(cfg, grid, replicates=3) == 16
+        assert [n for n, _ in seen] == [8, 8, 8, 16, 16, 16]
+        assert [seed for _, seed in seen] == [
+            cfg.seed.child(idx, rep) for idx in (0, 1) for rep in range(3)
+        ]
 
 
 class TestRidgeFit:

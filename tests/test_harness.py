@@ -337,3 +337,32 @@ class TestConfig:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_config("just some words")
+
+    @pytest.mark.parametrize("text, value", [
+        ("1", True), ("true", True), ("Yes", True), ("ON", True),
+        ("0", False), ("false", False), ("No", False), ("OFF", False),
+    ])
+    def test_bool_spellings(self, text, value):
+        assert parse_config(f"mean_mode = {text}") == {"mean_mode": value}
+
+    @pytest.mark.parametrize("line, key, value", [
+        ("mean_mode = ture", "mean_mode", "ture"),
+        ("mean_mode = 2", "mean_mode", "2"),
+        ("mean_mode =", "mean_mode", ""),
+        ("d = 50.0", "d", "50.0"),
+        ("replicates = ten", "replicates", "ten"),
+        ("tau = x", "tau", "x"),
+    ])
+    def test_bad_value_names_line_and_key(self, line, key, value):
+        text = f"# header\noracle = online\n{line}\n"
+        with pytest.raises(ValueError) as err:
+            parse_config(text)
+        assert str(err.value) == f"config line 3: bad value {value!r} for {key}"
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 0.1), (math.nan, 0.1), (0.1, math.nan)])
+    def test_inverted_or_nan_window_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="window_min <= window_max"):
+            spec_from_config({"window_min": lo, "window_max": hi})
+
+    def test_one_point_window_accepted(self):
+        assert spec_from_config({"window_min": 0.1, "window_max": 0.1}).slope_window == (0.1, 0.1)

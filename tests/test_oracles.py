@@ -20,15 +20,20 @@ from silab.hermite import (
     DegreeOverflowError,
     HermiteExpansion,
     _hermite_block,
+    _is_zero,
     _moment_zj_hek,
+    _pscale,
     expand,
 )
 from silab.oracles import (
     ORACLE_KINDS,
     MuTable,
     _as_batch,
+    _bivariate_product,
     _corr_moment,
     _istar_set,
+    _psi_polys,
+    _psi_terms,
     alignment_gain_monte_carlo,
     apply_step,
     mu_monte_carlo,
@@ -1315,3 +1320,77 @@ class TestPhaseScanBitIdentity:
             with pytest.raises(DegreeOverflowError) as got:
                 call()
             assert str(got.value) == message
+
+
+def _per_kind_psi_terms(parts, kind, eta, d):
+    """_psi_terms with one branch per oracle kind, each with its own eta rate."""
+    if kind == "online":
+        raw = {1: parts[0]}
+    elif kind == "alternating":
+        raw = {1: parts[0], 2: _pscale(eta, parts[1])}
+    elif kind == "batch_reuse":
+        raw = {1: parts[0]}
+        for k in range(2, len(parts) + 1):
+            coeff = (eta * d) ** (k - 1) / math.factorial(k - 1)
+            raw[k] = _pscale(coeff, parts[k - 1])
+    else:
+        acc = {0: (1.0,)}
+        for sp_level, eta_part in zip(parts[::2], parts[1::2]):
+            acc = _bivariate_product(acc, {0: sp_level, 1: _pscale(eta, eta_part)})
+        raw = {k + 1: q for k, q in acc.items()}
+    terms = [(k, raw[k]) for k in sorted(raw) if not _is_zero(raw[k])]
+    return terms or [(1, (0.0,))]
+
+
+def _per_kind_gamma_auto(spec, mu, d):
+    """gamma_auto with an online branch and a per-kind eta rate."""
+    if spec.kind == "online":
+        p = theory._first_nonzero(mu.mus)
+        if p is None:
+            raise ValueError("degenerate oracle: every mu_i vanishes")
+        return float(d ** (-theory._d_exp_gamma(p)))
+    terms = []
+    for k, contrib in sorted(dict(mu.components).items()):
+        p_k = theory._first_nonzero(contrib)
+        if p_k is None:
+            continue
+        if spec.kind in ("alternating", "deep_alternating"):
+            scale = spec.eta ** (k - 1)
+        else:
+            scale = (spec.eta * d) ** (k - 1)
+        terms.append(scale * d ** (-theory._d_exp_gamma(p_k)))
+    if not terms:
+        raise ValueError("degenerate oracle: every mu_i vanishes")
+    return float(max(terms))
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+ZERO_COEF = MonomialPoly((0.4, 0.0, 0.0, 0.7))  # sigma' = 2.1 z^2: a 0.0 inside
+CONST = MonomialPoly((0.7,))  # sigma' = 0: psi is the zero fallback
+
+
+class TestOneEtaRate:
+    """_psi_terms and gamma_auto, which take each kind's eta rate from
+    _eta_rate, equal one branch per kind, bit for bit."""
+
+    @pytest.mark.parametrize("d", [10, 50])
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    @pytest.mark.parametrize("act", [HE3, FRAC, ZERO_COEF, CONST],
+                             ids=["He3", "frac3", "zero-coef", "const"])
+    def test_matches_per_kind_branches(self, act, kind, d):
+        depth = 3 if kind == "deep_alternating" else 2
+        parts = _psi_polys(act, kind, depth)
+        for eta in (0.0, 1e-3, 1 / d, 1.0, 3.0):
+            got = _psi_terms(parts, kind, eta, d)
+            assert repr(got) == repr(_per_kind_psi_terms(parts, kind, eta, d))
+            spec = OracleSpec(kind=kind, activation=act, eta=eta, depth=depth)
+            for link in (HE3, HE2):
+                mu = mu_table(spec, link, NOISELESS, d)
+                assert _outcome(lambda: theory.gamma_auto(spec, mu, d)) == _outcome(
+                    lambda: _per_kind_gamma_auto(spec, mu, d))

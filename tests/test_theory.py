@@ -143,6 +143,10 @@ class TestPhaseBoundaries:
         spec = OracleSpec(kind="online", activation=HE3)
         assert phase_boundaries(mu_fn, d, (1e-3, 1.0), spec=spec) == ()
 
+    def test_spec_is_required(self):
+        with pytest.raises(TypeError):
+            phase_boundaries(alternating_mu_fn(50), 50, (1e-3, 1.0))
+
     def test_degenerate_shared_leading_index(self):
         # identity link: odd powers of the link share information exponent 1,
         # so the power pair (1, 3) has equal numerators and sits at d**-1
