@@ -21,8 +21,8 @@ from dataclasses import replace
 
 from .dynamics import run
 from .harness import (
-    CONFIG, emit, oracle_spec, parse_config, resolve, resolve_gamma, run_config,
-    spec_from_config, sweep, teacher_spec,
+    CONFIG, emit, fit_boundary_slope, oracle_spec, parse_config, resolve, resolve_gamma,
+    run_config, spec_from_config, sweep, teacher_spec,
 )
 from .hermite import expand, exponent_report, parse_poly
 from .model import SeedTree, draw_batch
@@ -136,14 +136,15 @@ def _cmd_phase(args, cfg) -> int:
 
 
 def _cmd_sweep(args, cfg) -> int:
-    spec = spec_from_config(cfg)
-    result = sweep(spec)
+    result = sweep(spec_from_config(cfg))
     paths = emit(result, cfg["out"])
-    if spec.slope_window is not None:
-        if result.slope_fit is None:
+    window = (cfg["window_min"], cfg["window_max"])
+    if window[0] is not None:  # spec_from_config checked that both are given
+        try:
+            fit = fit_boundary_slope(result, window)
+            print("# slope={:.6g} stderr={:.6g}".format(*fit))
+        except ValueError:
             print("# slope=unavailable (fewer than 4 recovering grid points in the eta window)")
-        else:
-            print("# slope={:.6g} stderr={:.6g}".format(*result.slope_fit))
     for path in paths:
         print(path)
     return 0

@@ -25,11 +25,13 @@ name on another subcommand takes the same type and default, see ``resolve``):
     threshold    weak-recovery alignment threshold
     strong_eps   strong recovery at alignment 1 - strong_eps
     record_every checkpoint stride
-    gamma        'auto' or a float
+    gamma        'auto', a number, or 'eta_as_gamma' (sweeps only: the eta
+                 grid is the step size and every cell runs at eta = 0)
     init         pinned_alignment | uniform_sphere
     jobs         worker processes
     out          output directory
-    window_min, window_max         slope-fit eta window
+    window_min, window_max         eta window of the '# slope=' line
+                                   that ``silab sweep`` prints
     mean_mode    true to aggregate replicates by mean instead of median
 """
 
@@ -70,7 +72,7 @@ def int_log_grid(count: int, lo: int, hi: int) -> tuple[int, ...]:
 class SweepSpec:
     """Grid sweep over learning rates and sample sizes.
 
-    gamma_mode: 'auto' derives gamma per cell from the oracle-specific
+    gamma_mode: 'auto' derives gamma per eta row from the oracle-specific
     prescription; a float pins it; 'eta_as_gamma' reuses the swept grid as
     the gamma axis with eta forced to zero (how an online-SGD step-size
     sweep is expressed, since that oracle has no eta).
@@ -83,7 +85,6 @@ class SweepSpec:
     jobs: int = 1
     gamma_mode: float | str = "auto"
     use_mean: bool = False
-    slope_window: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if not self.eta_grid or not self.n_grid:
@@ -120,13 +121,14 @@ class SweepResult:
     gammas: tuple[float, ...]
     cells: tuple[Cell, ...]
     summary: tuple[tuple[float, int | None], ...]
-    slope_fit: tuple[float, float] | None
 
 
-def _cell_gamma(spec: SweepSpec, eta: float) -> float:
+def _row_oracle(spec: SweepSpec, eta: float) -> OracleSpec:
+    """The oracle that every cell of the eta row runs."""
     if spec.gamma_mode == "eta_as_gamma":
-        return eta
-    return resolve_gamma(spec.gamma_mode, replace(spec.base.oracle, eta=eta), spec.base.teacher)
+        return replace(spec.base.oracle, eta=0.0, gamma=eta)
+    oracle = replace(spec.base.oracle, eta=eta)
+    return replace(oracle, gamma=resolve_gamma(spec.gamma_mode, oracle, spec.base.teacher))
 
 
 def _aggregated(spec: SweepSpec, cells: Sequence[Cell]) -> dict[tuple[int, int], float]:
@@ -140,10 +142,7 @@ def _aggregated(spec: SweepSpec, cells: Sequence[Cell]) -> dict[tuple[int, int],
 
 
 def _run_cell(payload) -> Cell:
-    base, ei, eta, gamma, ni, n, rep, grid_is_gamma = payload
-    seed = base.seed.child(ei, ni, rep)
-    cell_eta = 0.0 if grid_is_gamma else eta
-    cfg = replace(base, oracle=replace(base.oracle, eta=cell_eta, gamma=gamma), n=n, seed=seed)
+    ei, ni, rep, eta, cfg = payload
     traj = run(cfg)
     final = traj.final_alignment
     return Cell(
@@ -151,8 +150,8 @@ def _run_cell(payload) -> Cell:
         n_index=ni,
         replicate=rep,
         eta=eta,
-        n=n,
-        seed=seed.digest(),
+        n=cfg.n,
+        seed=cfg.seed.digest(),
         final_alignment=final,
         recovered=int(recovery_alignment(final, traj.diverged) >= cfg.weak_threshold),
         samples_seen=traj.total_samples,
@@ -179,11 +178,11 @@ def summarize(
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
-    """Run every (eta, n, replicate) cell; order-insensitive and deterministic."""
-    gammas = tuple(_cell_gamma(spec, eta) for eta in spec.eta_grid)
-    grid_is_gamma = spec.gamma_mode == "eta_as_gamma"
+    """Run every (eta, n, replicate) cell, in that order; deterministic."""
+    base = spec.base
+    rows = [_row_oracle(spec, eta) for eta in spec.eta_grid]
     payloads = [
-        (spec.base, ei, eta, gammas[ei], ni, n, rep, grid_is_gamma)
+        (ei, ni, rep, eta, replace(base, oracle=rows[ei], n=n, seed=base.seed.child(ei, ni, rep)))
         for ei, eta in enumerate(spec.eta_grid)
         for ni, n in enumerate(spec.n_grid)
         for rep in range(spec.replicates)
@@ -197,17 +196,8 @@ def sweep(spec: SweepSpec) -> SweepResult:
             cells = list(pool.map(_run_cell, payloads, chunksize=chunk))
     else:
         cells = [_run_cell(p) for p in payloads]
-    cells.sort(key=lambda c: (c.eta_index, c.n_index, c.replicate))
-    summary = summarize(spec, cells)
-    result = SweepResult(
-        spec=spec, gammas=gammas, cells=tuple(cells), summary=summary, slope_fit=None
-    )
-    if spec.slope_window is not None:
-        try:
-            result.slope_fit = fit_boundary_slope(result, spec.slope_window)
-        except ValueError:
-            result.slope_fit = None
-    return result
+    gammas = tuple(o.gamma for o in rows)
+    return SweepResult(spec, gammas, tuple(cells), summarize(spec, cells))
 
 
 def fit_boundary_slope(
@@ -434,13 +424,29 @@ def run_config(
     )
 
 
+def _gamma_setting(gamma: float | str) -> float | str:
+    """A gamma setting as 'auto', 'eta_as_gamma' or a float; ValueError otherwise."""
+    if gamma in ("auto", "eta_as_gamma"):
+        return gamma
+    try:
+        return float(gamma)
+    except ValueError:
+        raise ValueError(
+            f"gamma must be 'auto', 'eta_as_gamma' or a number, got {gamma!r}"
+        ) from None
+
+
 def resolve_gamma(
     gamma: float | str, oracle: OracleSpec, teacher: TeacherSpec, mu=None
 ) -> float:
     """'auto' is gamma_auto on the mu table of oracle against teacher (computed
-    here unless given); any other value is read as a float."""
+    here unless given); a number is read as a float. 'eta_as_gamma' names a
+    sweep axis, so it raises ValueError here, as any other word does."""
+    gamma = _gamma_setting(gamma)
+    if gamma == "eta_as_gamma":
+        raise ValueError("gamma 'eta_as_gamma' applies to a sweep only")
     if gamma != "auto":
-        return float(gamma)
+        return gamma
     if mu is None:
         mu = mu_table(oracle, teacher.link, teacher.noise, teacher.d)
     return gamma_auto(oracle, mu, teacher.d)
@@ -461,16 +467,12 @@ def spec_from_config(cfg: dict) -> SweepSpec:
         raise ValueError("window_min and window_max must be given together")
     if lo is not None and not lo <= hi:  # also true for nan
         raise ValueError(f"need window_min <= window_max, got ({lo}, {hi})")
-    gamma_mode = merged["gamma"]
-    if gamma_mode not in ("auto", "eta_as_gamma"):
-        gamma_mode = float(gamma_mode)
     return SweepSpec(
         base=base,
         eta_grid=log_grid(merged["eta_count"], merged["eta_min"], merged["eta_max"]),
         n_grid=int_log_grid(merged["n_count"], merged["n_min"], merged["n_max"]),
         replicates=merged["replicates"],
         jobs=merged["jobs"],
-        gamma_mode=gamma_mode,
+        gamma_mode=_gamma_setting(merged["gamma"]),
         use_mean=merged["mean_mode"],
-        slope_window=None if lo is None else (lo, hi),
     )

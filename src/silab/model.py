@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class NoiseSpec:
     tau: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.family not in ("none", "gaussian", "laplace"):
+        if self.family not in get_args(NoiseFamily):
             raise ValueError(f"unknown noise family {self.family!r}")
         if not math.isfinite(self.tau):
             raise ValueError(f"noise scale must be finite, got {self.tau}")

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, Literal, NamedTuple, get_args
 
 import numpy as np
 
@@ -64,17 +64,18 @@ from .model import NoiseSpec, TeacherSpec
 
 OracleKind = Literal["online", "batch_reuse", "alternating", "deep_alternating"]
 
-ORACLE_KINDS = ("online", "batch_reuse", "alternating", "deep_alternating")
+ORACLE_KINDS = get_args(OracleKind)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleSpec:
     """Which update rule is in force, plus its hyperparameters.
 
     eta scales the non-correlational part of the update (unused by the
     online oracle); gamma is the global step size; depth only applies to
-    deep_alternating. Instances are treated as immutable once used: the
-    step coefficient is cached on first access.
+    deep_alternating. A spec is a frozen value, so the step coefficient it
+    caches on first access always matches its fields; derive others with
+    dataclasses.replace.
     """
 
     kind: OracleKind

@@ -270,7 +270,7 @@ class TestSweepFlags:
     def test_bad_shape_exits_1_before_any_gamma(self, capsys, tmp_path, monkeypatch,
                                                 flags, message):
         gammas = []
-        monkeypatch.setattr(harness, "_cell_gamma", lambda spec, eta: gammas.append(eta))
+        monkeypatch.setattr(harness, "_row_oracle", lambda spec, eta: gammas.append(eta))
         code, _, err = run_cli(capsys, *QUICK_SWEEP, *flags, "--out", str(tmp_path))
         assert code == 1
         assert message in err
@@ -456,3 +456,26 @@ class TestBadValuesExit1:
         assert out == ""
         assert f"error: {message}" in err
         assert not recwarn.list
+
+
+class TestBadGamma:
+    @pytest.mark.parametrize("argv", [
+        (*QUICK_SWEEP, "--gamma", "abc"),
+        ("simulate", *MINIMAL["simulate"], "--gamma", "abc"),
+        ("simulate", *MINIMAL["simulate"], "--gamma", "eta_as_gamma"),
+        ("predict", *MINIMAL["predict"], "--gamma", "eta_as_gamma"),
+    ], ids=["sweep-abc", "simulate-abc", "simulate-eta_as_gamma", "predict-eta_as_gamma"])
+    def test_exits_1_naming_gamma_before_any_run(self, capsys, tmp_path, monkeypatch, argv):
+        runs = _spy(monkeypatch, cli, "run") + _spy(monkeypatch, harness, "run")
+        code, _, err = run_cli(capsys, *argv, *(("--out", str(tmp_path / "out"))
+                                                if argv[0] == "sweep" else ()))
+        assert code == 1
+        assert err.startswith("error: gamma ")
+        assert runs == []
+
+    def test_config_line_exits_1_naming_gamma(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("gamma = abc\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1
+        assert err == "error: gamma must be 'auto', 'eta_as_gamma' or a number, got 'abc'\n"

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,8 +55,7 @@ def tiny_spec(jobs=1, replicates=2, kind="alternating", seed=0):
 
 def synthetic_result(etas, n_stars):
     spec = tiny_spec()
-    return SweepResult(spec=spec, gammas=(), cells=(),
-                       summary=tuple(zip(etas, n_stars)), slope_fit=None)
+    return SweepResult(spec=spec, gammas=(), cells=(), summary=tuple(zip(etas, n_stars)))
 
 
 class TestGrids:
@@ -206,6 +206,65 @@ class TestSweep:
             assert np.float64(agg[key]).tobytes() == np.median(vals).tobytes()
 
 
+class TestRows:
+    def test_each_row_runs_one_oracle_and_each_cell_its_seed(self, monkeypatch):
+        """Every cell of an eta row runs the row's OracleSpec object, with the
+        seed path (eta index, n index, replicate)."""
+        configs = []
+        real_run = harness.run
+
+        def spy(cfg):
+            configs.append(cfg)
+            return real_run(cfg)
+
+        monkeypatch.setattr(harness, "run", spy)
+        spec = tiny_spec()
+        res = sweep(spec)
+        assert len(configs) == len(res.cells)
+        rows = {}
+        for cfg, c in zip(configs, res.cells):
+            assert cfg.seed == spec.base.seed.child(c.eta_index, c.n_index, c.replicate)
+            assert cfg.n == c.n
+            assert rows.setdefault(c.eta_index, cfg.oracle) is cfg.oracle
+        for ei, eta in enumerate(spec.eta_grid):
+            assert rows[ei] == replace(spec.base.oracle, eta=eta, gamma=res.gammas[ei])
+
+    def test_eta_as_gamma_row_runs_eta_zero(self):
+        spec = tiny_spec(replicates=1)
+        spec.gamma_mode = "eta_as_gamma"
+        for eta in spec.eta_grid:
+            assert harness._row_oracle(spec, eta) == replace(spec.base.oracle, eta=0.0, gamma=eta)
+
+
+class TestGammaSetting:
+    @pytest.mark.parametrize("text", ["abc", "", "Auto", "eta as gamma"])
+    def test_bad_setting_names_gamma(self, text):
+        with pytest.raises(ValueError) as err:
+            spec_from_config({"gamma": text})
+        assert str(err.value) == (
+            f"gamma must be 'auto', 'eta_as_gamma' or a number, got {text!r}")
+
+    def test_bad_config_line_names_gamma(self):
+        with pytest.raises(ValueError, match="^gamma must be"):
+            spec_from_config(parse_config("gamma = abc"))
+
+    @pytest.mark.parametrize("text, mode", [
+        ("auto", "auto"), ("eta_as_gamma", "eta_as_gamma"), ("0.25", 0.25), ("1e-3", 1e-3),
+    ])
+    def test_accepted_settings(self, text, mode):
+        assert spec_from_config({"gamma": text}).gamma_mode == mode
+
+    def test_resolve_gamma(self):
+        oracle = OracleSpec(kind="online", activation=HE3)
+        teacher = TeacherSpec(d=10, link=HE3)
+        assert harness.resolve_gamma("0.25", oracle, teacher) == 0.25
+        assert harness.resolve_gamma(0.25, oracle, teacher) == 0.25
+        with pytest.raises(ValueError, match="^gamma 'eta_as_gamma' applies to a sweep only$"):
+            harness.resolve_gamma("eta_as_gamma", oracle, teacher)
+        with pytest.raises(ValueError, match="^gamma must be"):
+            harness.resolve_gamma("abc", oracle, teacher)
+
+
 class TestBoundaryFit:
     def test_exact_power_law(self):
         etas = log_grid(12, 0.01, 1.0)
@@ -280,7 +339,7 @@ class TestEmit:
 
     def test_empty_recovery_still_writes_sidecar(self, tmp_path):
         spec = tiny_spec(kind="online")
-        spec.base.oracle.gamma = 0.0
+        spec.base.oracle = replace(spec.base.oracle, gamma=0.0)
         spec.gamma_mode = 0.0
         res = sweep(spec)
         assert all(c.recovered == 0 for c in res.cells)
@@ -365,4 +424,4 @@ class TestConfig:
             spec_from_config({"window_min": lo, "window_max": hi})
 
     def test_one_point_window_accepted(self):
-        assert spec_from_config({"window_min": 0.1, "window_max": 0.1}).slope_window == (0.1, 0.1)
+        spec_from_config({"window_min": 0.1, "window_max": 0.1})  # does not raise

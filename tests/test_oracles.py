@@ -1,6 +1,6 @@
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -477,6 +477,20 @@ class TestSteps:
         assert copy == spec
         after = apply_step(self.w, self.x, self.y, copy)
         assert np.array_equal(before.w, after.w) and before.prenorm == after.prenorm
+
+
+    def test_spec_is_frozen_and_a_replaced_spec_steps_with_its_own_eta(self):
+        """The step coefficient is cached on first use, so a spec cannot
+        change its eta in place; replace builds a spec with its own."""
+        spec = OracleSpec(kind="alternating", activation=HE3, gamma=0.05)
+        before = apply_step(self.w, self.x, self.y, spec)
+        with pytest.raises(FrozenInstanceError):
+            spec.eta = 1.0
+        got = apply_step(self.w, self.x, self.y, replace(spec, eta=1.0))
+        want = apply_step(self.w, self.x, self.y,
+                          OracleSpec(kind="alternating", activation=HE3, gamma=0.05, eta=1.0))
+        assert np.array_equal(got.w, want.w) and got.prenorm == want.prenorm
+        assert not np.array_equal(got.w, before.w)
 
 
 class TestBatchCounts:

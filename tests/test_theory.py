@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from silab import (
     phase_boundaries,
     predict_T,
     recursion_oracle,
+    theory,
 )
 from silab.oracles import MuTable, _istar_set
 
@@ -349,3 +351,37 @@ class TestTableDimension:
         assert b.eta_star == pytest.approx(0.00786, rel=1e-3)
         with pytest.raises(ValueError, match="d=400 differs from the mu table's d=50"):
             phase_boundaries(alternating_mu_fn(50), 400, (1e-3, 1.0), spec=spec)
+
+
+class TestPhaseScanReadsC:
+    """The scan that reads its signs off the eta-free coefficients C equals
+    the full scan, which reads every sign from a real table (what
+    phase_boundaries does when _eta_free_coefficients returns None)."""
+
+    ORACLES = [
+        ("alternating", HE3, 2),
+        ("alternating", HE3 + hermite_poly(4).scale(0.3), 2),
+        ("batch_reuse", HE3, 2),
+        ("batch_reuse", HE3 + hermite_poly(4).scale(0.3), 2),
+        ("deep_alternating", MonomialPoly.monomial(2), 3),
+        ("online", HE3, 2),
+    ]
+    ORACLE_IDS = ["alternating-He3", "alternating-He3+0.3He4", "batch_reuse-He3",
+                  "batch_reuse-He3+0.3He4", "deep-z2-depth3", "online-He3"]
+    NOISES = [NOISELESS, NoiseSpec("gaussian", 0.5), NoiseSpec("laplace", 0.3)]
+
+    @pytest.mark.parametrize("eta_range", [(1e-3, 1.0), (1e-8, 10.0)], ids=["atlas", "wide"])
+    @pytest.mark.parametrize("d", [25, 50, 400])
+    @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.family)
+    @pytest.mark.parametrize("oracle", ORACLES, ids=ORACLE_IDS)
+    def test_c_read_scan_equals_full_scan(self, monkeypatch, oracle, noise, d, eta_range):
+        kind, act, depth = oracle
+        spec = OracleSpec(kind=kind, activation=act, depth=depth)
+
+        def mu_fn(eta):
+            return mu_table(replace(spec, eta=eta), HE3, noise, d)
+
+        c_read = phase_boundaries(mu_fn, d, eta_range, spec=spec)
+        monkeypatch.setattr(theory, "_eta_free_coefficients", lambda *args: None)
+        full = phase_boundaries(mu_fn, d, eta_range, spec=spec)
+        assert repr(c_read) == repr(full)
