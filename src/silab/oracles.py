@@ -179,21 +179,26 @@ def _psi_polys(activation: MonomialPoly, kind: str, depth: int) -> tuple[tuple[f
     return tuple(q.coeffs for q in polys)
 
 
-def _eta_rate(kind: str, eta: float, d: int) -> float:
-    """The rate s at which the oracle's y^k term scales, as s^(k-1)/(k-1)!:
-    eta d for batch_reuse, whose surrogate replaces the squared projected
-    norm of x by d, and eta for every other kind."""
-    return eta * d if kind == "batch_reuse" else eta
+def _rate_power(kind: str, eta: float, d: int, k: int) -> float:
+    """s^(k-1) for the rate s at which the oracle's y^k term scales, as
+    s^(k-1)/(k-1)!: eta d for batch_reuse, whose surrogate replaces the
+    squared projected norm of x by d, and eta for every other kind. Raises
+    ValueError naming eta where the power overflows."""
+    s = eta * d if kind == "batch_reuse" else eta
+    try:
+        return s ** (k - 1)
+    except OverflowError:
+        raise ValueError(f"the oracle's y^{k} scale overflows at eta={eta}") from None
 
 
 def _psi_terms(parts: tuple, kind: str, eta: float, d: int) -> list:
     """effective_psi's terms as (k, coefficient tuple), from _psi_polys parts.
 
-    The y^k term is parts[k - 1] scaled by s^(k-1)/(k-1)!, s = _eta_rate
-    (for alternating, eta^1/1! is eta exactly); deep_alternating takes the
+    The y^k term is parts[k - 1] scaled by s^(k-1)/(k-1)!, s^(k-1) from
+    _rate_power (for alternating, eta^1/1! is eta exactly); deep_alternating takes the
     bivariate product over the layers instead. These are the float
     operations, in the order, that building psi from fresh polynomials
-    applies.
+    applies. An eta whose s^(k-1) overflows raises ValueError.
     """
     if kind == "deep_alternating":  # one factor a~_i sigma'(F_{i-1}) per layer
         acc = {0: (1.0,)}
@@ -201,10 +206,9 @@ def _psi_terms(parts: tuple, kind: str, eta: float, d: int) -> list:
             acc = _bivariate_product(acc, {0: sp_level, 1: _pscale(eta, eta_part)})
         raw = {k + 1: q for k, q in acc.items()}  # leading y of the w-step
     else:
-        s = _eta_rate(kind, eta, d)
         raw = {1: parts[0]}
         for k in range(2, len(parts) + 1):
-            raw[k] = _pscale(s ** (k - 1) / math.factorial(k - 1), parts[k - 1])
+            raw[k] = _pscale(_rate_power(kind, eta, d, k) / math.factorial(k - 1), parts[k - 1])
     terms = [(k, raw[k]) for k in sorted(raw) if not _is_zero(raw[k])]
     return terms or [(1, (0.0,))]
 
@@ -236,7 +240,7 @@ def effective_psi(spec: OracleSpec, d: int) -> Psi:
     The eta-free polynomials (sigma', sigma sigma', sigma^(k) sigma'^(k-1),
     and the deep recurrence's sigma'(F_{i-1}) and tail_i F_i sigma'(F_{i-1}))
     are memoized per (activation, kind, depth) in _psi_polys; each call only
-    scales them by s^(k-1)/(k-1)!, s = _eta_rate, or, for deep_alternating,
+    scales them by s^(k-1)/(k-1)! (_rate_power), or, for deep_alternating,
     forms the bivariate product over the layers (_psi_terms). Those are the
     operations, in the order, that a fresh construction applies to the same
     products, so the result is bit for bit the same. (Keys compare by value:
@@ -278,11 +282,16 @@ class MuTable:
         return self.mus[i - 1] if i <= len(self.mus) else 0.0
 
 
+def _d_exp_iterations(i: int) -> float:
+    """Dimension exponent of the T contribution at index i: (i-2)/2 joined at 0."""
+    return max((i - 2) / 2.0, 0.0)
+
+
 def _istar_set(mus, d: int) -> tuple[int, ...]:
     scores = {}
     for i, m in enumerate(mus, start=1):
         if m != 0.0:
-            scores[i] = d ** (max(i - 2, 0) / 2.0) / abs(m)
+            scores[i] = d ** _d_exp_iterations(i) / abs(m)
     if not scores:
         return ()
     best = min(scores.values())
@@ -295,16 +304,12 @@ class _MuPlan(NamedTuple):
     parts: _psi_polys of the family; rows: the moment rows _expand reads,
     covering every q_k the family's psi can have; labels[k]: the Hermite
     expansion of E_zeta[(link(s) + zeta)^k], padded with zeros to one past
-    the longest table the family gives; u_first: _expand(parts[0], rows),
-    the expansion of q_1, which for online, alternating and batch_reuse is
-    parts[0] unscaled at every eta (None for deep_alternating, whose q_1 is
-    a product over its layers).
+    the longest table the family gives.
     """
 
     parts: tuple
     rows: tuple
     labels: tuple
-    u_first: tuple | None
 
 
 @lru_cache(maxsize=None)
@@ -324,9 +329,7 @@ def _mu_plan(
     for k in range(1, n_powers + 1):
         u_y = _expand(_noise_folded_power(link, noise, k).coeffs)
         labels.append(u_y + (0.0,) * (deg + 2 - len(u_y)))
-    rows = _moment_rows(deg)
-    u_first = None if kind == "deep_alternating" else _expand(parts[0], rows)
-    return _MuPlan(parts, rows, tuple(labels), u_first)
+    return _MuPlan(parts, _moment_rows(deg), tuple(labels))
 
 
 def mu_table(spec: OracleSpec, link: MonomialPoly, noise: NoiseSpec, d: int) -> MuTable:
@@ -338,14 +341,14 @@ def mu_table(spec: OracleSpec, link: MonomialPoly, noise: NoiseSpec, d: int) -> 
 
     Only q_k depends on eta. Everything else is memoized in a plan per
     (activation, kind, depth, link, noise) (_mu_plan): the unscaled oracle
-    polynomials, the moment rows of the change of basis, the label side's
-    Hermite expansions and, but for deep_alternating, the expansion of the
-    eta-free q_1. The keys are frozen values, and per call the table
+    polynomials, the moment rows of the change of basis and the label side's
+    Hermite expansions. The keys are frozen values, and per call the table
     runs the float operations a construction from fresh polynomials runs, in
     the same order, on coefficient tuples (see effective_psi), so a table is
     bit for bit what it would be without the plan. An index past an
     expansion's length reads 0.0 and still enters the product, which keeps
-    the sign of a zero component.
+    the sign of a zero component. An eta at which any mu_i is not finite
+    raises ValueError naming it.
     """
     plan = _mu_plan(spec.activation, spec.kind, spec.depth, link, noise)
     terms = _psi_terms(plan.parts, spec.kind, spec.eta, d)
@@ -353,16 +356,14 @@ def mu_table(spec: OracleSpec, link: MonomialPoly, noise: NoiseSpec, d: int) -> 
     components = []
     mus = [0.0] * r
     for k, q in terms:
-        # q_1 is parts[0], or the zero fallback when parts[0] is zero: the
-        # same expansion either way
-        u_q = plan.u_first if k == 1 and plan.u_first is not None else _expand(q, plan.rows)
-        u_q += (0.0,) * (r - len(u_q))
+        u_q = _expand(q, plan.rows) + (0.0,) * (r - len(q))
         u_y = plan.labels[k]
         contrib = tuple([u_y[i] * u_q[i - 1] for i in range(1, r + 1)])
         components.append((k, contrib))
         mus = [m + v for m, v in zip(mus, contrib)]
-    mus = tuple(mus)
-    return MuTable(mus=mus, d=d, components=tuple(components))
+    if not all(map(math.isfinite, mus)):
+        raise ValueError(f"the mu table is not finite at eta={spec.eta}")
+    return MuTable(mus=tuple(mus), d=d, components=tuple(components))
 
 
 def mu_of_eta(spec: OracleSpec, teacher: TeacherSpec) -> Callable[[float], MuTable]:
@@ -380,8 +381,11 @@ def check_sign_assumption(mu: MuTable) -> SignCheck:
     """Sign condition on the dominant indices.
 
     Among indices with mu_i != 0, the minimizers of |mu_i|^{-1} d^{((i-2)/2) v 0}
-    must all have mu_i > 0. Raises on an all-zero table (degenerate oracle).
+    must all have mu_i > 0. Raises on an all-zero table (degenerate oracle)
+    and on one with an entry that is not finite.
     """
+    if not all(map(math.isfinite, mu.mus)):
+        raise ValueError(f"the mu table is not finite: {mu.mus}")
     if all(m == 0.0 for m in mu.mus):
         raise ValueError("degenerate oracle: every mu_i vanishes")
     istar = mu.istar

@@ -13,17 +13,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .oracles import MuTable, OracleSpec, _eta_rate
+from .oracles import MuTable, OracleSpec, _d_exp_iterations, _rate_power
 
 PHASE_GRID = 256  # points of phase_boundaries' log-spaced eta grid
 _SIGN_MARGIN = 1e-9  # relative margin at which a sign is read off C
 _C_AGREEMENT = 1e-12  # relative gap between the two ends' C that abstains
 _LEMMA_TOL = 1e-9  # relative excess over a lemma bound that counts as a violation
-
-
-def _d_exp_iterations(i: int) -> float:
-    """Dimension exponent of the T contribution at index i: (i-2)/2 joined at 0."""
-    return max((i - 2) / 2.0, 0.0)
 
 
 def _d_exp_gamma(i: int) -> float:
@@ -288,8 +283,10 @@ def phase_boundaries(
     the root means within about 1e-9 relative of it. That midpoint and every
     later one of the crossing get their real tables without asking C again.
     A sign that counts is the real table's and is not 0, so every step of
-    the bisection, and eta*, is bit for bit the full scan's. The reference
-    table at eta* and the two probes around it are real tables.
+    the bisection, and eta*, is bit for bit the full scan's. The two probes
+    around eta* are real tables. The y-powers of a crossing are read off the
+    top end table: by the same contract, which entries are 0.0 does not
+    depend on eta.
     If the end tables differ in r, in their component keys, in which entries
     are exactly 0.0, or in C by more than 1e-12 relative, every grid point
     and every midpoint gets its real table (the full scan). The tables must
@@ -338,9 +335,7 @@ def phase_boundaries(
             else:
                 e_hi = mid
         eta_star = math.sqrt(e_lo * e_hi)
-        ref = mu_of_eta(eta_star)
-        ki = _power_attribution(ref, i)
-        kj = _power_attribution(ref, j)
+        ki, kj = _power_attribution(ends[1], i), _power_attribution(ends[1], j)
         exponent = None
         powers = None
         if ki is not None and kj is not None and ki != kj:
@@ -365,12 +360,9 @@ def phase_boundaries(
         )
 
     # Within-index boundaries: two powers sharing the leading Hermite index.
-    ref = ends[1]
     leading: dict[int, list[int]] = {}
-    for k, contrib in ref.components:
-        lead = _first_nonzero(contrib)
-        if lead is not None:
-            leading.setdefault(lead, []).append(k)
+    for k, lead in _leading_indices(ends[1]):
+        leading.setdefault(lead, []).append(k)
     for m, ks in leading.items():
         ks = sorted(ks)
         for a_idx in range(len(ks)):
@@ -529,6 +521,12 @@ def _first_nonzero(contrib: Sequence[float]) -> int | None:
     return None
 
 
+def _leading_indices(mu: MuTable) -> list[tuple[int, int]]:
+    """(k, p_k) for each y-power k with a nonzero component, p_k the index
+    of its first nonzero entry."""
+    return [(k, p) for k, contrib in mu.components if (p := _first_nonzero(contrib)) is not None]
+
+
 def gamma_auto(spec: OracleSpec, mu: MuTable, d: int | None = None) -> float:
     """Step-size choice with constants set to 1.
 
@@ -536,17 +534,15 @@ def gamma_auto(spec: OracleSpec, mu: MuTable, d: int | None = None) -> float:
     index p_k of each oracle power k (for matched activations these indices
     are the information exponents of the corresponding link powers):
 
-        max_k s^(k-1) d^-(p_k/2 v 1),   s = _eta_rate: eta d for batch_reuse, eta otherwise.
+        max_k s^(k-1) d^-(p_k/2 v 1),   s: eta d for batch_reuse, eta otherwise.
 
-    Online has the one power k = 1, so its rule reads d^-(p/2 v 1).
+    s^(k-1) comes from _rate_power, which raises ValueError naming eta where
+    it overflows. Online has the one power k = 1, so its rule reads
+    d^-(p/2 v 1).
     """
     d = _check_d(mu, d)
-    s = _eta_rate(spec.kind, spec.eta, d)
-    terms = []
-    for k, contrib in sorted(mu.components):
-        p_k = _first_nonzero(contrib)
-        if p_k is not None:
-            terms.append(s ** (k - 1) * d ** (-_d_exp_gamma(p_k)))
+    terms = [_rate_power(spec.kind, spec.eta, d, k) * d ** (-_d_exp_gamma(p_k))
+             for k, p_k in _leading_indices(mu)]
     if not terms:
         raise ValueError("degenerate oracle: every mu_i vanishes")
     return float(max(terms))

@@ -427,6 +427,7 @@ class TestSimulateRunConfig:
         np.testing.assert_array_equal(got.teacher.theta_star, want.teacher.theta_star)
 
 
+DEEP_Z2 = ("--oracle", "deep_alternating", "--act", "z2", "--depth", "3")
 BAD_VALUES = [  # (command, bad flags and values, message)
     *[(c, ("--oracle", "bogus"), "unknown oracle kind 'bogus'")
       for c in ("mu", "simulate", "predict", "phase")],
@@ -443,12 +444,25 @@ BAD_VALUES = [  # (command, bad flags and values, message)
     ("hermite", ("--tol", "nan"), "tolerance must be finite and positive, got nan"),
     ("sweep", ("--eta-max", "inf"),
      "need count >= 1 and 0 < lo <= hi < inf, got count=50, lo=0.001, hi=inf"),
+    # an eta whose y^k scale overflows, and one at which a mu table is not finite
+    *[(c, ("--oracle", "batch_reuse", "--eta", "1e200"),
+       "the oracle's y^3 scale overflows at eta=1e+200") for c in ("mu", "simulate", "predict")],
+    ("phase", ("--oracle", "batch_reuse", "--eta-max", "1e200"),
+     "the oracle's y^3 scale overflows at eta=1e+200"),
+    *[(c, ("--eta", "1e308"), "the mu table is not finite at eta=1e+308")
+      for c in ("mu", "predict")],
+    *[(c, (*DEEP_Z2, "--eta", "1e200"), "the mu table is not finite at eta=1e+200")
+      for c in ("simulate", "predict")],
+    ("phase", (*DEEP_Z2, "--eta-max", "1e160"), "the mu table is not finite at eta=1e+160"),
+    ("sweep", ("--oracle", "batch_reuse", "--eta-max", "1e200"),
+     "the mu table is not finite at eta=1.9306977288833405e+150"),
 ]
 
 
 class TestBadValuesExit1:
     @pytest.mark.parametrize("command, bad, message", BAD_VALUES,
                              ids=[c + b[-2] + ("" if b[-1] == "bogus" else "=" + b[-1])
+                                  + ("-" + b[1] if b[0] == "--oracle" and len(b) > 2 else "")
                                   for c, b, _ in BAD_VALUES])
     def test_spec_error(self, capsys, recwarn, command, bad, message):
         code, out, err = run_cli(capsys, command, *MINIMAL[command], *bad)

@@ -348,6 +348,14 @@ class TestSignAssumption:
         with pytest.raises(ValueError, match="degenerate"):
             check_sign_assumption(mu)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises(self, bad):
+        # a non-finite entry has no meaningful score; with no finite one,
+        # istar was empty and the check passed as all(())
+        mu = MuTable(mus=(0.0, bad, 108.0), d=50, components=())
+        with pytest.raises(ValueError, match="not finite"):
+            check_sign_assumption(mu)
+
 
 class TestSteps:
     def setup_method(self):
@@ -1221,10 +1229,10 @@ class TestPhaseScanBitIdentity:
     @pytest.mark.parametrize("family", ATLAS, ids=ATLAS_IDS)
     def test_bisection_reads_its_signs_off_c(self, family, noise, d):
         # a bisection from one grid cell to 1e-15 relative takes about 45
-        # midpoints, and each crossing adds a reference table and two probes:
-        # 48 real tables a crossing when every midpoint builds one. Reading
-        # each midpoint's sign off C leaves the ~23 midpoints within about
-        # 1e-9 relative of the root, so about 26.
+        # midpoints, and each crossing adds two probes: 47 real tables a
+        # crossing when every midpoint builds one. Reading each midpoint's
+        # sign off C leaves the ~23 midpoints within about 1e-9 relative of
+        # the root, so about 25.
         bounds, calls = self._atlas_scan(family, noise, d)
         crossings = sum(not b.degenerate for b in bounds)
         if family[0] == "deep_alternating":
@@ -1232,6 +1240,21 @@ class TestPhaseScanBitIdentity:
         else:
             assert crossings >= 1
         assert len(calls) - 2 <= 30 * crossings
+
+    @pytest.mark.parametrize("d", [25, 400])
+    @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.family)
+    @pytest.mark.parametrize("family", ATLAS, ids=ATLAS_IDS)
+    def test_no_table_at_a_crossing(self, family, noise, d):
+        # a crossing's y-powers are read off the top end table, so eta* gets
+        # a table only as the midpoint where the bisection met T_i = T_j
+        bounds, calls = self._atlas_scan(family, noise, d)
+        kind, act, depth = family
+        for b in bounds:
+            if not b.degenerate:
+                spec = OracleSpec(kind=kind, activation=act, eta=b.eta_star, depth=depth)
+                tab = mu_table(spec, HE3, noise, d)
+                tie = math.log(_t_value(tab, b.i, d)) == math.log(_t_value(tab, b.j, d))
+                assert calls.count(b.eta_star) <= tie
 
     @staticmethod
     def _spy_pair_verdicts(monkeypatch):
@@ -1391,7 +1414,7 @@ CONST = MonomialPoly((0.7,))  # sigma' = 0: psi is the zero fallback
 
 class TestOneEtaRate:
     """_psi_terms and gamma_auto, which take each kind's eta rate from
-    _eta_rate, equal one branch per kind, bit for bit."""
+    _rate_power, equal one branch per kind, bit for bit."""
 
     @pytest.mark.parametrize("d", [10, 50])
     @pytest.mark.parametrize("kind", ORACLE_KINDS)

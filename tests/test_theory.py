@@ -311,6 +311,14 @@ class TestGammaAuto:
         with pytest.raises(ValueError):
             gamma_auto(spec, table((0.0, 0.0)), 50)
 
+    def test_overflowing_scale_names_eta(self):
+        # a finite table by hand whose y^3 term's eta^2 overflows
+        spec = OracleSpec(kind="deep_alternating", activation=HE3, eta=1e200)
+        mu = MuTable(mus=(1.0, 1.0), d=50, components=((1, (1.0, 0.0)), (3, (0.0, 1.0))))
+        with pytest.raises(ValueError) as err:
+            gamma_auto(spec, mu, 50)
+        assert str(err.value) == "the oracle's y^3 scale overflows at eta=1e+200"
+
 
 class TestTableDimension:
     """A d given beside a mu table must be the table's d; a different one
