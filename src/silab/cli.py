@@ -8,6 +8,8 @@ takes every key, and its ``--config`` file's values yield to the flags.
 ``EXTRA_FLAGS`` types the flags that are no config key. ``simulate --out``
 names the trajectory CSV file (stdout when omitted), not the sweep's output
 directory. A value that the spec objects reject exits 1 with ``error:``.
+Every table is CSV with '\\n' line ends (``harness._write_table``), after
+the command's '#' lines.
 
 Polynomial arguments take the forms that ``hermite.parse_poly`` reads.
 """
@@ -15,14 +17,13 @@ Polynomial arguments take the forms that ``hermite.parse_poly`` reads.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 
-from .dynamics import run
+from .dynamics import normalization_error_audit, run
 from .harness import (
-    CONFIG, emit, fit_boundary_slope, oracle_spec, parse_config, resolve, resolve_gamma,
-    run_config, spec_from_config, sweep, teacher_spec,
+    CONFIG, _write_table, emit, fit_boundary_slope, oracle_spec, parse_config, resolve,
+    resolve_gamma, run_config, spec_from_config, sweep, teacher_spec,
 )
 from .hermite import expand, exponent_report, parse_poly
 from .model import SeedTree, draw_batch
@@ -33,25 +34,22 @@ from .theory import phase_boundaries, predict_T
 def _cmd_hermite(args, cfg) -> int:
     link = parse_poly(cfg["link"])
     report = exponent_report(link, args.powers, args.tol)
-    out = csv.writer(sys.stdout)
     print(f"# ie={report.ie} ge_upper_bound={report.ge_upper_bound} "
           f"witness_power={report.witness_power}")
     print("# power_ies=" + ";".join(f"{i}:{p}" for i, p in report.power_ies))
-    out.writerow(["power", "k", "u_k"])
-    for i in range(1, args.powers + 1):
-        exp_i = expand(link.power(i))
-        for k, u in enumerate(exp_i.coeffs):
-            out.writerow([i, k, f"{u:.12g}"])
+    _write_table(sys.stdout, ["power", "k", "u_k"], (
+        [i, k, f"{u:.12g}"]
+        for i in range(1, args.powers + 1)
+        for k, u in enumerate(expand(link.power(i)).coeffs)
+    ))
     return 0
 
 
 def _cmd_gen_data(args, cfg) -> int:
     teacher = teacher_spec(cfg)
     x, y = draw_batch(teacher, args.n, SeedTree(args.seed).rng())
-    out = csv.writer(sys.stdout)
-    out.writerow([f"x_{j + 1}" for j in range(teacher.d)] + ["y"])
-    for row, label in zip(x, y):
-        out.writerow([f"{v:.12g}" for v in row] + [f"{label:.12g}"])
+    _write_table(sys.stdout, [f"x_{j + 1}" for j in range(teacher.d)] + ["y"],
+                 ([f"{v:.12g}" for v in row] + [f"{label:.12g}"] for row, label in zip(x, y)))
     return 0
 
 
@@ -66,10 +64,8 @@ def _cmd_mu(args, cfg) -> int:
     except ValueError as err:
         print(f"# sign_assumption=error ({err})")
         istar = set()
-    out = csv.writer(sys.stdout)
-    out.writerow(["i", "mu_i", "istar_flag"])
-    for i, m in enumerate(mu.mus, start=1):
-        out.writerow([i, f"{m:.12g}", int(i in istar)])
+    _write_table(sys.stdout, ["i", "mu_i", "istar_flag"],
+                 ([i, f"{m:.12g}", int(i in istar)] for i, m in enumerate(mu.mus, start=1)))
     return 0
 
 
@@ -78,13 +74,13 @@ def _cmd_simulate(args, cfg) -> int:
     spec = oracle_spec(cfg, args.eta)
     spec = replace(spec, gamma=resolve_gamma(cfg["gamma"], spec, teacher))
     config = run_config(cfg, teacher, spec, args.n, args.seed, args.audit)
-    stream = open(args.out, "w") if args.out else sys.stdout
+    stream = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         traj = run(config)
-        writer = csv.writer(stream)
-        writer.writerow(["step", "samples_seen", "kappa"])
-        for step, seen, kappas in zip(traj.steps, traj.samples_seen, traj.alignments):
-            writer.writerow([step, seen, f"{max(kappas):.12g}"])
+        _write_table(stream, ["step", "samples_seen", "kappa"], (
+            [step, seen, f"{max(kappas):.12g}"]
+            for step, seen, kappas in zip(traj.steps, traj.samples_seen, traj.alignments)
+        ))
     finally:
         if args.out:
             stream.close()
@@ -94,8 +90,6 @@ def _cmd_simulate(args, cfg) -> int:
     )
     print(summary, file=sys.stdout if args.out else sys.stderr)
     if args.audit:
-        from .dynamics import normalization_error_audit
-
         report = normalization_error_audit(traj)
         print(
             f"audit: checked={report.n_steps_checked} violations={report.n_violations} "
@@ -113,10 +107,7 @@ def _cmd_predict(args, cfg) -> int:
     pred = predict_T(mu, gamma, teacher.d)
     print(f"# T={pred.t:.12g} dominant_i={pred.dominant_i} gamma={gamma:.12g} "
           f"gamma_max={pred.gamma_max:.12g}")
-    out = csv.writer(sys.stdout)
-    out.writerow(["i", "t_i"])
-    for i, val in pred.t_per_i:
-        out.writerow([i, f"{val:.12g}"])
+    _write_table(sys.stdout, ["i", "t_i"], ([i, f"{val:.12g}"] for i, val in pred.t_per_i))
     return 0
 
 
@@ -126,12 +117,10 @@ def _cmd_phase(args, cfg) -> int:
     bounds = phase_boundaries(
         mu_of_eta(spec, teacher), teacher.d, (cfg["eta_min"], cfg["eta_max"]), spec=spec
     )
-    out = csv.writer(sys.stdout)
-    out.writerow(["i", "j", "eta_star", "exponent_if_known"])
-    for b in bounds:
-        out.writerow(
-            [b.i, b.j, f"{b.eta_star:.12g}", "" if b.exponent is None else f"{b.exponent:.12g}"]
-        )
+    _write_table(sys.stdout, ["i", "j", "eta_star", "exponent_if_known"], (
+        [b.i, b.j, f"{b.eta_star:.12g}", "" if b.exponent is None else f"{b.exponent:.12g}"]
+        for b in bounds
+    ))
     return 0
 
 

@@ -130,6 +130,16 @@ def recovery_alignment(final_alignment: float, diverged) -> float:
     return final_alignment
 
 
+def recovers(alignments, threshold: float, use_mean: bool = False) -> bool:
+    """Whether a group of replicates recovers: the median (the mean with
+    use_mean) of their recovery alignments clears the weak threshold.
+
+    This is the one group rule: sweep summaries, the plot grid and the
+    sample-size search all judge replicates through it.
+    """
+    return bool((np.mean if use_mean else statistics.median)(alignments) >= threshold)
+
+
 def _first_crossing(steps: np.ndarray, series: np.ndarray, level: float) -> int | None:
     hits = np.nonzero(series >= level)[0]
     return int(steps[hits[0]]) if hits.size else None
@@ -309,9 +319,9 @@ def normalization_error_audit(traj: Trajectory, tol: float = 1e-10) -> AuditRepo
 
 
 def weak_recovery_sample_size(config: RunConfig, n_grid, replicates: int) -> int | None:
-    """Smallest grid n whose median final alignment clears the weak
-    threshold, or None when no grid point recovers. Diverged runs count as
-    alignment -1 (see recovery_alignment).
+    """Smallest grid n whose replicates recover (see recovers: their median
+    final alignment clears the weak threshold), or None when no grid point
+    recovers. Diverged runs count as alignment -1 (see recovery_alignment).
 
     The search runs the levels in increasing n and stops at the first level
     that recovers; replicate rep of level idx runs on seed child(idx, rep).
@@ -326,7 +336,7 @@ def weak_recovery_sample_size(config: RunConfig, n_grid, replicates: int) -> int
         for rep in range(replicates):
             traj = run(replace(config, n=n, seed=config.seed.child(idx, rep)))
             finals.append(recovery_alignment(traj.final_alignment, traj.diverged))
-        if statistics.median(finals) >= config.weak_threshold:
+        if recovers(finals, config.weak_threshold):
             return n
     return None
 

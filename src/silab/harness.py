@@ -37,6 +37,7 @@ name on another subcommand takes the same type and default, see ``resolve``):
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import statistics
@@ -45,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import RunConfig, recovery_alignment, run
+from .dynamics import RunConfig, recovers, recovery_alignment, run
 from .hermite import parse_poly
 from .model import NoiseSpec, SeedTree, TeacherSpec
 from .oracles import OracleSpec, mu_of_eta, mu_table
@@ -131,14 +132,14 @@ def _row_oracle(spec: SweepSpec, eta: float) -> OracleSpec:
     return replace(oracle, gamma=resolve_gamma(spec.gamma_mode, oracle, spec.base.teacher))
 
 
-def _aggregated(spec: SweepSpec, cells: Sequence[Cell]) -> dict[tuple[int, int], float]:
-    """Replicate-aggregated recovery alignment per (eta index, n index)."""
+def _verdicts(spec: SweepSpec, cells: Sequence[Cell]) -> dict[tuple[int, int], bool]:
+    """Whether the replicates of each (eta index, n index) recover, by recovers."""
     groups: dict[tuple[int, int], list[float]] = {}
     for c in cells:
         val = recovery_alignment(c.final_alignment, c.diverged)
         groups.setdefault((c.eta_index, c.n_index), []).append(val)
-    agg = np.mean if spec.use_mean else statistics.median
-    return {key: agg(vals) for key, vals in groups.items()}
+    return {key: recovers(vals, spec.base.weak_threshold, spec.use_mean)
+            for key, vals in groups.items()}
 
 
 def _run_cell(payload) -> Cell:
@@ -162,15 +163,14 @@ def _run_cell(payload) -> Cell:
 def summarize(
     spec: SweepSpec, cells: Sequence[Cell]
 ) -> tuple[tuple[float, int | None], ...]:
-    """Per-eta minimal grid n whose replicate-aggregated final alignment
-    clears the weak threshold (diverged replicates count as alignment -1,
-    see recovery_alignment)."""
-    agg = _aggregated(spec, cells)
+    """Per-eta minimal grid n whose replicates recover (see recovers;
+    diverged replicates count as alignment -1, see recovery_alignment)."""
+    verdicts = _verdicts(spec, cells)
     summary = []
     for ei, eta in enumerate(spec.eta_grid):
         n_star = None
         for ni, n in enumerate(spec.n_grid):
-            if agg.get((ei, ni), -math.inf) >= spec.base.weak_threshold:
+            if verdicts.get((ei, ni), False):
                 n_star = n
                 break
         summary.append((eta, n_star))
@@ -264,59 +264,55 @@ def knee_eta(result: SweepResult) -> float | None:
     return None
 
 
+def _write_table(stream, header: Sequence, rows) -> None:
+    """Write a CSV table to an open text stream: the header, then the rows,
+    every line ending in '\\n'. A file should be opened with newline=""."""
+    out = csv.writer(stream, lineterminator="\n")
+    out.writerow(header)
+    out.writerows(rows)
+
+
 def emit(result: SweepResult, out_dir: str):
     """Write the sweep artifacts; returns the four paths written.
 
     cells.csv has one row per cell and summary.csv the pairs (eta, n_star).
     grid.plotdata is a text matrix of 0/1 recovery indicators (rows eta,
-    columns n, replicate-aggregated alignments thresholded at the weak
-    threshold), and phase.csv holds the predicted boundary markers: only its
-    header for the online oracle, and for gamma_mode 'eta_as_gamma', where
-    every cell runs at eta = 0 and the grid is the step size.
+    columns n, each the verdict of recovers on the cell's replicates), and
+    phase.csv holds the predicted boundary markers: only its header for the
+    online oracle, and for gamma_mode 'eta_as_gamma', where every cell runs
+    at eta = 0 and the grid is the step size.
     """
     os.makedirs(out_dir, exist_ok=True)
-    spec = result.spec
+    spec, base = result.spec, result.spec.base
     cells_path = os.path.join(out_dir, "cells.csv")
-    with open(cells_path, "w") as fh:
-        fh.write("eta,n,replicate,seed,final_alignment,recovered,samples_seen,diverged\n")
-        for c in result.cells:
-            fh.write(
-                f"{c.eta:.10g},{c.n},{c.replicate},{c.seed},"
-                f"{c.final_alignment:.10g},{c.recovered},{c.samples_seen},{c.diverged}\n"
-            )
+    with open(cells_path, "w", newline="") as fh:
+        header = "eta,n,replicate,seed,final_alignment,recovered,samples_seen,diverged"
+        _write_table(fh, header.split(","), (
+            [f"{c.eta:.10g}", c.n, c.replicate, c.seed, f"{c.final_alignment:.10g}",
+             c.recovered, c.samples_seen, c.diverged] for c in result.cells))
     summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w") as fh:
-        fh.write("eta,n_star\n")
-        for eta, n_star in result.summary:
-            fh.write(f"{eta:.10g},{'' if n_star is None else n_star}\n")
-    agg = _aggregated(spec, result.cells)
+    with open(summary_path, "w", newline="") as fh:
+        # csv writes None, an eta that no grid n recovers, as an empty field
+        _write_table(fh, ["eta", "n_star"],
+                     ([f"{eta:.10g}", n_star] for eta, n_star in result.summary))
+    verdicts = _verdicts(spec, result.cells)
     grid_path = os.path.join(out_dir, "grid.plotdata")
     with open(grid_path, "w") as fh:
         fh.write("eta " + " ".join(str(n) for n in spec.n_grid) + "\n")
         for ei, eta in enumerate(spec.eta_grid):
-            row = [
-                str(int(agg[(ei, ni)] >= spec.base.weak_threshold))
-                for ni in range(len(spec.n_grid))
-            ]
+            row = [str(int(verdicts[(ei, ni)])) for ni in range(len(spec.n_grid))]
             fh.write(f"{eta:.10g} " + " ".join(row) + "\n")
+    eta_range = (spec.eta_grid[0], spec.eta_grid[-1])
+    bounds = ()
+    if (base.oracle.kind != "online" and spec.gamma_mode != "eta_as_gamma"
+            and eta_range[0] < eta_range[1]):
+        bounds = phase_boundaries(mu_of_eta(base.oracle, base.teacher), base.teacher.d, eta_range,
+                                  spec=base.oracle)
     phase_path = os.path.join(out_dir, "phase.csv")
-    eta_lo, eta_hi = spec.eta_grid[0], spec.eta_grid[-1]
-    with open(phase_path, "w") as fh:
-        fh.write("i,j,eta_star,exponent\n")
-        if (
-            spec.base.oracle.kind != "online"
-            and spec.gamma_mode != "eta_as_gamma"
-            and eta_lo < eta_hi
-        ):
-            bounds = phase_boundaries(
-                mu_of_eta(spec.base.oracle, spec.base.teacher),
-                spec.base.teacher.d,
-                (eta_lo, eta_hi),
-                spec=spec.base.oracle,
-            )
-            for b in bounds:
-                exp = "" if b.exponent is None else f"{b.exponent:.10g}"
-                fh.write(f"{b.i},{b.j},{b.eta_star:.10g},{exp}\n")
+    with open(phase_path, "w", newline="") as fh:
+        _write_table(fh, ["i", "j", "eta_star", "exponent"], (
+            [b.i, b.j, f"{b.eta_star:.10g}", "" if b.exponent is None else f"{b.exponent:.10g}"]
+            for b in bounds))
     return [cells_path, summary_path, grid_path, phase_path]
 
 

@@ -90,9 +90,10 @@ class NoiseSpec:
         return rng.laplace(0.0, self.tau, size)
 
 
-def unit_vector(d: int, index: int = 0) -> np.ndarray:
+def unit_vector(d: int) -> np.ndarray:
+    """e_1 in dimension d."""
     e = np.zeros(d)
-    e[index] = 1.0
+    e[0] = 1.0
     return e
 
 

@@ -21,11 +21,6 @@ _C_AGREEMENT = 1e-12  # relative gap between the two ends' C that abstains
 _LEMMA_TOL = 1e-9  # relative excess over a lemma bound that counts as a violation
 
 
-def _d_exp_gamma(i: int) -> float:
-    """Dimension exponent of the step-size cap at index i: i/2 joined at 1."""
-    return max(i / 2.0, 1.0)
-
-
 def _check_d(mu: MuTable, d: int | None) -> int:
     """The table's d, after checking that a given d agrees with it."""
     if d is not None and d != mu.d:
@@ -61,9 +56,10 @@ class Prediction:
 
 
 def gamma_max(mu: MuTable, d: int | None = None) -> float:
-    """Largest admissible step size, constants 1: max_i mu_i d^-(i/2 v 1)."""
+    """Largest admissible step size, constants 1: max_i mu_i d^-(i/2 v 1),
+    where i/2 v 1 is the T exponent (i-2)/2 v 0 plus 1."""
     d = _check_d(mu, d)
-    vals = [m * d ** (-_d_exp_gamma(i)) for i, m in enumerate(mu.mus, 1) if m > 0]
+    vals = [m * d ** -(_d_exp_iterations(i) + 1.0) for i, m in enumerate(mu.mus, 1) if m > 0]
     if not vals:
         raise ValueError("no positive mu entry; no admissible step size")
     return max(vals)
@@ -71,7 +67,11 @@ def gamma_max(mu: MuTable, d: int | None = None) -> float:
 
 def predict_T(mu: MuTable, gamma: float, d: int | None = None) -> Prediction:
     """Evaluate the recovery-time formula at a given step size and, jointly,
-    at the best admissible one."""
+    at the best admissible one.
+
+    Raises ValueError naming gamma when a predicted time is 0.0 or not
+    finite, which happens where gamma mu_i or mu_i^2 leaves the float range.
+    """
     d = _check_d(mu, d)
     _check_gamma(gamma)
     entries = [
@@ -86,6 +86,9 @@ def predict_T(mu: MuTable, gamma: float, d: int | None = None) -> Prediction:
     opt = [(i, d ** max(i - 1, 1) / (m * m)) for i, m in enumerate(mu.mus, 1) if m > 0]
     t_opt = min(v for _, v in opt)
     dominant_opt = min(i for i, v in opt if v == t_opt)
+    if not all(0.0 < v < math.inf for _, v in entries + opt):
+        raise ValueError(f"a predicted time is 0 or not finite at gamma={gamma}: "
+                         "gamma mu_i or mu_i^2 leaves the float range")
     return Prediction(
         t_per_i=tuple(entries),
         t=t,
@@ -541,7 +544,7 @@ def gamma_auto(spec: OracleSpec, mu: MuTable, d: int | None = None) -> float:
     d^-(p/2 v 1).
     """
     d = _check_d(mu, d)
-    terms = [_rate_power(spec.kind, spec.eta, d, k) * d ** (-_d_exp_gamma(p_k))
+    terms = [_rate_power(spec.kind, spec.eta, d, k) * d ** -(_d_exp_iterations(p_k) + 1.0)
              for k, p_k in _leading_indices(mu)]
     if not terms:
         raise ValueError("degenerate oracle: every mu_i vanishes")

@@ -456,6 +456,10 @@ BAD_VALUES = [  # (command, bad flags and values, message)
     ("phase", (*DEEP_Z2, "--eta-max", "1e160"), "the mu table is not finite at eta=1e+160"),
     ("sweep", ("--oracle", "batch_reuse", "--eta-max", "1e200"),
      "the mu table is not finite at eta=1.9306977288833405e+150"),
+    # a finite table whose predicted times leave the float range
+    *[("predict", (flag, value), f"a predicted time is 0 or not finite at gamma={gamma}")
+      for flag, value, gamma in (("--eta", "1e200", "5e+198"), ("--gamma", "1e308", "1e+308"),
+                                 ("--gamma", "1e-320", "1e-320"))],
 ]
 
 
@@ -470,6 +474,24 @@ class TestBadValuesExit1:
         assert out == ""
         assert f"error: {message}" in err
         assert not recwarn.list
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("command", [c for c in MINIMAL if c != "sweep"])
+    def test_every_table_ends_its_lines_in_newline(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, *MINIMAL[command])
+        assert code == 0
+        assert "\r" not in out and out.endswith("\n")
+
+    def test_simulate_out_and_sweep_files(self, capsys, tmp_path):
+        traj = tmp_path / "traj.csv"
+        assert run_cli(capsys, "simulate", *MINIMAL["simulate"], "--out", str(traj))[0] == 0
+        code, out, _ = run_cli(capsys, *QUICK_SWEEP, "--out", str(tmp_path / "sweep"))
+        assert code == 0
+        paths = [traj, *(line for line in out.splitlines() if not line.startswith("#"))]
+        assert len(paths) == 5
+        for path in paths:
+            assert b"\r" not in open(path, "rb").read(), path
 
 
 class TestBadGamma:

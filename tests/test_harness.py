@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import silab
-from silab import harness
+from silab import dynamics, harness
 from silab import (
     NoiseSpec,
     OracleSpec,
@@ -23,8 +23,8 @@ from silab import (
     log_grid,
     sweep,
 )
+from silab.dynamics import recovers, weak_recovery_sample_size
 from silab.harness import (
-    Cell,
     SweepResult,
     SweepSpec,
     parse_config,
@@ -194,16 +194,43 @@ class TestSweep:
 
     def test_replicate_median_has_numpy_bits(self):
         """statistics.median takes the middle value, or (a + b) / 2 of the two
-        middle ones, as np.median does, so each aggregate keeps its bits."""
+        middle ones, as np.median does, so recovers judges a group as
+        np.median does at its median and at the floats on either side."""
         rng = np.random.default_rng(5)
-        cells, groups = [], {}
-        for ni, count in enumerate((1, 2, 3, 4, 7)):
+        for count in (1, 2, 3, 4, 7):
             vals = [float(v) for v in rng.uniform(-1.0, 1.0, count)]
-            groups[(0, ni)] = vals
-            cells += [Cell(0, ni, rep, 0.1, 64, 0, v, 0, 64, 0) for rep, v in enumerate(vals)]
-        agg = harness._aggregated(tiny_spec(), cells)
-        for key, vals in groups.items():
-            assert np.float64(agg[key]).tobytes() == np.median(vals).tobytes()
+            med = np.median(vals)
+            for t in (np.nextafter(med, -np.inf), med, np.nextafter(med, np.inf)):
+                assert recovers(vals, float(t)) == (med >= t)
+
+
+class TestOneGroupRule:
+    @pytest.mark.parametrize("verdict", [True, False])
+    def test_summary_grid_and_search_follow_recovers(self, monkeypatch, tmp_path, verdict):
+        """The summary, the plot grid and the sample-size search judge every
+        group of replicates by dynamics.recovers and by nothing else."""
+        calls = []
+
+        def rule(alignments, threshold, use_mean=False):
+            calls.append((len(alignments), threshold, use_mean))
+            return verdict
+
+        monkeypatch.setattr(dynamics, "recovers", rule)
+        monkeypatch.setattr(harness, "recovers", rule)
+        spec = tiny_spec(replicates=2)
+        spec.eta_grid, spec.n_grid, spec.use_mean = (0.01, 0.1), (64, 128), True
+        emit(sweep(spec), str(tmp_path))
+        n_star = "64" if verdict else ""
+        assert (tmp_path / "summary.csv").read_text() == (
+            f"eta,n_star\n0.01,{n_star}\n0.1,{n_star}\n")
+        flags = f"{int(verdict)} {int(verdict)}"
+        assert (tmp_path / "grid.plotdata").read_text() == (
+            f"eta 64 128\n0.01 {flags}\n0.1 {flags}\n")
+        assert set(calls) == {(2, 0.5, True)}
+        calls.clear()
+        found = weak_recovery_sample_size(spec.base, [64, 128], replicates=3)
+        assert found == (64 if verdict else None)
+        assert set(calls) == {(3, 0.5, False)}
 
 
 class TestRows:

@@ -1385,7 +1385,7 @@ def _per_kind_gamma_auto(spec, mu, d):
         p = theory._first_nonzero(mu.mus)
         if p is None:
             raise ValueError("degenerate oracle: every mu_i vanishes")
-        return float(d ** (-theory._d_exp_gamma(p)))
+        return float(d ** -max(p / 2.0, 1.0))
     terms = []
     for k, contrib in sorted(dict(mu.components).items()):
         p_k = theory._first_nonzero(contrib)
@@ -1395,7 +1395,7 @@ def _per_kind_gamma_auto(spec, mu, d):
             scale = spec.eta ** (k - 1)
         else:
             scale = (spec.eta * d) ** (k - 1)
-        terms.append(scale * d ** (-theory._d_exp_gamma(p_k)))
+        terms.append(scale * d ** -max(p_k / 2.0, 1.0))
     if not terms:
         raise ValueError("degenerate oracle: every mu_i vanishes")
     return float(max(terms))

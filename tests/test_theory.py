@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -85,6 +86,16 @@ class TestPredictT:
     def test_no_positive_mu_errors(self):
         with pytest.raises(ValueError, match="no positive"):
             predict_T(table((0.0, -1.0), d=10), gamma=0.1, d=10)
+
+    def test_times_out_of_float_range_raise_naming_gamma(self):
+        # at eta = 1e160 the table is finite, but gamma_auto mu_2 and mu_2^2
+        # overflow, so t and t_optimal would read 0.0
+        spec = OracleSpec(kind="alternating", activation=HE3, eta=1e160)
+        mu = mu_table(spec, HE3, NOISELESS, 50)
+        assert all(math.isfinite(m) for m in mu.mus)
+        gamma = gamma_auto(spec, mu, 50)
+        with pytest.raises(ValueError, match=re.escape(f"0 or not finite at gamma={gamma}")):
+            predict_T(mu, gamma, 50)
 
     def test_optimal_form_equals_explicit_at_gamma_max(self):
         rng = np.random.default_rng(17)
