@@ -278,9 +278,10 @@ def emit(result: SweepResult, out_dir: str):
     cells.csv has one row per cell and summary.csv the pairs (eta, n_star).
     grid.plotdata is a text matrix of 0/1 recovery indicators (rows eta,
     columns n, each the verdict of recovers on the cell's replicates), and
-    phase.csv holds the predicted boundary markers: only its header for the
-    online oracle, and for gamma_mode 'eta_as_gamma', where every cell runs
-    at eta = 0 and the grid is the step size.
+    phase.csv holds the predicted boundary markers over the eta grid: only
+    its header for gamma_mode 'eta_as_gamma', where every cell runs at
+    eta = 0 and the grid is the step size. (An online table does not depend
+    on eta, so its scan finds no boundary.)
     """
     os.makedirs(out_dir, exist_ok=True)
     spec, base = result.spec, result.spec.base
@@ -304,8 +305,7 @@ def emit(result: SweepResult, out_dir: str):
             fh.write(f"{eta:.10g} " + " ".join(row) + "\n")
     eta_range = (spec.eta_grid[0], spec.eta_grid[-1])
     bounds = ()
-    if (base.oracle.kind != "online" and spec.gamma_mode != "eta_as_gamma"
-            and eta_range[0] < eta_range[1]):
+    if spec.gamma_mode != "eta_as_gamma" and eta_range[0] < eta_range[1]:
         bounds = phase_boundaries(mu_of_eta(base.oracle, base.teacher), base.teacher.d, eta_range,
                                   spec=base.oracle)
     phase_path = os.path.join(out_dir, "phase.csv")

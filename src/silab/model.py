@@ -34,6 +34,10 @@ class SeedTree:
     master_seed: int
     path: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.master_seed < 0:
+            raise ValueError(f"the master seed must be nonnegative, got {self.master_seed}")
+
     def child(self, *indices: int) -> "SeedTree":
         return SeedTree(self.master_seed, self.path + tuple(int(i) for i in indices))
 

@@ -179,12 +179,18 @@ def _psi_polys(activation: MonomialPoly, kind: str, depth: int) -> tuple[tuple[f
     return tuple(q.coeffs for q in polys)
 
 
+def _rate_d_exponent(kind: str) -> float:
+    """The d-exponent of the rate s = eta d^e at which the oracle's y^k term
+    scales: 1 for batch_reuse, whose surrogate replaces the squared projected
+    norm of x by d, and 0 for every other kind."""
+    return 1.0 if kind == "batch_reuse" else 0.0
+
+
 def _rate_power(kind: str, eta: float, d: int, k: int) -> float:
-    """s^(k-1) for the rate s at which the oracle's y^k term scales, as
-    s^(k-1)/(k-1)!: eta d for batch_reuse, whose surrogate replaces the
-    squared projected norm of x by d, and eta for every other kind. Raises
-    ValueError naming eta where the power overflows."""
-    s = eta * d if kind == "batch_reuse" else eta
+    """s^(k-1) for the rate s = eta d^_rate_d_exponent(kind) at which the
+    oracle's y^k term scales, as s^(k-1)/(k-1)!. Raises ValueError naming eta
+    where the power overflows."""
+    s = eta * d ** _rate_d_exponent(kind)
     try:
         return s ** (k - 1)
     except OverflowError:

@@ -7,13 +7,15 @@ iteration counts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .oracles import MuTable, OracleSpec, _d_exp_iterations, _rate_power
+from .oracles import MuTable, OracleSpec, _d_exp_iterations, _rate_d_exponent, _rate_power
 
 PHASE_GRID = 256  # points of phase_boundaries' log-spaced eta grid
 _SIGN_MARGIN = 1e-9  # relative margin at which a sign is read off C
@@ -26,6 +28,19 @@ def _check_d(mu: MuTable, d: int | None) -> int:
     if d is not None and d != mu.d:
         raise ValueError(f"d={d} differs from the mu table's d={mu.d}")
     return mu.d
+
+
+def _positive(mu: MuTable) -> list[tuple[int, float]]:
+    """(i, mu_i) for every index with mu_i > 0, the terms a recovery time counts."""
+    return [(i, m) for i, m in enumerate(mu.mus, 1) if m > 0]
+
+
+def _argmin(entries: Sequence[tuple[int, float]]) -> tuple[float, int]:
+    """The least value of (i, value) entries, given in increasing i as
+    _positive gives them, and the lowest i that attains it (min keeps the
+    first of equal values)."""
+    i, v = min(entries, key=itemgetter(1))
+    return v, i
 
 
 def _check_gamma(gamma: float) -> None:
@@ -59,7 +74,7 @@ def gamma_max(mu: MuTable, d: int | None = None) -> float:
     """Largest admissible step size, constants 1: max_i mu_i d^-(i/2 v 1),
     where i/2 v 1 is the T exponent (i-2)/2 v 0 plus 1."""
     d = _check_d(mu, d)
-    vals = [m * d ** -(_d_exp_iterations(i) + 1.0) for i, m in enumerate(mu.mus, 1) if m > 0]
+    vals = [m * d ** -(_d_exp_iterations(i) + 1.0) for i, m in _positive(mu)]
     if not vals:
         raise ValueError("no positive mu entry; no admissible step size")
     return max(vals)
@@ -74,18 +89,13 @@ def predict_T(mu: MuTable, gamma: float, d: int | None = None) -> Prediction:
     """
     d = _check_d(mu, d)
     _check_gamma(gamma)
-    entries = [
-        (i, d ** _d_exp_iterations(i) / (gamma * m))
-        for i, m in enumerate(mu.mus, 1)
-        if m > 0
-    ]
-    if not entries:
+    positive = _positive(mu)
+    if not positive:
         raise ValueError("no positive mu entry; no prediction")
-    t = min(v for _, v in entries)
-    dominant = min(i for i, v in entries if v == t)
-    opt = [(i, d ** max(i - 1, 1) / (m * m)) for i, m in enumerate(mu.mus, 1) if m > 0]
-    t_opt = min(v for _, v in opt)
-    dominant_opt = min(i for i, v in opt if v == t_opt)
+    entries = [(i, d ** _d_exp_iterations(i) / (gamma * m)) for i, m in positive]
+    opt = [(i, d ** max(i - 1, 1) / (m * m)) for i, m in positive]
+    t, dominant = _argmin(entries)
+    t_opt, dominant_opt = _argmin(opt)
     if not all(0.0 < v < math.inf for _, v in entries + opt):
         raise ValueError(f"a predicted time is 0 or not finite at gamma={gamma}: "
                          "gamma mu_i or mu_i^2 leaves the float range")
@@ -128,11 +138,8 @@ def _t_value(mu: MuTable, i: int, d: int) -> float:
 
 
 def _dominant_index(mu: MuTable, d: int) -> int | None:
-    vals = {i: _t_value(mu, i, d) for i in range(1, mu.r + 1) if mu.mu(i) > 0}
-    if not vals:
-        return None
-    best = min(vals.values())
-    return min(i for i, v in vals.items() if v == best)
+    times = [(i, d ** _d_exp_iterations(i) / m) for i, m in _positive(mu)]
+    return _argmin(times)[1] if times else None
 
 
 def _power_attribution(mu: MuTable, i: int) -> int | None:
@@ -142,11 +149,9 @@ def _power_attribution(mu: MuTable, i: int) -> int | None:
 
 
 def _analytic_exponent(kind: str, mi: int, mj: int, ki: int, kj: int) -> float:
-    num = max(mj - 1, 1) - max(mi - 1, 1)
-    exp = num / (2.0 * (kj - ki))
-    if kind == "batch_reuse":
-        exp -= 1.0
-    return exp
+    """d-exponent of the eta at which the y^ki term at index mi meets the
+    y^kj term at index mj, for ki < kj; the rate's own d-exponent comes off."""
+    return (max(mj - 1, 1) - max(mi - 1, 1)) / (2.0 * (kj - ki)) - _rate_d_exponent(kind)
 
 
 def _eta_free_coefficients(lo: MuTable, hi: MuTable, eta_lo: float, eta_hi: float):
@@ -260,10 +265,14 @@ def phase_boundaries(
     For every pair of indices with positive mu somewhere in the range, the
     first sign change of the log-ratio of their T contributions on the
     PHASE_GRID log grid is bracketed and bisected to floating-point resolution
-    (the two contributions then agree to much better than 1e-9 relative).
+    (the two contributions then agree to much better than 1e-9 relative). A
+    grid cell brackets only where the two signs differ, so a cell where the
+    contributions tie at both ends does not, and a pair tied at every eta
+    (an online table, whose mu_i all share one y-power) has no crossing.
     Degenerate boundaries, where two oracle powers share their leading Hermite
     index and hence no T-pair crossing exists, are reported analytically at
-    the constants-1 validity edge d**exponent.
+    the constants-1 validity edge d**exponent, and only when that edge lies
+    in eta_range, ends included.
 
     The scan reads the grid and the bisection only as signs. It builds real
     tables at the two grid ends and relies on mu_table's contract: component
@@ -303,12 +312,12 @@ def phase_boundaries(
     for tab in ends:
         _check_d(tab, d)
     r = ends[0].r
-    kind = spec.kind
 
     pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
     fit = _eta_free_coefficients(*ends, float(etas[0]), float(etas[-1]))
     signs = _grid_signs(etas, ends, fit, mu_of_eta, d, r)
-    brackets = signs[:, :-1] * signs[:, 1:] <= 0  # false where either is nan
+    a, b = signs[:, :-1], signs[:, 1:]
+    brackets = (a * b <= 0) & (a != b)  # false where either is nan, or both are 0
     first = np.argmax(brackets, axis=1)  # one boundary per pair: its first bracket
     out: list[PhaseBoundary] = []
     for p in np.flatnonzero(brackets[np.arange(len(pairs)), first]):
@@ -342,10 +351,8 @@ def phase_boundaries(
         exponent = None
         powers = None
         if ki is not None and kj is not None and ki != kj:
-            if ki < kj:
-                exponent = _analytic_exponent(kind, i, j, ki, kj)
-            else:
-                exponent = _analytic_exponent(kind, j, i, kj, ki)
+            (k_lo, m_lo), (k_hi, m_hi) = sorted(((ki, i), (kj, j)))
+            exponent = _analytic_exponent(spec.kind, m_lo, m_hi, k_lo, k_hi)
             powers = (ki, kj)
         dom_lo = _dominant_index(mu_of_eta(eta_star * 0.99), d)
         dom_hi = _dominant_index(mu_of_eta(eta_star * 1.01), d)
@@ -367,21 +374,13 @@ def phase_boundaries(
     for k, lead in _leading_indices(ends[1]):
         leading.setdefault(lead, []).append(k)
     for m, ks in leading.items():
-        ks = sorted(ks)
-        for a_idx in range(len(ks)):
-            for b_idx in range(a_idx + 1, len(ks)):
-                exp = _analytic_exponent(kind, m, m, ks[a_idx], ks[b_idx])
-                out.append(
-                    PhaseBoundary(
-                        i=m,
-                        j=m,
-                        eta_star=float(d**exp),
-                        exponent=exp,
-                        powers=(ks[a_idx], ks[b_idx]),
-                        degenerate=True,
-                        argmin_switch=False,
-                    )
-                )
+        for k_lo, k_hi in itertools.combinations(sorted(ks), 2):
+            exp = _analytic_exponent(spec.kind, m, m, k_lo, k_hi)
+            edge = float(d**exp)
+            if lo <= edge <= hi:
+                out.append(PhaseBoundary(i=m, j=m, eta_star=edge, exponent=exp,
+                                         powers=(k_lo, k_hi), degenerate=True,
+                                         argmin_switch=False))
     return tuple(sorted(out, key=lambda b: (b.eta_star, b.i, b.j)))
 
 
@@ -405,7 +404,7 @@ def recursion_oracle(
     _check_gamma(gamma)
     if not 0 < c_target < 1:
         raise ValueError("c_target must lie in (0, 1)")
-    terms = [(i, m) for i, m in enumerate(mu.mus, 1) if m > 0]
+    terms = _positive(mu)
     if not terms:
         return None
     alpha = d**-0.5
@@ -436,12 +435,17 @@ class LemmaReport:
     window_truncated: bool
 
 
+def _check_lemma_inputs(a: float, c: float) -> None:
+    for name, v in (("a", a), ("c", c)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, got {v}")
+
+
 def gronwall_check(a: float, c: float, t_max: int) -> LemmaReport:
     """Iterate m_t = a + c * sum_{j<t} m_j exactly and compare with the
     geometric bounds a(1+c)^t (two-sided, tight) and a e^{ct} (upper); a
     relative excess above 1e-9 counts as a violation."""
-    if a <= 0 or c <= 0:
-        raise ValueError("need a, c > 0")
+    _check_lemma_inputs(a, c)
     m = a
     total = a
     max_excess = -math.inf
@@ -475,8 +479,7 @@ def bihari_lasalle_check(a: float, c: float, k: int, t_max: int) -> LemmaReport:
     stated inapplicable there); the report notes when t_max was truncated.
     A relative excess above 1e-9 counts as a violation.
     """
-    if a <= 0 or c <= 0:
-        raise ValueError("need a, c > 0")
+    _check_lemma_inputs(a, c)
     if k < 3:
         raise ValueError("superlinear bound needs k >= 3")
     p = k - 2
@@ -537,10 +540,10 @@ def gamma_auto(spec: OracleSpec, mu: MuTable, d: int | None = None) -> float:
     index p_k of each oracle power k (for matched activations these indices
     are the information exponents of the corresponding link powers):
 
-        max_k s^(k-1) d^-(p_k/2 v 1),   s: eta d for batch_reuse, eta otherwise.
+        max_k s^(k-1) d^-(p_k/2 v 1),   s = eta d^e the oracle's rate.
 
-    s^(k-1) comes from _rate_power, which raises ValueError naming eta where
-    it overflows. Online has the one power k = 1, so its rule reads
+    s^(k-1) comes from _rate_power (e from _rate_d_exponent), which raises
+    ValueError naming eta where it overflows. Online has the one power k = 1, so its rule reads
     d^-(p/2 v 1).
     """
     d = _check_d(mu, d)

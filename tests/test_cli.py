@@ -158,6 +158,21 @@ class TestPhaseCommand:
         assert float(b23[0][2]) == pytest.approx(36 / (648 * math.sqrt(50)), rel=1e-6)
         assert float(b23[0][3]) == pytest.approx(-0.5)
 
+    @pytest.mark.parametrize("argv", [
+        # mu = (0, 0, 36, 360) at d = 100: T_3 = T_4 at every eta
+        ("--oracle", "online", "--link", "3.75,-3,-7.5,1,1.25", "--act", "1.5,-3,-3,1,0.5",
+         "--d", "100"),
+        # the within-index boundaries at d**0 = 1 and d**-1 = 0.02 lie outside
+        ("--oracle", "alternating", "--link", "He2", "--act", "He2", "--d", "50",
+         "--eta-min", "1e-6", "--eta-max", "1e-3"),
+        ("--oracle", "batch_reuse", "--link", "He2", "--act", "He2", "--d", "50",
+         "--eta-min", "1", "--eta-max", "10"),
+    ], ids=["online-tie", "alternating-He2-below", "batch_reuse-He2-above"])
+    def test_no_boundary_prints_only_the_header(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "phase", *argv)
+        assert code == 0
+        assert out == "i,j,eta_star,exponent_if_known\n"
+
 
 class TestSweepCommand:
     def test_config_file_run(self, capsys, tmp_path):
@@ -456,6 +471,10 @@ BAD_VALUES = [  # (command, bad flags and values, message)
     ("phase", (*DEEP_Z2, "--eta-max", "1e160"), "the mu table is not finite at eta=1e+160"),
     ("sweep", ("--oracle", "batch_reuse", "--eta-max", "1e200"),
      "the mu table is not finite at eta=1.9306977288833405e+150"),
+    # a negative seed, named by SeedTree
+    ("simulate", ("--seed", "-1"), "the master seed must be nonnegative, got -1"),
+    ("gen-data", ("--seed", "-1"), "the master seed must be nonnegative, got -1"),
+    ("sweep", ("--master-seed", "-1"), "the master seed must be nonnegative, got -1"),
     # a finite table whose predicted times leave the float range
     *[("predict", (flag, value), f"a predicted time is 0 or not finite at gamma={gamma}")
       for flag, value, gamma in (("--eta", "1e200", "5e+198"), ("--gamma", "1e308", "1e+308"),

@@ -32,6 +32,7 @@ from silab.harness import (
     summarize,
 )
 
+HE2 = hermite_poly(2)
 HE3 = hermite_poly(3)
 
 
@@ -363,6 +364,21 @@ class TestEmit:
                 phase[mode] = fh.read().splitlines()
         assert phase["eta_as_gamma"] == ["i,j,eta_star,exponent"]
         assert len(phase["auto"]) > 1
+
+    @pytest.mark.parametrize("kind, act, link, etas", [
+        ("online", HE3, HE3, (0.01, 1.0)),
+        ("batch_reuse", HE2, HE2, (1e-3, 1e-2)),  # its within-index edge is 1/50
+    ], ids=["online", "batch_reuse-He2"])
+    def test_no_boundary_on_the_grid_writes_only_the_phase_header(
+            self, tmp_path, kind, act, link, etas):
+        spec = tiny_spec(replicates=1)
+        spec.base.teacher = TeacherSpec(d=50, link=link)
+        spec.base.oracle = OracleSpec(kind=kind, activation=act)
+        spec.eta_grid = log_grid(2, *etas)
+        spec.n_grid = (64,)
+        emit(sweep(spec), str(tmp_path))
+        with open(tmp_path / "phase.csv") as fh:
+            assert fh.read() == "i,j,eta_star,exponent\n"
 
     def test_empty_recovery_still_writes_sidecar(self, tmp_path):
         spec = tiny_spec(kind="online")

@@ -45,6 +45,11 @@ class TestSeedTree:
         assert SeedTree(5, (0,)).digest() == SeedTree(5, (0,)).digest()
         assert SeedTree(5, (0,)).digest() != SeedTree(5, (1,)).digest()
 
+    def test_negative_master_seed_raises_naming_it(self):
+        with pytest.raises(ValueError, match="the master seed must be nonnegative, got -1"):
+            SeedTree(-1)
+        assert SeedTree(0).child(3).path == (3,)
+
 
 class TestNoise:
     def test_moments_gaussian(self):

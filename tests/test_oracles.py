@@ -42,9 +42,6 @@ from silab import theory
 from silab.theory import (
     PHASE_GRID,
     PhaseBoundary,
-    _analytic_exponent,
-    _dominant_index,
-    _power_attribution,
     _t_value,
     phase_boundaries,
 )
@@ -1085,6 +1082,36 @@ class TestMemoizedTheoryBitIdentity:
 
 # The phase scan written out as it was before log T was read once per table:
 # every (i, j) pair reads mu_i, mu_j and both T values from every grid table.
+# It states its own T, argmin, power attribution and d-exponent, and its own
+# two rules: a grid cell whose two ends tie (log T_i = log T_j at both) does
+# not bracket, and a within-index boundary counts only inside eta_range.
+
+
+def _ref_log_t(tab, i, d):
+    """log T_i = log(d^(max((i-2)/2, 0)) / mu_i), and inf where mu_i <= 0."""
+    m = tab.mu(i)
+    return math.log(d ** max((i - 2) / 2.0, 0.0) / m) if m > 0 else math.inf
+
+
+def _ref_dominant(tab, d):
+    """The index of the least T over positive mu, the lowest on ties."""
+    times = [(d ** max((i - 2) / 2.0, 0.0) / tab.mu(i), i)
+             for i in range(1, tab.r + 1) if tab.mu(i) > 0]
+    return min(times)[1] if times else None
+
+
+def _ref_power(tab, i):
+    """The one y-power whose component at index i is nonzero, else None."""
+    powers = [k for k, c in tab.components if c[i - 1] != 0.0]
+    return powers[0] if len(powers) == 1 else None
+
+
+def _ref_exponent(kind, m_lo, m_hi, k_lo, k_hi):
+    """d-exponent of the eta where the y^k_lo term at index m_lo meets the
+    y^k_hi term at index m_hi (k_lo < k_hi): T_m ~ d^(max(m-1, 1)/2) over
+    eta^(k-1), less one for batch_reuse, whose rate is eta d."""
+    exp = (max(m_hi - 1, 1) - max(m_lo - 1, 1)) / (2.0 * (k_hi - k_lo))
+    return exp - 1.0 if kind == "batch_reuse" else exp
 
 
 def _reference_phase_boundaries(mu_of_eta, d, eta_range, spec, grid=256):
@@ -1100,19 +1127,19 @@ def _reference_phase_boundaries(mu_of_eta, d, eta_range, spec, grid=256):
             diffs = []
             for tab in tables:
                 if tab.mu(i) > 0 and tab.mu(j) > 0:
-                    diffs.append(math.log(_t_value(tab, i, d)) - math.log(_t_value(tab, j, d)))
+                    diffs.append(_ref_log_t(tab, i, d) - _ref_log_t(tab, j, d))
                 else:
                     diffs.append(math.nan)
             for g in range(grid - 1):
                 a, b = diffs[g], diffs[g + 1]
-                if math.isnan(a) or math.isnan(b) or a * b > 0:
+                if math.isnan(a) or math.isnan(b) or a * b > 0 or a == b == 0.0:
                     continue
                 e_lo, e_hi = float(etas[g]), float(etas[g + 1])
                 f_lo = a
                 for _ in range(200):
                     mid = math.sqrt(e_lo * e_hi)
                     tab = mu_of_eta(mid)
-                    fm = math.log(_t_value(tab, i, d)) - math.log(_t_value(tab, j, d))
+                    fm = _ref_log_t(tab, i, d) - _ref_log_t(tab, j, d)
                     if fm == 0.0 or (e_hi - e_lo) <= 1e-15 * e_lo:
                         e_lo = e_hi = mid
                         break
@@ -1125,16 +1152,16 @@ def _reference_phase_boundaries(mu_of_eta, d, eta_range, spec, grid=256):
                     continue
                 seen_pairs.add((i, j))
                 ref = mu_of_eta(eta_star)
-                ki, kj = _power_attribution(ref, i), _power_attribution(ref, j)
+                ki, kj = _ref_power(ref, i), _ref_power(ref, j)
                 exponent = powers = None
                 if ki is not None and kj is not None and ki != kj:
                     if ki < kj:
-                        exponent = _analytic_exponent(kind, i, j, ki, kj)
+                        exponent = _ref_exponent(kind, i, j, ki, kj)
                     else:
-                        exponent = _analytic_exponent(kind, j, i, kj, ki)
+                        exponent = _ref_exponent(kind, j, i, kj, ki)
                     powers = (ki, kj)
-                dom_lo = _dominant_index(mu_of_eta(eta_star * 0.99), d)
-                dom_hi = _dominant_index(mu_of_eta(eta_star * 1.01), d)
+                dom_lo = _ref_dominant(mu_of_eta(eta_star * 0.99), d)
+                dom_hi = _ref_dominant(mu_of_eta(eta_star * 1.01), d)
                 out.append(PhaseBoundary(i, j, eta_star, exponent, powers, False,
                                          {dom_lo, dom_hi} == {i, j}))
     leading = {}
@@ -1146,9 +1173,10 @@ def _reference_phase_boundaries(mu_of_eta, d, eta_range, spec, grid=256):
         ks = sorted(ks)
         for a_idx in range(len(ks)):
             for b_idx in range(a_idx + 1, len(ks)):
-                exp = _analytic_exponent(kind, m, m, ks[a_idx], ks[b_idx])
-                out.append(PhaseBoundary(m, m, float(d**exp), exp, (ks[a_idx], ks[b_idx]),
-                                         True, False))
+                exp = _ref_exponent(kind, m, m, ks[a_idx], ks[b_idx])
+                if lo <= d**exp <= hi:
+                    out.append(PhaseBoundary(m, m, float(d**exp), exp, (ks[a_idx], ks[b_idx]),
+                                             True, False))
     return tuple(sorted(out, key=lambda b: (b.eta_star, b.i, b.j)))
 
 
@@ -1333,6 +1361,57 @@ class TestPhaseScanBitIdentity:
         assert repr(got) == repr(want)
         grid = [float(e) for e in np.geomspace(1e-3, 1.0, PHASE_GRID)]
         assert sorted(calls[:PHASE_GRID]) == grid
+
+    def test_a_pair_tied_at_every_eta_has_no_crossing(self):
+        # one y-power with mu = (0, 0, 36, 360) at d = 100: T_3 = 10/36 = T_4
+        # at every eta, the table of online --link 3.75,-3,-7.5,1,1.25
+        # --act 1.5,-3,-3,1,0.5
+        d = 100
+        tab = MuTable(mus=(0.0, 0.0, 36.0, 360.0), d=d,
+                      components=((1, (0.0, 0.0, 36.0, 360.0)),))
+        spec = OracleSpec(kind="online", activation=HE3)
+        assert _t_value(tab, 3, d) == _t_value(tab, 4, d)
+        got = phase_boundaries(lambda e: tab, d, (1e-3, 1.0), spec=spec)
+        assert got == () == _reference_phase_boundaries(lambda e: tab, d, (1e-3, 1.0), spec)
+
+    def test_a_tied_pair_beside_a_crossing(self):
+        # the y^2 term at index 2 (T_2 = 1/(648 eta)) meets the tied pair
+        # T_3 = T_4 = 10/36 at eta = 36/6480: (2, 3) and (2, 4) cross there,
+        # (3, 4) never does
+        d = 100
+
+        def tab(e):
+            comps = ((1, (0.0, 0.0, 36.0, 360.0)), (2, (0.0, 648.0 * e, 0.0, 0.0)))
+            return MuTable(mus=(0.0, 648.0 * e, 36.0, 360.0), d=d, components=comps)
+
+        spec = OracleSpec(kind="alternating", activation=HE3)
+        got = phase_boundaries(tab, d, (1e-3, 1.0), spec=spec)
+        want = _reference_phase_boundaries(tab, d, (1e-3, 1.0), spec)
+        assert [(b.i, b.j, b.argmin_switch) for b in got] == [(2, 3, True), (2, 4, False)]
+        assert got[0].eta_star == pytest.approx(36 / 6480, rel=1e-12)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("kind, eta_range", [
+        ("alternating", (1e-6, 1e-3)), ("alternating", (1e-3, 1.0)),
+        ("batch_reuse", (1.0, 10.0)), ("batch_reuse", (1e-3, 1e-2)), ("batch_reuse", (0.02, 1.0)),
+    ])
+    def test_within_index_boundary_only_inside_the_range(self, kind, eta_range):
+        # He2 against He2 at d = 50: the y and y^2 terms both lead at index 2,
+        # at d**0 = 1 for alternating and d**-1 = 0.02 for batch_reuse; each
+        # end of the range counts as inside
+        d = 50
+        spec = OracleSpec(kind=kind, activation=HE2)
+
+        def mu_fn(e):
+            return mu_table(replace(spec, eta=e), HE2, NOISELESS, d)
+
+        got = phase_boundaries(mu_fn, d, eta_range, spec=spec)
+        edge = 1.0 if kind == "alternating" else 0.02
+        inside = eta_range[0] <= edge <= eta_range[1]
+        assert [(b.i, b.j, b.eta_star, b.powers) for b in got if b.degenerate] == (
+            [(2, 2, edge, (1, 2))] if inside else [])
+        assert got == _reference_phase_boundaries(mu_fn, d, eta_range, spec)
 
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_table_edges(self, case):

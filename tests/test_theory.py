@@ -255,6 +255,16 @@ class TestLemmaChecks:
         with pytest.raises(ValueError):
             gronwall_check(-1.0, 0.1, 10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize("name", ["a", "c"])
+    def test_non_finite_or_non_positive_inputs_raise_naming_them(self, name, bad):
+        args = {"a": 0.1, "c": 0.1, name: bad}
+        message = re.escape(f"{name} must be finite and positive, got {bad}")
+        with pytest.raises(ValueError, match=message):
+            gronwall_check(args["a"], args["c"], 3)
+        with pytest.raises(ValueError, match=message):
+            bihari_lasalle_check(args["a"], args["c"], 3, 5)
+
 
 class TestRecursionVsSimulation:
     @pytest.mark.parametrize("link_k,kind,eta", [
