@@ -158,7 +158,7 @@ COMMANDS = {  # name: (handler, help, flags in order; a trailing '!' marks a req
            "oracle! link! act! eta d! depth noise tau"),
     "simulate": (_cmd_simulate, "run one trajectory, write alignment CSV",
                  "oracle! link! act! d! eta gamma n! batch neurons seed record_every threshold "
-                 "strong_eps init depth audit out noise tau"),
+                 "init depth audit out noise tau"),
     "predict": (_cmd_predict, "recovery-time prediction table",
                 "oracle! link! act! eta gamma d! depth noise tau"),
     "phase": (_cmd_phase, "learning-rate phase boundaries",
@@ -174,12 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=text)
         for name in flags.split():
             key = name.rstrip("!")
-            if key in EXTRA_FLAGS:
-                kwargs = EXTRA_FLAGS[key]
-            elif CONFIG[key][0] is bool:
-                kwargs = dict(action="store_const", const=True)
-            else:
-                kwargs = dict(type=CONFIG[key][0])
+            kwargs = EXTRA_FLAGS[key] if key in EXTRA_FLAGS else dict(type=CONFIG[key][0])
             p.add_argument("--" + key.replace("_", "-"), required=name.endswith("!"), **kwargs)
         p.set_defaults(func=func)
     return parser

@@ -25,11 +25,21 @@ from .model import (
     alignment,
     draw_batch,
     init_network,
+    is_integer,
 )
 from .oracles import OracleSpec, apply_step
 
 DIVERGENCE_NORM = 1e12
+STRONG_EPS = 0.1  # strong recovery: the best alignment reaches 1 - STRONG_EPS
 _DRAW_VALUES = 2**16  # float64 values a noiseless run draws at once: 512 KB
+
+
+def _check_integers(config, names) -> None:
+    """Raise ValueError naming the first field of config in names whose value
+    is not an integer (a bool or a float is not; see model.is_integer)."""
+    for name in names:
+        if not is_integer(getattr(config, name)):
+            raise ValueError(f"{name} must be an integer, got {getattr(config, name)!r}")
 
 
 @dataclass
@@ -44,11 +54,11 @@ class RunConfig:
     n_neurons: int = 1
     init_mode: InitMode = "pinned_alignment"
     weak_threshold: float = 0.5
-    strong_eps: float = 0.1
     record_every: int = 100
     audit: bool = False
 
     def __post_init__(self) -> None:
+        _check_integers(self, ("n", "batch_size", "n_neurons", "record_every"))
         if not (self.n >= self.batch_size >= 1):
             raise ValueError("need n >= batch_size >= 1")
         if self.n_neurons < 1:
@@ -57,8 +67,6 @@ class RunConfig:
             raise ValueError("need dimension at least 2")
         if not 0.0 < self.weak_threshold < 1.0:
             raise ValueError("weak threshold must lie in (0, 1)")
-        if not 0.0 < self.strong_eps < 1.0:
-            raise ValueError("strong_eps must lie in (0, 1)")
         if self.record_every < 1:
             raise ValueError("record_every must be positive")
         if self.init_mode not in get_args(InitMode):
@@ -130,14 +138,15 @@ def recovery_alignment(final_alignment: float, diverged) -> float:
     return final_alignment
 
 
-def recovers(alignments, threshold: float, use_mean: bool = False) -> bool:
-    """Whether a group of replicates recovers: the median (the mean with
-    use_mean) of their recovery alignments clears the weak threshold.
+def recovers(alignments, threshold: float) -> bool:
+    """Whether a group of replicates recovers: the median of their recovery
+    alignments clears the weak threshold.
 
-    This is the one group rule: sweep summaries, the plot grid and the
-    sample-size search all judge replicates through it.
+    This is the one recovery rule: sweep cells (a group of one), sweep
+    summaries, the plot grid and the sample-size search all judge runs
+    through it.
     """
-    return bool((np.mean if use_mean else statistics.median)(alignments) >= threshold)
+    return bool(statistics.median(alignments) >= threshold)
 
 
 def _first_crossing(steps: np.ndarray, series: np.ndarray, level: float) -> int | None:
@@ -250,7 +259,7 @@ def run(config: RunConfig) -> Trajectory:
     kappa_arr = rec_kappa[:n_rec]
     best = np.max(kappa_arr, axis=1)
     weak = None if diverged else _first_crossing(steps_arr, best, config.weak_threshold)
-    strong = None if diverged else _first_crossing(steps_arr, best, 1.0 - config.strong_eps)
+    strong = None if diverged else _first_crossing(steps_arr, best, 1.0 - STRONG_EPS)
 
     trace = None
     if audit:
@@ -350,8 +359,9 @@ class RidgeConfig:
     n_test: int
 
     def __post_init__(self) -> None:
-        if not self.lam >= 0:  # also true for nan
-            raise ValueError("penalty must be nonnegative")
+        if not 0 <= self.lam < math.inf:  # also true for nan
+            raise ValueError(f"penalty must be nonnegative and finite, got lam={self.lam}")
+        _check_integers(self, ("n_fit", "n_test"))
         if self.n_fit < 1 or self.n_test < 1:
             raise ValueError("need positive sample counts")
 

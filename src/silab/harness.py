@@ -3,8 +3,8 @@
 Cells are fully independent: each (eta, n, replicate) triple gets a seed
 derived from the master seed and the grid indices, so results are identical
 regardless of parallelism degree or execution order. The per-eta minimal
-recovering sample size (median rule by default) and the log-log boundary
-slope are recomputable from the cells table alone.
+recovering sample size (the median rule of dynamics.recovers) and the
+log-log boundary slope are recomputable from the cells table alone.
 
 Sweep config files are line-oriented ``key = value`` text; '#' starts a
 comment. Recognized keys (each is also a ``silab sweep`` flag, spelled
@@ -23,7 +23,6 @@ name on another subcommand takes the same type and default, see ``resolve``):
     neurons      hidden width N
     master_seed  sweep seed
     threshold    weak-recovery alignment threshold
-    strong_eps   strong recovery at alignment 1 - strong_eps
     record_every checkpoint stride
     gamma        'auto', a number, or 'eta_as_gamma' (sweeps only: the eta
                  grid is the step size and every cell runs at eta = 0)
@@ -32,7 +31,8 @@ name on another subcommand takes the same type and default, see ``resolve``):
     out          output directory
     window_min, window_max         eta window of the '# slope=' line
                                    that ``silab sweep`` prints
-    mean_mode    true to aggregate replicates by mean instead of median
+
+Every value is a str, an int or a float.
 """
 
 from __future__ import annotations
@@ -76,7 +76,9 @@ class SweepSpec:
     gamma_mode: 'auto' derives gamma per eta row from the oracle-specific
     prescription; a float pins it; 'eta_as_gamma' reuses the swept grid as
     the gamma axis with eta forced to zero (how an online-SGD step-size
-    sweep is expressed, since that oracle has no eta).
+    sweep is expressed, since that oracle has no eta). Each cell and each
+    (eta, n) group of replicates is judged by dynamics.recovers, the median
+    rule, against base.weak_threshold.
     """
 
     base: RunConfig
@@ -85,7 +87,6 @@ class SweepSpec:
     replicates: int
     jobs: int = 1
     gamma_mode: float | str = "auto"
-    use_mean: bool = False
 
     def __post_init__(self) -> None:
         if not self.eta_grid or not self.n_grid:
@@ -138,8 +139,7 @@ def _verdicts(spec: SweepSpec, cells: Sequence[Cell]) -> dict[tuple[int, int], b
     for c in cells:
         val = recovery_alignment(c.final_alignment, c.diverged)
         groups.setdefault((c.eta_index, c.n_index), []).append(val)
-    return {key: recovers(vals, spec.base.weak_threshold, spec.use_mean)
-            for key, vals in groups.items()}
+    return {key: recovers(vals, spec.base.weak_threshold) for key, vals in groups.items()}
 
 
 def _run_cell(payload) -> Cell:
@@ -154,7 +154,7 @@ def _run_cell(payload) -> Cell:
         n=cfg.n,
         seed=cfg.seed.digest(),
         final_alignment=final,
-        recovered=int(recovery_alignment(final, traj.diverged) >= cfg.weak_threshold),
+        recovered=int(recovers([recovery_alignment(final, traj.diverged)], cfg.weak_threshold)),
         samples_seen=traj.total_samples,
         diverged=int(traj.diverged),
     )
@@ -339,7 +339,6 @@ CONFIG = {  # key: (type, default)
     "neurons": (int, 1),
     "master_seed": (int, 0),
     "threshold": (float, 0.5),
-    "strong_eps": (float, 0.1),
     "record_every": (int, 100),
     "gamma": (str, "auto"),
     "init": (str, "pinned_alignment"),
@@ -347,18 +346,14 @@ CONFIG = {  # key: (type, default)
     "out": (str, "sweep_out"),
     "window_min": (float, None),
     "window_max": (float, None),
-    "mean_mode": (bool, False),
 }
-_BOOL_TEXT = {"1": True, "true": True, "yes": True, "on": True,
-              "0": False, "false": False, "no": False, "off": False}
 
 
 def parse_config(text: str) -> dict:
     """Parse a line-oriented key = value sweep config.
 
-    A bool reads 1/true/yes/on or 0/false/no/off, in any case. Any other
-    text, or a value its key's type cannot read, raises ValueError naming
-    the line and the key.
+    A value that its key's type (str, int or float) cannot read raises
+    ValueError naming the line and the key.
     """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -372,8 +367,8 @@ def parse_config(text: str) -> dict:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         typ = CONFIG[key][0]
         try:
-            out[key] = _BOOL_TEXT[value.lower()] if typ is bool else typ(value)
-        except (KeyError, ValueError):
+            out[key] = typ(value)
+        except ValueError:
             raise ValueError(f"config line {lineno}: bad value {value!r} for {key}") from None
     return out
 
@@ -403,8 +398,8 @@ def oracle_spec(cfg: dict, eta: float = 0.0) -> OracleSpec:
 def run_config(
     cfg: dict, teacher: TeacherSpec, oracle: OracleSpec, n: int, seed: int, audit: bool = False
 ) -> RunConfig:
-    """One run of a resolved config (batch, neurons, init, threshold, strong_eps,
-    record_every) with the given teacher, oracle, sample budget and seed."""
+    """One run of a resolved config (batch, neurons, init, threshold, record_every)
+    with the given teacher, oracle, sample budget and seed."""
     return RunConfig(
         teacher=teacher,
         oracle=oracle,
@@ -414,7 +409,6 @@ def run_config(
         n_neurons=cfg["neurons"],
         init_mode=cfg["init"],
         weak_threshold=cfg["threshold"],
-        strong_eps=cfg["strong_eps"],
         record_every=cfg["record_every"],
         audit=audit,
     )
@@ -470,5 +464,4 @@ def spec_from_config(cfg: dict) -> SweepSpec:
         replicates=merged["replicates"],
         jobs=merged["jobs"],
         gamma_mode=_gamma_setting(merged["gamma"]),
-        use_mean=merged["mean_mode"],
     )

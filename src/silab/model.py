@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Literal, get_args
 
 import numpy as np
@@ -16,6 +17,13 @@ import numpy as np
 from .hermite import MonomialPoly, gaussian_moment
 
 NoiseFamily = Literal["none", "gaussian", "laplace"]
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer: a Python or numpy integer, not a bool.
+    A plain int is decided first, without the slower abstract-class check."""
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+
 
 # SeedTree stream roles, appended as the last path element.
 ROLE_INIT = 0

@@ -60,7 +60,7 @@ from .hermite import (
     _pscale,
     gaussian_moment,
 )
-from .model import NoiseSpec, TeacherSpec
+from .model import NoiseSpec, TeacherSpec, is_integer
 
 OracleKind = Literal["online", "batch_reuse", "alternating", "deep_alternating"]
 
@@ -204,8 +204,12 @@ def _psi_terms(parts: tuple, kind: str, eta: float, d: int) -> list:
     _rate_power (for alternating, eta^1/1! is eta exactly); deep_alternating takes the
     bivariate product over the layers instead. These are the float
     operations, in the order, that building psi from fresh polynomials
-    applies. An eta whose s^(k-1) overflows raises ValueError.
+    applies. An eta whose s^(k-1) overflows raises ValueError, as does a d
+    that is not an integer >= 1 (a bool or a float is not; see
+    model.is_integer).
     """
+    if not (is_integer(d) and d >= 1):
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
     if kind == "deep_alternating":  # one factor a~_i sigma'(F_{i-1}) per layer
         acc = {0: (1.0,)}
         for sp_level, eta_part in zip(parts[::2], parts[1::2]):
@@ -454,6 +458,12 @@ def mu_integrand_moments(spec: OracleSpec, link: MonomialPoly, noise: NoiseSpec,
     in the same order. psi's terms and their pair products q_k q_l come
     from _psi_terms_and_pairs, formed once per (spec, d) for every index and
     shared with alignment_gain_moments.
+
+    The exact means are mu_table's mus. The means here come from their own
+    route, which multiplies He_{i-1}'s monomial coefficients out and
+    cancels: an entry whose exact value is 0, and which mu_table reads as
+    0.0, can read nonzero here, and the other entries can differ from
+    mu_table's in their last bits.
     """
     terms, pairs = _psi_terms_and_pairs(spec.activation, spec.kind, spec.depth, spec.eta, d)
     r = max(len(q) for _, q in terms)

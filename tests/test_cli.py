@@ -196,14 +196,17 @@ class TestSweepCommand:
         assert code == 1
         assert "unknown key" in err
 
-    def test_mistyped_bool_in_config_exits_1_before_any_cell(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("line", ["mean_mode = true", "strong_eps = 0.2"])
+    def test_removed_key_in_config_exits_1_before_any_cell(self, capsys, tmp_path, monkeypatch,
+                                                           line):
         cells = []
         monkeypatch.setattr(harness, "run", lambda cfg: cells.append(cfg))
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("d = 10\nmean_mode = ture\n")
+        cfg.write_text(f"{line}\nd = 10\n")
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 1
-        assert err.startswith("error: config line 2: bad value 'ture' for mean_mode")
+        key = line.split()[0]
+        assert err == f"error: config line 1: unknown key {key!r}\n"
         assert cells == []
 
     def test_inverted_window_exits_1_before_any_cell(self, capsys, tmp_path, monkeypatch):
@@ -243,12 +246,24 @@ def captured_specs(monkeypatch):
 
 class TestSweepFlags:
     def test_every_config_key_has_a_flag(self):
-        assert len(CONFIG) == 27
+        assert len(CONFIG) == 25
         parser = build_parser()
         for key, (typ, _) in CONFIG.items():
-            flag = "--" + key.replace("_", "-")
-            args = parser.parse_args(["sweep", flag] + ([] if typ is bool else ["1"]))
-            assert getattr(args, key) == (True if typ is bool else typ("1")), key
+            assert typ in (str, int, float), key
+            args = parser.parse_args(["sweep", "--" + key.replace("_", "-"), "1"])
+            assert getattr(args, key) == typ("1"), key
+
+    @pytest.mark.parametrize("argv", [
+        (*QUICK_SWEEP, "--mean-mode"),
+        (*QUICK_SWEEP, "--strong-eps", "0.2"),
+        ("simulate", "--oracle", "online", "--link", "He3", "--act", "He3", "--d", "10",
+         "--n", "256", "--strong-eps", "0.2"),
+    ], ids=["sweep-mean-mode", "sweep-strong-eps", "simulate-strong-eps"])
+    def test_removed_flag_exits_2(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --" in capsys.readouterr().err
 
     def test_flag_overrides_config_file(self, capsys, tmp_path, captured_specs):
         cfg = tmp_path / "sweep.cfg"
@@ -257,12 +272,6 @@ class TestSweepFlags:
                              "--eta-count", "1", "--out", str(tmp_path))
         assert code == 0
         assert captured_specs[0].base.teacher.d == 12
-
-    def test_mean_mode_sets_use_mean(self, capsys, tmp_path, captured_specs):
-        code, _, _ = run_cli(capsys, *QUICK_SWEEP, "--eta-count", "1", "--mean-mode",
-                             "--out", str(tmp_path))
-        assert code == 0
-        assert captured_specs[0].use_mean
 
     def test_bad_oracle_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", "--oracle", "bogus", "--out", str(tmp_path))
@@ -369,7 +378,6 @@ class TestConfigDefaults:
         assert config.n_neurons == defaults["neurons"]
         assert config.init_mode == defaults["init"]
         assert config.weak_threshold == defaults["threshold"]
-        assert config.strong_eps == defaults["strong_eps"]
         assert config.record_every == defaults["record_every"]
         assert config.oracle.depth == defaults["depth"]
         assert config.teacher.noise == NoiseSpec(defaults["noise"], defaults["tau"])
@@ -415,7 +423,7 @@ class TestSimulateRunConfig:
             capsys, "simulate", "--oracle", "deep_alternating", "--link", "He3", "--act", "He3",
             "--d", "12", "--eta", "0.3", "--gamma", "0.02", "--n", "600", "--batch", "16",
             "--neurons", "2", "--seed", "2", "--record-every", "5", "--threshold", "0.4",
-            "--strong-eps", "0.2", "--init", "uniform_sphere", "--depth", "3", "--audit",
+            "--init", "uniform_sphere", "--depth", "3", "--audit",
             "--noise", "gaussian", "--tau", "0.3", "--out", str(tmp_path / "traj.csv"),
         )
         assert code == 0
@@ -430,7 +438,6 @@ class TestSimulateRunConfig:
             n_neurons=2,
             init_mode="uniform_sphere",
             weak_threshold=0.4,
-            strong_eps=0.2,
             record_every=5,
             audit=True,
         )

@@ -89,15 +89,18 @@ class TestRun:
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
     def test_recovery_steps_ordering(self):
-        # strong threshold is higher than weak, so weak <= strong when both hit
+        # strong threshold (1 - STRONG_EPS) is higher than weak, so weak <= strong
         cfg = make_config(
             kind="online", link=hermite_poly(1), act=hermite_poly(1),
-            gamma=0.04, n=256_000, batch=64, record_every=10, strong_eps=0.2,
+            gamma=0.04, n=256_000, batch=64, record_every=10,
         )
         traj = run(cfg)
         assert traj.weak_recovery_step is not None
-        if traj.strong_recovery_step is not None:
-            assert traj.weak_recovery_step <= traj.strong_recovery_step
+        assert traj.strong_recovery_step is not None
+        assert traj.weak_recovery_step <= traj.strong_recovery_step
+        best = traj.alignments.max(axis=1)
+        first = traj.steps[np.argmax(best >= 1.0 - dynamics.STRONG_EPS)]
+        assert traj.strong_recovery_step == first
 
     def test_threshold_monotone(self):
         base = dict(kind="online", link=hermite_poly(1), act=hermite_poly(1),
@@ -289,11 +292,18 @@ class TestRidgeFit:
             ridge_fit(net, teacher, RidgeConfig(lam=0.0, n_fit=1000, n_test=100),
                       SeedTree(4).rng())
 
-    @pytest.mark.parametrize("lam", [math.nan, -1e-3])
+    @pytest.mark.parametrize("lam", [math.nan, -1e-3, math.inf])
     def test_bad_penalty_rejected(self, lam):
-        # nan passed the old check, whose comparison is false for nan
-        with pytest.raises(ValueError, match="penalty must be nonnegative"):
+        # a comparison with nan is false; with lam = inf the fit reads a_hat = 0
+        with pytest.raises(ValueError, match=r"penalty must be nonnegative and finite, got lam="):
             RidgeConfig(lam=lam, n_fit=1000, n_test=100)
+
+    @pytest.mark.parametrize("field, value", [("n_fit", 1000.0), ("n_fit", True),
+                                              ("n_test", 100.5), ("n_test", np.float64(100))])
+    def test_non_integer_count_rejected(self, field, value):
+        counts = {"n_fit": 1000, "n_test": 100, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            RidgeConfig(lam=1e-3, **counts)
 
 
 class TestConfigValidation:
@@ -320,6 +330,20 @@ class TestConfigValidation:
 
     def test_smallest_valid_shape_accepted(self):
         assert make_config(d=2, n_neurons=1).teacher.d == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("record_every", 2.5), ("record_every", 2.0), ("batch_size", 4.0), ("n", 64.7),
+        ("n", 64.0), ("n_neurons", True), ("n_neurons", 1.0), ("batch_size", np.float64(4)),
+    ])
+    def test_non_integer_count_rejected(self, field, value):
+        # a float count would fail inside numpy once the run starts
+        kw = {"n": 64, "batch": 4, ("batch" if field == "batch_size" else field): value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            make_config(**kw)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = make_config(n=np.int64(64), batch=np.int32(4), record_every=np.int64(2))
+        assert run(cfg).steps[-1] == 16
 
 
 def _hand_replay(cfg):

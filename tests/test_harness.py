@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -212,26 +213,48 @@ class TestOneGroupRule:
         group of replicates by dynamics.recovers and by nothing else."""
         calls = []
 
-        def rule(alignments, threshold, use_mean=False):
-            calls.append((len(alignments), threshold, use_mean))
+        def rule(alignments, threshold):
+            calls.append((len(alignments), threshold))
             return verdict
 
         monkeypatch.setattr(dynamics, "recovers", rule)
         monkeypatch.setattr(harness, "recovers", rule)
         spec = tiny_spec(replicates=2)
-        spec.eta_grid, spec.n_grid, spec.use_mean = (0.01, 0.1), (64, 128), True
-        emit(sweep(spec), str(tmp_path))
+        spec.eta_grid, spec.n_grid = (0.01, 0.1), (64, 128)
+        result = sweep(spec)
+        # each of the 8 cells is a group of one
+        assert calls[:8] == [(1, 0.5)] * 8
+        assert [c.recovered for c in result.cells] == [int(verdict)] * 8
+        emit(result, str(tmp_path))
         n_star = "64" if verdict else ""
         assert (tmp_path / "summary.csv").read_text() == (
             f"eta,n_star\n0.01,{n_star}\n0.1,{n_star}\n")
         flags = f"{int(verdict)} {int(verdict)}"
         assert (tmp_path / "grid.plotdata").read_text() == (
             f"eta 64 128\n0.01 {flags}\n0.1 {flags}\n")
-        assert set(calls) == {(2, 0.5, True)}
+        assert set(calls[8:]) == {(2, 0.5)}
         calls.clear()
         found = weak_recovery_sample_size(spec.base, [64, 128], replicates=3)
         assert found == (64 if verdict else None)
-        assert set(calls) == {(3, 0.5, False)}
+        assert set(calls) == {(3, 0.5)}
+
+    @pytest.mark.parametrize("diverged", [False, True])
+    def test_cell_flag_is_recovers_on_one_run(self, monkeypatch, diverged):
+        """_run_cell judges its run with recovers on the one-element group
+        of the run's recovery alignment."""
+        calls = []
+
+        def rule(alignments, threshold):
+            calls.append((list(alignments), threshold))
+            return True
+
+        traj = SimpleNamespace(final_alignment=0.25, diverged=diverged, total_samples=64)
+        monkeypatch.setattr(harness, "run", lambda cfg: traj)
+        monkeypatch.setattr(harness, "recovers", rule)
+        base = tiny_spec().base
+        cell = harness._run_cell((0, 0, 0, 0.01, base))
+        assert calls == [([-1.0 if diverged else 0.25], base.weak_threshold)]
+        assert cell.recovered == 1
 
 
 class TestRows:
@@ -411,20 +434,26 @@ class TestConfig:
         batch = 32
         master_seed = 5
         gamma = auto
-        mean_mode = true
         """
         cfg = parse_config(text)
         assert cfg["oracle"] == "alternating"
-        assert cfg["mean_mode"] is True
+        assert cfg["gamma"] == "auto"
         spec = spec_from_config(cfg)
         assert spec.base.teacher.d == 10
         assert spec.replicates == 2
-        assert spec.use_mean
+        assert spec.base.batch_size == 32
+        assert spec.base.seed == SeedTree(5)
         assert len(spec.eta_grid) == 3
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config("bogus = 1")
+
+    @pytest.mark.parametrize("line", ["mean_mode = true", "strong_eps = 0.1"])
+    def test_removed_key_is_unknown(self, line):
+        with pytest.raises(ValueError) as err:
+            parse_config(line)
+        assert str(err.value) == f"config line 1: unknown key {line.split()[0]!r}"
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_nonpositive_jobs_rejected(self, jobs):
@@ -440,17 +469,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="key = value"):
             parse_config("just some words")
 
-    @pytest.mark.parametrize("text, value", [
-        ("1", True), ("true", True), ("Yes", True), ("ON", True),
-        ("0", False), ("false", False), ("No", False), ("OFF", False),
-    ])
-    def test_bool_spellings(self, text, value):
-        assert parse_config(f"mean_mode = {text}") == {"mean_mode": value}
-
     @pytest.mark.parametrize("line, key, value", [
-        ("mean_mode = ture", "mean_mode", "ture"),
-        ("mean_mode = 2", "mean_mode", "2"),
-        ("mean_mode =", "mean_mode", ""),
         ("d = 50.0", "d", "50.0"),
         ("replicates = ten", "replicates", "ten"),
         ("tau = x", "tau", "x"),

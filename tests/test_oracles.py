@@ -766,6 +766,40 @@ class TestAlignmentInputs:
         assert all(math.isfinite(v) for v in (gain, mean, var, est, se))
 
 
+class TestDimensionInputs:
+    """Every exact and sampled route takes psi's terms from _psi_terms, which
+    refuses a d that is not an integer >= 1 before any table is built."""
+
+    def _routes(self, spec, d):
+        from silab.oracles import alignment_gain_moments, mu_integrand_moments
+
+        rng = np.random.default_rng(0)
+        return (
+            lambda: mu_table(spec, HE3, NOISELESS, d),
+            lambda: mu_integrand_moments(spec, HE3, NOISELESS, d),
+            lambda: alignment_gain_moments(spec, HE3, NOISELESS, d, 0.2),
+            lambda: effective_psi(spec, d),
+            lambda: mu_monte_carlo(spec, HE3, NOISELESS, d, 100, rng),
+            lambda: alignment_gain_monte_carlo(spec, HE3, NOISELESS, d, 0.2, 100, rng),
+        )
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    @pytest.mark.parametrize("d", [0, -1, -3, 2.5, 50.0, True, np.int64(0), np.float64(50)],
+                             ids=repr)
+    def test_refused(self, kind, d):
+        spec = OracleSpec(kind=kind, activation=HE3, eta=0.1)
+        for call in self._routes(spec, d):
+            with pytest.raises(ValueError, match=r"d must be an integer >= 1, got "):
+                call()
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_numpy_integer_is_the_int(self, kind):
+        spec = OracleSpec(kind=kind, activation=HE3, eta=0.1)
+        assert repr(mu_table(spec, HE3, NOISELESS, np.int64(50)).mus) == repr(
+            mu_table(spec, HE3, NOISELESS, 50).mus)
+        assert mu_table(spec, HE3, NOISELESS, 1).d == 1
+
+
 class TestSteinIdentity:
     def test_online_drift_matches_prediction(self):
         rng = np.random.default_rng(77)
