@@ -158,7 +158,7 @@ COMMANDS = {  # name: (handler, help, flags in order; a trailing '!' marks a req
            "oracle! link! act! eta d! depth noise tau"),
     "simulate": (_cmd_simulate, "run one trajectory, write alignment CSV",
                  "oracle! link! act! d! eta gamma n! batch neurons seed record_every threshold "
-                 "init depth audit out noise tau"),
+                 "depth audit out noise tau"),
     "predict": (_cmd_predict, "recovery-time prediction table",
                 "oracle! link! act! eta gamma d! depth noise tau"),
     "phase": (_cmd_phase, "learning-rate phase boundaries",

@@ -11,14 +11,12 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, replace
-from typing import get_args
 
 import numpy as np
 
 from .model import (
     ROLE_DATA,
     ROLE_INIT,
-    InitMode,
     NetworkSpec,
     SeedTree,
     TeacherSpec,
@@ -52,7 +50,6 @@ class RunConfig:
     seed: SeedTree
     batch_size: int = 128
     n_neurons: int = 1
-    init_mode: InitMode = "pinned_alignment"
     weak_threshold: float = 0.5
     record_every: int = 100
     audit: bool = False
@@ -69,8 +66,6 @@ class RunConfig:
             raise ValueError("weak threshold must lie in (0, 1)")
         if self.record_every < 1:
             raise ValueError("record_every must be positive")
-        if self.init_mode not in get_args(InitMode):
-            raise ValueError(f"unknown init mode {self.init_mode!r}")
 
     @property
     def n_steps(self) -> int:
@@ -157,16 +152,15 @@ def _first_crossing(steps: np.ndarray, series: np.ndarray, level: float) -> int 
 def run(config: RunConfig) -> Trajectory:
     """Execute one training run.
 
-    Neurons evolve independently on the shared sample stream. With the
-    alternating oracle the persistent second-layer weights are never
-    replaced by the trial values. Samples are drawn in blocks of whole
-    steps. A noiseless run's x stream is the same however it is cut, so its
-    blocks hold max(1, min(4096 // B, 2**16 // (B d))) steps: at most 4096
-    samples and, where a step fits, at most 2**16 values (_DRAW_VALUES,
-    512 KB), so the buffer stops growing with d. Its labels are cut-free
-    too when theta_star is a coordinate vector, such as the default e_1,
-    since x @ theta_star is then exact; for another theta_star, BLAS may
-    round the labels of rows near a cut in the last bit. A noisy run keeps
+    Every neuron starts at alignment d**-0.5 with theta_star = e_1 (see
+    init_network), and the neurons evolve independently on the shared
+    sample stream. With the alternating oracle the persistent second-layer
+    weights are never replaced by the trial values. Samples are drawn in
+    blocks of whole steps. A noiseless run's x stream is the same however
+    it is cut, so its blocks hold max(1, min(4096 // B, 2**16 // (B d)))
+    steps: at most 4096 samples and, where a step fits, at most 2**16
+    values (_DRAW_VALUES, 512 KB), so the buffer stops growing with d. Its
+    labels are cut-free too, since x @ e_1 is exact. A noisy run keeps
     max(1, 4096 // B) steps: draw_batch draws a block's noise after its x,
     so its bits depend on the block.
 
@@ -189,12 +183,7 @@ def run(config: RunConfig) -> Trajectory:
     teacher = config.teacher
     oracle = config.oracle
     net = init_network(
-        teacher.d,
-        config.n_neurons,
-        oracle.activation,
-        config.init_mode,
-        config.seed.child(ROLE_INIT).rng(),
-        theta_star=teacher.theta_star,
+        teacher.d, config.n_neurons, oracle.activation, config.seed.child(ROLE_INIT).rng()
     )
     data_rng = config.seed.child(ROLE_DATA).rng()
     n_steps = config.n_steps

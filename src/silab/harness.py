@@ -26,13 +26,14 @@ name on another subcommand takes the same type and default, see ``resolve``):
     record_every checkpoint stride
     gamma        'auto', a number, or 'eta_as_gamma' (sweeps only: the eta
                  grid is the step size and every cell runs at eta = 0)
-    init         pinned_alignment | uniform_sphere
     jobs         worker processes
     out          output directory
     window_min, window_max         eta window of the '# slope=' line
                                    that ``silab sweep`` prints
 
-Every value is a str, an int or a float.
+Every value is a str, an int or a float. A run's start has no key: the
+teacher direction is e_1 and every row starts at alignment d**-0.5 (see
+model.init_network).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import RunConfig, recovers, recovery_alignment, run
+from .dynamics import RunConfig, _check_integers, recovers, recovery_alignment, run
 from .hermite import parse_poly
 from .model import NoiseSpec, SeedTree, TeacherSpec
 from .oracles import OracleSpec, mu_of_eta, mu_table
@@ -97,6 +98,7 @@ class SweepSpec:
             raise ValueError("n grid must be strictly increasing")
         if self.n_grid[0] < self.base.batch_size:
             raise ValueError("smallest grid n must cover one batch")
+        _check_integers(self, ("replicates", "jobs"))
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.jobs < 1:
@@ -341,7 +343,6 @@ CONFIG = {  # key: (type, default)
     "threshold": (float, 0.5),
     "record_every": (int, 100),
     "gamma": (str, "auto"),
-    "init": (str, "pinned_alignment"),
     "jobs": (int, 1),
     "out": (str, "sweep_out"),
     "window_min": (float, None),
@@ -398,7 +399,7 @@ def oracle_spec(cfg: dict, eta: float = 0.0) -> OracleSpec:
 def run_config(
     cfg: dict, teacher: TeacherSpec, oracle: OracleSpec, n: int, seed: int, audit: bool = False
 ) -> RunConfig:
-    """One run of a resolved config (batch, neurons, init, threshold, record_every)
+    """One run of a resolved config (batch, neurons, threshold, record_every)
     with the given teacher, oracle, sample budget and seed."""
     return RunConfig(
         teacher=teacher,
@@ -407,7 +408,6 @@ def run_config(
         seed=SeedTree(seed),
         batch_size=cfg["batch"],
         n_neurons=cfg["neurons"],
-        init_mode=cfg["init"],
         weak_threshold=cfg["threshold"],
         record_every=cfg["record_every"],
         audit=audit,

@@ -1,8 +1,9 @@
 """Gaussian single-index teacher, student network container, and seeding.
 
 The teacher draws x ~ N(0, I_d) and labels y = link(<x, theta_star>) + noise,
-with theta_star a unit vector. The student is a two-layer network with unit
-first-layer rows; training only ever moves the rows on the sphere.
+with theta_star = e_1. The student is a two-layer network with unit
+first-layer rows, each starting at alignment d**-0.5; training only ever
+moves the rows on the sphere.
 """
 
 from __future__ import annotations
@@ -111,23 +112,23 @@ def unit_vector(d: int) -> np.ndarray:
 
 @dataclass
 class TeacherSpec:
-    """Single-index teacher: y = link(<x, theta_star>) + noise, x ~ N(0, I_d)."""
+    """Single-index teacher: y = link(<x, theta_star>) + noise, x ~ N(0, I_d).
+
+    theta_star is always e_1: the law of x is rotation invariant, so a run
+    against any other unit vector is, in law, a rotation of the e_1 run. It
+    is derived from d and left out of comparison, so two teachers are equal
+    when their d, link and noise are.
+    """
 
     d: int
     link: MonomialPoly
-    theta_star: np.ndarray = None  # defaults to e_1
     noise: NoiseSpec = field(default_factory=NoiseSpec)
+    theta_star: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("dimension must be positive")
-        if self.theta_star is None:
-            self.theta_star = unit_vector(self.d)
-        self.theta_star = np.asarray(self.theta_star, dtype=float)
-        if self.theta_star.shape != (self.d,):
-            raise ValueError("theta_star has wrong dimension")
-        if not abs(np.linalg.norm(self.theta_star) - 1.0) <= 1e-12:  # also true for nan
-            raise ValueError("theta_star must be a unit vector (within 1e-12)")
+        if not (is_integer(self.d) and self.d >= 1):
+            raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
+        self.theta_star = unit_vector(self.d)
 
 
 def draw_batch(
@@ -193,44 +194,26 @@ class NetworkSpec:
         return self.W.shape[1]
 
 
-InitMode = Literal["uniform_sphere", "pinned_alignment"]
-
-
 def init_network(
     d: int,
     n_neurons: int,
     activation: MonomialPoly,
-    init_mode: InitMode,
     rng: np.random.Generator,
-    theta_star: np.ndarray | None = None,
 ) -> NetworkSpec:
-    """Initialize the unit rows of W.
+    """Initialize the unit rows of W at the pinned alignment d**-0.5.
 
-    uniform_sphere: rows i.i.d. uniform on the unit sphere. pinned_alignment:
-    every row has alignment d**-0.5 with theta_star (default e_1),
-    the remainder uniform on the sphere of radius sqrt(1 - 1/d) in the
-    orthogonal complement, so every run starts at the same alignment. The
-    rows are built against e_1 and, for any other theta_star, mapped by the
-    Householder reflection that swaps e_1 and theta_star; with e_1 the rows
-    are untouched.
+    Every row has first coordinate d**-0.5, its alignment with the teacher's
+    theta_star = e_1, and the remainder uniform on the sphere of radius
+    sqrt(1 - 1/d) in the orthogonal complement, so every run starts at the
+    same alignment.
     """
     if d < 2:
         raise ValueError("need dimension at least 2")
-    if init_mode == "uniform_sphere":
-        w = rng.standard_normal((n_neurons, d))
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-    elif init_mode == "pinned_alignment":
-        rest = rng.standard_normal((n_neurons, d - 1))
-        rest /= np.linalg.norm(rest, axis=1, keepdims=True)
-        w = np.empty((n_neurons, d))
-        w[:, 0] = 1.0 / math.sqrt(d)
-        w[:, 1:] = rest * math.sqrt(1.0 - 1.0 / d)
-        e1 = unit_vector(d)
-        if theta_star is not None and not np.array_equal(theta_star, e1):
-            v = e1 - theta_star  # reflect across v's hyperplane: e_1 <-> theta_star
-            w -= np.outer(w @ v, v * (2.0 / (v @ v)))
-    else:
-        raise ValueError(f"unknown init mode {init_mode!r}")
+    rest = rng.standard_normal((n_neurons, d - 1))
+    rest /= np.linalg.norm(rest, axis=1, keepdims=True)
+    w = np.empty((n_neurons, d))
+    w[:, 0] = 1.0 / math.sqrt(d)
+    w[:, 1:] = rest * math.sqrt(1.0 - 1.0 / d)
     return NetworkSpec(W=w, activation=activation)
 
 

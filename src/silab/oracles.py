@@ -60,7 +60,7 @@ from .hermite import (
     _pscale,
     gaussian_moment,
 )
-from .model import NoiseSpec, TeacherSpec, is_integer
+from .model import NoiseSpec, TeacherSpec, is_integer, unit_vector
 
 OracleKind = Literal["online", "batch_reuse", "alternating", "deep_alternating"]
 
@@ -569,6 +569,10 @@ def alignment_gain_moments(
 # ---------------------------------------------------------------------------
 
 
+MU_MC_CHUNK = 200_000  # draws that mu_monte_carlo samples at once
+GAIN_MC_CHUNK = 50_000  # draws that alignment_gain_monte_carlo samples at once
+
+
 def _median_of_means(sample: Callable, n_outputs: int, n_draws: int, chunk: int, blocks: int):
     """Median-of-means estimate and standard error of n_outputs expectations.
 
@@ -578,12 +582,10 @@ def _median_of_means(sample: Callable, n_outputs: int, n_draws: int, chunk: int,
     The estimate is the median of the block means (their only entry when
     blocks is 1), and the standard error comes from the variance about the
     grand mean of all used draws. Returns two arrays of length n_outputs.
-    Raises ValueError unless n_draws >= blocks >= 1 and chunk >= 1.
+    Raises ValueError unless n_draws >= blocks >= 1.
     """
     if not n_draws >= blocks >= 1:
         raise ValueError(f"need n_draws >= blocks >= 1, got n_draws={n_draws}, blocks={blocks}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be a positive integer, got {chunk}")
     per_block = n_draws // blocks
     block_means = np.zeros((blocks, n_outputs))
     total_sq = np.zeros(n_outputs)
@@ -609,7 +611,6 @@ def mu_monte_carlo(
     d: int,
     n_draws: int,
     rng: np.random.Generator,
-    chunk: int = 200_000,
     blocks: int = 1,
 ):
     """Monte Carlo estimate of the mu table from its defining expectation.
@@ -618,8 +619,8 @@ def mu_monte_carlo(
     blocks > 1 the estimate is a median of block means, which keeps its
     calibration for the heavily right-skewed high-index integrands (plain
     means there are dominated by rare tail draws); the exact yardstick for
-    either estimator is mu_integrand_moments. Raises ValueError unless
-    n_draws >= blocks >= 1 and chunk >= 1.
+    either estimator is mu_integrand_moments. The draws are taken in chunks
+    of MU_MC_CHUNK. Raises ValueError unless n_draws >= blocks >= 1.
     """
     psi = effective_psi(spec, d)
     r = psi.z_degree + 1
@@ -634,7 +635,7 @@ def mu_monte_carlo(
         # a generator: the estimator holds one index's row at a time
         return (psi_val * he_s[i] * he_b[i - 1] for i in range(1, r + 1))
 
-    return _median_of_means(sample, r, n_draws, chunk, blocks)
+    return _median_of_means(sample, r, n_draws, MU_MC_CHUNK, blocks)
 
 
 def alignment_gain_monte_carlo(
@@ -645,7 +646,6 @@ def alignment_gain_monte_carlo(
     kappa: float,
     n_draws: int,
     rng: np.random.Generator,
-    chunk: int = 50_000,
     blocks: int = 1,
 ):
     """Monte Carlo mean and stderr of <theta_star, psi(y, <x,w>) P_w x>.
@@ -653,13 +653,13 @@ def alignment_gain_monte_carlo(
     The weight is held fixed at alignment kappa with theta_star; inputs are
     full d-dimensional Gaussian draws. blocks > 1 gives a median-of-means
     estimate (see mu_monte_carlo); alignment_gain_moments provides the exact
-    yardstick. Raises ValueError unless kappa is finite with |kappa| <= 1
-    and n_draws >= blocks >= 1 and chunk >= 1.
+    yardstick. The draws are taken in chunks of GAIN_MC_CHUNK. Raises
+    ValueError unless kappa is finite with |kappa| <= 1 and
+    n_draws >= blocks >= 1.
     """
     _check_kappa(kappa)
     psi = effective_psi(spec, d)
-    theta = np.zeros(d)
-    theta[0] = 1.0
+    theta = unit_vector(d)
     w = np.zeros(d)
     w[0] = kappa
     w[1] = math.sqrt(1.0 - kappa**2)
@@ -671,7 +671,7 @@ def alignment_gain_monte_carlo(
         y = link(s) + noise.draw(rng, m)
         return (psi(y, z) * (s - kappa * z),)
 
-    mean, se = _median_of_means(sample, 1, n_draws, chunk, blocks)
+    mean, se = _median_of_means(sample, 1, n_draws, GAIN_MC_CHUNK, blocks)
     return float(mean[0]), float(se[0])
 
 

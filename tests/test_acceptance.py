@@ -179,7 +179,6 @@ def figure1_sweep():
         seed=SeedTree(SEED, (5,)),
         batch_size=128,
         n_neurons=1,
-        init_mode="pinned_alignment",
         weak_threshold=0.5,
         record_every=100,
     )

@@ -2,9 +2,8 @@ import csv
 import io
 import math
 import re
-from dataclasses import fields, replace
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from silab import cli, harness
@@ -196,7 +195,8 @@ class TestSweepCommand:
         assert code == 1
         assert "unknown key" in err
 
-    @pytest.mark.parametrize("line", ["mean_mode = true", "strong_eps = 0.2"])
+    @pytest.mark.parametrize("line", ["mean_mode = true", "strong_eps = 0.2",
+                                      "init = pinned_alignment"])
     def test_removed_key_in_config_exits_1_before_any_cell(self, capsys, tmp_path, monkeypatch,
                                                            line):
         cells = []
@@ -246,7 +246,7 @@ def captured_specs(monkeypatch):
 
 class TestSweepFlags:
     def test_every_config_key_has_a_flag(self):
-        assert len(CONFIG) == 25
+        assert len(CONFIG) == 24
         parser = build_parser()
         for key, (typ, _) in CONFIG.items():
             assert typ in (str, int, float), key
@@ -258,7 +258,11 @@ class TestSweepFlags:
         (*QUICK_SWEEP, "--strong-eps", "0.2"),
         ("simulate", "--oracle", "online", "--link", "He3", "--act", "He3", "--d", "10",
          "--n", "256", "--strong-eps", "0.2"),
-    ], ids=["sweep-mean-mode", "sweep-strong-eps", "simulate-strong-eps"])
+        (*QUICK_SWEEP, "--init", "pinned_alignment"),
+        ("simulate", "--oracle", "online", "--link", "He3", "--act", "He3", "--d", "10",
+         "--n", "256", "--init", "pinned_alignment"),
+    ], ids=["sweep-mean-mode", "sweep-strong-eps", "simulate-strong-eps", "sweep-init",
+            "simulate-init"])
     def test_removed_flag_exits_2(self, capsys, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "out")])
@@ -277,14 +281,6 @@ class TestSweepFlags:
         code, _, err = run_cli(capsys, "sweep", "--oracle", "bogus", "--out", str(tmp_path))
         assert code == 1
         assert "error:" in err and "unknown oracle kind" in err
-
-    def test_bad_init_exits_1_before_any_cell(self, capsys, tmp_path, monkeypatch):
-        cells = []
-        monkeypatch.setattr(harness, "run", lambda cfg: cells.append(cfg))
-        code, _, err = run_cli(capsys, *QUICK_SWEEP, "--init", "bogus", "--out", str(tmp_path))
-        assert code == 1
-        assert "error: unknown init mode" in err
-        assert cells == []
 
     @pytest.mark.parametrize("flags, message", [
         (("--neurons", "0"), "error: need at least one neuron"),
@@ -376,7 +372,6 @@ class TestConfigDefaults:
         defaults = {key: default for key, (_, default) in CONFIG.items()}
         assert config.batch_size == defaults["batch"]
         assert config.n_neurons == defaults["neurons"]
-        assert config.init_mode == defaults["init"]
         assert config.weak_threshold == defaults["threshold"]
         assert config.record_every == defaults["record_every"]
         assert config.oracle.depth == defaults["depth"]
@@ -423,7 +418,7 @@ class TestSimulateRunConfig:
             capsys, "simulate", "--oracle", "deep_alternating", "--link", "He3", "--act", "He3",
             "--d", "12", "--eta", "0.3", "--gamma", "0.02", "--n", "600", "--batch", "16",
             "--neurons", "2", "--seed", "2", "--record-every", "5", "--threshold", "0.4",
-            "--init", "uniform_sphere", "--depth", "3", "--audit",
+            "--depth", "3", "--audit",
             "--noise", "gaussian", "--tau", "0.3", "--out", str(tmp_path / "traj.csv"),
         )
         assert code == 0
@@ -436,17 +431,11 @@ class TestSimulateRunConfig:
             seed=SeedTree(2),
             batch_size=16,
             n_neurons=2,
-            init_mode="uniform_sphere",
             weak_threshold=0.4,
             record_every=5,
             audit=True,
         )
-        for f in fields(RunConfig):
-            if f.name != "teacher":
-                assert getattr(got, f.name) == getattr(want, f.name), f.name
-        assert (got.teacher.d, got.teacher.link, got.teacher.noise) == (
-            want.teacher.d, want.teacher.link, want.teacher.noise)
-        np.testing.assert_array_equal(got.teacher.theta_star, want.teacher.theta_star)
+        assert got == want
 
 
 DEEP_Z2 = ("--oracle", "deep_alternating", "--act", "z2", "--depth", "3")
@@ -455,7 +444,6 @@ BAD_VALUES = [  # (command, bad flags and values, message)
       for c in ("mu", "simulate", "predict", "phase")],
     *[(c, ("--noise", "bogus"), "unknown noise family 'bogus'")
       for c in ("gen-data", "mu", "simulate", "predict", "phase")],
-    ("simulate", ("--init", "bogus"), "unknown init mode 'bogus'"),
     ("simulate", ("--gamma", "-1"), "gamma must be nonnegative"),
     ("simulate", ("--gamma", "nan"), "eta and gamma must be finite, got eta=0.0, gamma=nan"),
     ("mu", ("--eta", "nan"), "eta and gamma must be finite, got eta=nan, gamma=0.0"),

@@ -60,13 +60,9 @@ class TestRun:
         assert np.all(traj.alignments == traj.alignments[0])
         assert traj.weak_recovery_step is None  # threshold 0.5 > 1/sqrt(25)
 
-    def test_initial_alignment_pinned_against_theta_star(self):
+    def test_initial_alignment_pinned(self):
         d = 10
-        theta = np.random.default_rng(11).standard_normal(d)
-        theta /= np.linalg.norm(theta)
-        cfg = make_config(d=d, n=256, gamma=0.0)
-        cfg.teacher = TeacherSpec(d=d, link=HE3, theta_star=theta)
-        traj = run(cfg)
+        traj = run(make_config(d=d, n=256, gamma=0.0, n_neurons=3))
         np.testing.assert_allclose(traj.alignments[0], d**-0.5, rtol=0, atol=1e-12)
 
     def test_seed_determinism(self):
@@ -191,8 +187,7 @@ class TestNormalizationAudit:
 
     def test_negative_kappa_steps_skipped(self):
         cfg = make_config(
-            gamma=0.05, n=64_000, batch=32, audit=True,
-            init_mode="uniform_sphere", seed=8,
+            gamma=0.05, n=64_000, batch=32, audit=True, seed=8,
         )
         report = normalization_error_audit(run(cfg))
         assert report.n_skipped > 0
@@ -315,9 +310,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(weak_threshold=1.5)
 
-    def test_unknown_init_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown init mode"):
-            make_config(init_mode="bogus")
+    def test_init_mode_is_no_field(self):
+        # every run starts at the pinned alignment d**-0.5
+        with pytest.raises(TypeError, match="init_mode"):
+            make_config(init_mode="pinned_alignment")
+
+    def test_equal_by_value(self):
+        # used to raise: the teacher's theta_star array was compared
+        assert make_config() == make_config()
+        assert make_config() != make_config(seed=1)
+        assert make_config() != make_config(d=26)
 
     @pytest.mark.parametrize("neurons", [0, -1])
     def test_no_neurons_rejected(self, neurons):
@@ -355,8 +357,8 @@ def _hand_replay(cfg):
     teacher, oracle, bsz = cfg.teacher, cfg.oracle, cfg.batch_size
     n_steps = cfg.n_steps
     assert n_steps * bsz <= 4096
-    net = init_network(teacher.d, cfg.n_neurons, oracle.activation, cfg.init_mode,
-                       cfg.seed.child(ROLE_INIT).rng(), theta_star=teacher.theta_star)
+    net = init_network(teacher.d, cfg.n_neurons, oracle.activation,
+                       cfg.seed.child(ROLE_INIT).rng())
     x, y = draw_batch(teacher, n_steps * bsz, cfg.seed.child(ROLE_DATA).rng())
     theta = teacher.theta_star
     W = net.W.copy()

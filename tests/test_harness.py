@@ -449,7 +449,8 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config("bogus = 1")
 
-    @pytest.mark.parametrize("line", ["mean_mode = true", "strong_eps = 0.1"])
+    @pytest.mark.parametrize("line", ["mean_mode = true", "strong_eps = 0.1",
+                                      "init = pinned_alignment"])
     def test_removed_key_is_unknown(self, line):
         with pytest.raises(ValueError) as err:
             parse_config(line)
@@ -459,6 +460,15 @@ class TestConfig:
     def test_nonpositive_jobs_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs must be a positive integer"):
             tiny_spec(jobs=jobs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("replicates", 1.5), ("replicates", 2.0), ("replicates", True),
+        ("jobs", 1.5), ("jobs", 1.0), ("jobs", np.float64(2)),
+    ])
+    def test_non_integer_count_rejected(self, field, value):
+        # sweep() used to die with a TypeError from range or from the pool
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            tiny_spec(**{field: value})
 
     @pytest.mark.parametrize("key", ["window_min", "window_max"])
     def test_lone_window_bound_rejected(self, key):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -160,15 +161,29 @@ class TestDrawSample:
 
 
 class TestTeacherValidation:
-    def test_non_unit_theta_rejected(self):
-        with pytest.raises(ValueError):
-            TeacherSpec(d=3, link=hermite_poly(1), theta_star=np.array([1.0, 1.0, 0.0]))
+    def test_theta_star_is_derived_e1(self):
+        t = TeacherSpec(d=np.int64(4), link=hermite_poly(1))
+        assert np.array_equal(t.theta_star, unit_vector(4))
+        assert t.theta_star.dtype == np.float64
+        (field,) = [f for f in fields(TeacherSpec) if f.name == "theta_star"]
+        assert not (field.init or field.compare or field.repr)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_theta_rejected(self, bad):
-        # nan passed the old check, whose comparison is false for nan
-        with pytest.raises(ValueError, match="unit vector"):
-            TeacherSpec(d=3, link=hermite_poly(1), theta_star=[bad, 0.0, 0.0])
+    def test_theta_star_is_no_argument(self):
+        # the teacher direction is fixed: x ~ N(0, I_d) is rotation invariant
+        with pytest.raises(TypeError, match="theta_star"):
+            TeacherSpec(d=3, link=hermite_poly(1), theta_star=unit_vector(3))
+
+    def test_equal_by_value(self):
+        # equal specs compare equal; the derived theta_star is not compared
+        assert he3_teacher(d=3) == he3_teacher(d=3)
+        assert he3_teacher(d=3) != he3_teacher(d=4)
+        assert he3_teacher(d=3) != he3_teacher(d=3, noise=NoiseSpec("gaussian", 0.1))
+
+    @pytest.mark.parametrize("d", [True, 3.0, np.float64(3.0), "3", 0, -2])
+    def test_bad_dimension_rejected(self, d):
+        # a bool or a float d used to die inside np.zeros with a TypeError
+        with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got "):
+            TeacherSpec(d=d, link=hermite_poly(1))
 
 
 class TestNetworkValidation:
@@ -182,62 +197,45 @@ class TestNetworkValidation:
 class TestInitNetwork:
     def test_pinned_alignment_exact(self):
         t = he3_teacher(d=25)
-        net = init_network(25, 1, hermite_poly(3), "pinned_alignment", SeedTree(6).rng())
+        net = init_network(25, 1, hermite_poly(3), SeedTree(6).rng())
         assert alignment(net, t)[0] == pytest.approx(0.2, abs=1e-14)
 
     def test_pinned_d50(self):
         t = he3_teacher(d=50)
-        net = init_network(50, 3, hermite_poly(3), "pinned_alignment", SeedTree(7).rng())
+        net = init_network(50, 3, hermite_poly(3), SeedTree(7).rng())
         np.testing.assert_allclose(alignment(net, t), 1 / math.sqrt(50), atol=1e-14)
 
-    def test_pinned_against_random_theta_star(self):
-        d = 10
-        theta = np.random.default_rng(5).standard_normal(d)
-        theta /= np.linalg.norm(theta)
-        t = TeacherSpec(d=d, link=hermite_poly(3), theta_star=theta)
-        net = init_network(d, 4, hermite_poly(3), "pinned_alignment", SeedTree(6).rng(),
-                           theta_star=theta)
-        np.testing.assert_allclose(alignment(net, t), d**-0.5, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(net.W, axis=1), 1.0, atol=1e-12)
-
-    def test_pinned_e1_theta_star_is_default(self):
-        default = init_network(10, 3, hermite_poly(3), "pinned_alignment", SeedTree(6).rng())
-        pinned = init_network(10, 3, hermite_poly(3), "pinned_alignment", SeedTree(6).rng(),
-                              theta_star=unit_vector(10))
-        assert np.array_equal(default.W, pinned.W)
+    def test_init_mode_is_no_argument(self):
+        # every run starts at the pinned alignment; there is no other mode
+        with pytest.raises(TypeError):
+            init_network(10, 1, hermite_poly(3), "pinned_alignment", SeedTree(6).rng())
+        with pytest.raises(TypeError, match="theta_star"):
+            init_network(10, 1, hermite_poly(3), SeedTree(6).rng(), theta_star=unit_vector(10))
 
     def test_unit_rows(self):
-        for mode in ("uniform_sphere", "pinned_alignment"):
-            net = init_network(40, 8, hermite_poly(3), mode, SeedTree(8).rng())
-            np.testing.assert_allclose(np.linalg.norm(net.W, axis=1), 1.0, atol=1e-12)
-
-    def test_uniform_initial_alignment_fraction(self):
-        d = 1000
-        t = he3_teacher(d=d)
-        net = init_network(d, 10_000, hermite_poly(3), "uniform_sphere", SeedTree(10).rng())
-        frac = np.mean(alignment(net, t) >= 1 / math.sqrt(d))
-        assert 0.1 <= frac <= 0.5
+        net = init_network(40, 8, hermite_poly(3), SeedTree(8).rng())
+        np.testing.assert_allclose(np.linalg.norm(net.W, axis=1), 1.0, atol=1e-12)
 
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):
-            init_network(1, 1, hermite_poly(3), "uniform_sphere", SeedTree(11).rng())
+            init_network(1, 1, hermite_poly(3), SeedTree(11).rng())
 
 
 class TestAlignment:
     def test_aligned(self):
         t = he3_teacher(d=4)
-        net = init_network(4, 1, hermite_poly(3), "uniform_sphere", SeedTree(12).rng())
+        net = init_network(4, 1, hermite_poly(3), SeedTree(12).rng())
         net.W[0] = t.theta_star
         assert alignment(net, t)[0] == pytest.approx(1.0)
 
     def test_orthogonal(self):
         t = he3_teacher(d=4)
-        net = init_network(4, 1, hermite_poly(3), "uniform_sphere", SeedTree(13).rng())
+        net = init_network(4, 1, hermite_poly(3), SeedTree(13).rng())
         net.W[0] = np.array([0.0, 1.0, 0.0, 0.0])
         assert alignment(net, t)[0] == 0.0
 
     def test_dim_mismatch(self):
         t = he3_teacher(d=5)
-        net = init_network(4, 1, hermite_poly(3), "uniform_sphere", SeedTree(14).rng())
+        net = init_network(4, 1, hermite_poly(3), SeedTree(14).rng())
         with pytest.raises(ValueError):
             alignment(net, t)

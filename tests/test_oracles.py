@@ -38,7 +38,7 @@ from silab.oracles import (
     apply_step,
     mu_monte_carlo,
 )
-from silab import theory
+from silab import oracles, theory
 from silab.theory import (
     PHASE_GRID,
     PhaseBoundary,
@@ -182,17 +182,23 @@ class TestMuTable:
             assert abs(est[i] - mu.mus[i]) <= 5 * se[i] + 1e-9
 
 
-def _mu_mc(n_draws, blocks, chunk):
+def _mu_mc(n_draws, blocks, **kw):
     spec = OracleSpec(kind="alternating", activation=HE3, eta=0.5)
     rng = np.random.default_rng(0)
-    return mu_monte_carlo(spec, HE3, NOISELESS, 25, n_draws, rng, chunk=chunk, blocks=blocks)
+    return mu_monte_carlo(spec, HE3, NOISELESS, 25, n_draws, rng, blocks=blocks, **kw)
 
 
-def _gain_mc(n_draws, blocks, chunk):
+def _gain_mc(n_draws, blocks, **kw):
     spec = OracleSpec(kind="alternating", activation=HE3, eta=0.5)
     rng = np.random.default_rng(0)
     return alignment_gain_monte_carlo(spec, HE3, NOISELESS, 25, 0.3, n_draws, rng,
-                                      chunk=chunk, blocks=blocks)
+                                      blocks=blocks, **kw)
+
+
+def _set_chunks(monkeypatch, chunk):
+    """Make both sampling routes draw `chunk` samples at a time."""
+    monkeypatch.setattr(oracles, "MU_MC_CHUNK", chunk)
+    monkeypatch.setattr(oracles, "GAIN_MC_CHUNK", chunk)
 
 
 class TestMonteCarloArguments:
@@ -201,26 +207,27 @@ class TestMonteCarloArguments:
     ROUTES = pytest.mark.parametrize("route", [_mu_mc, _gain_mc], ids=["mu", "gain"])
 
     @ROUTES
-    def test_zero_chunk_raises(self, route):
-        # used to loop forever: every chunk drew zero samples
-        with pytest.raises(ValueError, match="chunk"):
-            route(100, 1, 0)
+    def test_chunk_is_no_argument(self, route):
+        # the chunk size is a module constant, not a setting
+        with pytest.raises(TypeError, match="chunk"):
+            route(100, 1, chunk=10)
 
     @ROUTES
     def test_fewer_draws_than_blocks_raises(self, route):
         # used to give nan (mu) or ZeroDivisionError (gain): empty blocks
         with pytest.raises(ValueError, match="n_draws >= blocks"):
-            route(3, 4, 10)
+            route(3, 4)
 
     @ROUTES
     def test_zero_blocks_raises(self, route):
         # used to raise ZeroDivisionError from n_draws // blocks
         with pytest.raises(ValueError, match="blocks >= 1"):
-            route(100, 0, 10)
+            route(100, 0)
 
     @ROUTES
-    def test_smallest_valid_arguments_run(self, route):
-        mean, se = route(2, 2, 1)
+    def test_smallest_valid_arguments_run(self, route, monkeypatch):
+        _set_chunks(monkeypatch, 1)
+        mean, se = route(2, 2)
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(se))
 
 
@@ -304,9 +311,10 @@ class TestMonteCarloBitIdentity:
     @SPECS
     @NOISE
     @DRAWS
-    def test_mu(self, spec, noise, n_draws, chunk, blocks):
+    def test_mu(self, spec, noise, n_draws, chunk, blocks, monkeypatch):
+        _set_chunks(monkeypatch, chunk)
         got = mu_monte_carlo(spec, HE3, noise, 10, n_draws, np.random.default_rng(5),
-                             chunk=chunk, blocks=blocks)
+                             blocks=blocks)
         want = _reference_mu_monte_carlo(spec, HE3, noise, 10, n_draws,
                                          np.random.default_rng(5), chunk, blocks)
         assert all(type(a) is np.ndarray for a in got)
@@ -315,12 +323,29 @@ class TestMonteCarloBitIdentity:
     @SPECS
     @NOISE
     @DRAWS
-    def test_gain(self, spec, noise, n_draws, chunk, blocks):
+    def test_gain(self, spec, noise, n_draws, chunk, blocks, monkeypatch):
+        _set_chunks(monkeypatch, chunk)
         got = alignment_gain_monte_carlo(spec, HE3, noise, 10, 0.3, n_draws,
-                                         np.random.default_rng(5), chunk=chunk, blocks=blocks)
+                                         np.random.default_rng(5), blocks=blocks)
         want = _reference_gain_monte_carlo(spec, HE3, noise, 10, 0.3, n_draws,
                                            np.random.default_rng(5), chunk, blocks)
         assert all(type(a) is float for a in got)
+        assert repr(got) == repr(want)
+
+    def test_default_chunks(self):
+        """The chunk sizes are the former defaults, so every caller that never
+        set one (the acceptance suite's Monte Carlo checks) draws the same
+        stream; 250,000 and 60,000 draws span two chunks of each route."""
+        assert (oracles.MU_MC_CHUNK, oracles.GAIN_MC_CHUNK) == (200_000, 50_000)
+        spec, noise = OracleSpec(kind="alternating", activation=HE3, eta=0.5), NOISELESS
+        got = mu_monte_carlo(spec, HE3, noise, 10, 250_000, np.random.default_rng(5))
+        want = _reference_mu_monte_carlo(spec, HE3, noise, 10, 250_000,
+                                         np.random.default_rng(5), 200_000, 1)
+        assert repr([a.tolist() for a in got]) == repr([a.tolist() for a in want])
+        got = alignment_gain_monte_carlo(spec, HE3, noise, 10, 0.3, 60_000,
+                                         np.random.default_rng(5))
+        want = _reference_gain_monte_carlo(spec, HE3, noise, 10, 0.3, 60_000,
+                                           np.random.default_rng(5), 50_000, 1)
         assert repr(got) == repr(want)
 
 
