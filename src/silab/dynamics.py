@@ -40,9 +40,13 @@ def _check_integers(config, names) -> None:
             raise ValueError(f"{name} must be an integer, got {getattr(config, name)!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """One simulation's full parameterization."""
+    """One simulation's full parameterization.
+
+    A config is a frozen value, so every field keeps the value its checks
+    passed; derive others with dataclasses.replace, which checks them again.
+    """
 
     teacher: TeacherSpec
     oracle: OracleSpec
@@ -160,24 +164,40 @@ def run(config: RunConfig) -> Trajectory:
     it is cut, so its blocks hold max(1, min(4096 // B, 2**16 // (B d)))
     steps: at most 4096 samples and, where a step fits, at most 2**16
     values (_DRAW_VALUES, 512 KB), so the buffer stops growing with d. Its
-    labels are cut-free too, since x @ e_1 is exact. A noisy run keeps
-    max(1, 4096 // B) steps: draw_batch draws a block's noise after its x,
-    so its bits depend on the block.
+    labels are cut-free too, since they read x's first column (see
+    draw_batch). A noisy run keeps max(1, 4096 // B) steps: draw_batch
+    draws a block's noise after its x, so its bits depend on the block.
 
-    Each step hands apply_step, called through this module's global, a
-    C-contiguous (B, d) row block of the drawn data and its 1-D labels, both
-    float64 views, which the step core takes as they are. The loop reads the
-    config once and unpacks each step's result, and records into arrays sized
-    for every checkpoint with W.dot(theta, out=row), the same BLAS call as
-    W @ theta, so its bits are those of the plain loop. With the audit on,
-    each step's audited quantities go into (steps, neurons) arrays in the
-    same way, and the trace holds the rows of the steps taken.
+    Each step hands apply_step, called through this module's global once per
+    neuron, its samples in the form the step core takes without converting
+    them: at B = 1 a 1-D float64 row view of the drawn data and its label as
+    a Python float (from the block's labels.tolist()), and otherwise a
+    C-contiguous (B, d) row block and its 1-D labels, both float64 views.
+    The loop keeps each neuron's current row in a list, not in W, and W
+    gets the rows back once, at the end of the run. It reads the config
+    once, unpacks each step's result, and records into arrays sized for
+    every checkpoint.
+
+    An alignment with theta = e_1 is read, not multiplied: a checkpoint
+    records each row's first coordinate plus 0.0, and the audit does the
+    same for kappa before and after the step and for <theta, g>. For a
+    finite vector the product W @ e_1 sums that coordinate with zeros, which
+    gives it exactly, except that a -0.0 comes out as 0.0, as it does from
+    + 0.0. An inf or nan entry anywhere makes the product nan, so the read
+    is exact only on finite vectors. Every row that enters a step is finite,
+    since a run stops at its first bad step; the new row is finite when its
+    prenorm is, and g when g.g is. Where that is not known (at a bad step,
+    where prenorm is not finite, or where g.g is not) the loop falls back to
+    the product theta.dot and records what it gives: on a finite vector the
+    bits of W @ theta (both sum one coordinate with zeros), and nan on any
+    other. With the audit on, each step's audited quantities go into
+    (steps, neurons) arrays, and the trace holds the rows of the steps taken.
 
     Every block is drawn into one (min(block, n_steps) B, d) buffer that the
     run owns, and a short last block fills its leading rows, so a run holds
     one data block, not two. The rows a step receives are valid for that
     step only, since the next block overwrites them. Nothing keeps them past
-    it: apply_step returns fresh w and v, the audit stores dot products, and
+    it: apply_step returns fresh w and v, the audit stores numbers, and
     Trajectory holds no data.
     """
     teacher = config.teacher
@@ -212,37 +232,49 @@ def run(config: RunConfig) -> Trajectory:
     if teacher.noise.is_none:
         block = max(1, min(block, _DRAW_VALUES // (bsz * teacher.d)))
     x_buf = np.empty((min(block, n_steps) * bsz, teacher.d))
+    rows = list(W)  # each neuron's current row; W holds them only when written back
     step = 0
     while step < n_steps:
         n_block = min(block, n_steps - step)
         x_all, y_all = draw_batch(teacher, n_block * bsz, data_rng, out=x_buf)
-        x_steps = x_all.reshape(n_block, bsz, teacher.d)
-        for x, y in zip(x_steps, y_all.reshape(n_block, bsz)):
+        if bsz == 1:
+            samples = zip(x_all, y_all.tolist())
+        else:
+            samples = zip(x_all.reshape(n_block, bsz, teacher.d), y_all.reshape(n_block, bsz))
+        for x, y in samples:
             bad = False
             for j in range(n_neurons):
-                w_before = W[j]
+                w_before = rows[j]
                 w_new, g, prenorm, step_rejected = apply_step(w_before, x, y, oracle)
                 if step_rejected:
                     rejected += 1
                 if not math.isfinite(prenorm) or prenorm >= DIVERGENCE_NORM:
                     bad = True
                 if audit:
-                    # capture before the row buffer is overwritten below
-                    kb_rows[step, j] = theta.dot(w_before)
-                    ka_rows[step, j] = theta.dot(w_new)
-                    tg_rows[step, j] = theta.dot(g)
-                    gg_rows[step, j] = g.dot(g)
-                W[j] = w_new
+                    # every row taken into a step is finite; the new row is
+                    # when its prenorm is, and g is when g.g is
+                    gg = g.dot(g)
+                    kb_rows[step, j] = w_before.item(0) + 0.0
+                    ka_rows[step, j] = (
+                        w_new.item(0) + 0.0 if math.isfinite(prenorm) else theta.dot(w_new)
+                    )
+                    tg_rows[step, j] = g.item(0) + 0.0 if math.isfinite(gg) else theta.dot(g)
+                    gg_rows[step, j] = gg
+                rows[j] = w_new
             step += 1
             if bad or step % record_every == 0 or step == n_steps:
                 rec_steps[n_rec] = step
-                W.dot(theta, out=rec_kappa[n_rec])
+                kappa = rec_kappa[n_rec]
+                for j in range(n_neurons):
+                    # a bad step's new rows may not be finite
+                    kappa[j] = theta.dot(rows[j]) if bad else rows[j].item(0) + 0.0
                 n_rec += 1
             if bad:
                 diverged = True
                 break
         if diverged:
             break
+    W[:] = rows
 
     steps_arr = rec_steps[:n_rec]
     kappa_arr = rec_kappa[:n_rec]

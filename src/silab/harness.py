@@ -70,7 +70,7 @@ def int_log_grid(count: int, lo: int, hi: int) -> tuple[int, ...]:
     return tuple(vals)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
     """Grid sweep over learning rates and sample sizes.
 
@@ -79,7 +79,8 @@ class SweepSpec:
     the gamma axis with eta forced to zero (how an online-SGD step-size
     sweep is expressed, since that oracle has no eta). Each cell and each
     (eta, n) group of replicates is judged by dynamics.recovers, the median
-    rule, against base.weak_threshold.
+    rule, against base.weak_threshold. A spec is a frozen value; derive
+    others with dataclasses.replace, which checks them again.
     """
 
     base: RunConfig

@@ -110,14 +110,15 @@ def unit_vector(d: int) -> np.ndarray:
     return e
 
 
-@dataclass
+@dataclass(frozen=True)
 class TeacherSpec:
     """Single-index teacher: y = link(<x, theta_star>) + noise, x ~ N(0, I_d).
 
     theta_star is always e_1: the law of x is rotation invariant, so a run
     against any other unit vector is, in law, a rotation of the e_1 run. It
     is derived from d and left out of comparison, so two teachers are equal
-    when their d, link and noise are.
+    when their d, link and noise are. A teacher is a frozen value, so
+    theta_star always has length d; derive others with dataclasses.replace.
     """
 
     d: int
@@ -128,7 +129,7 @@ class TeacherSpec:
     def __post_init__(self) -> None:
         if not (is_integer(self.d) and self.d >= 1):
             raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
-        self.theta_star = unit_vector(self.d)
+        object.__setattr__(self, "theta_star", unit_vector(self.d))
 
 
 def draw_batch(
@@ -143,6 +144,12 @@ def draw_batch(
     columns, X is the view out[:size], filled in place with the bits the
     allocating call would draw; the labels are computed as without it (x
     first, then the noise), so the stream is the same either way.
+
+    The labels read <x, theta_star> as the first column plus 0.0. With
+    theta_star = e_1 the product sums x[:, 0] with zeros, which is x[:, 0]
+    exactly, save that a -0.0 comes out as 0.0; adding 0.0 does the same.
+    This holds because a drawn x is finite (an inf or nan entry would make
+    the product nan).
     """
     if size < 0:
         raise ValueError(f"sample count must be nonnegative, got {size}")
@@ -160,7 +167,7 @@ def draw_batch(
         raise ValueError(
             f"out must have at least {size} rows and {teacher.d} columns, got shape {out.shape}"
         )
-    y = teacher.link(x @ teacher.theta_star)
+    y = teacher.link(x[:, 0] + 0.0)
     if not teacher.noise.is_none:
         y = y + teacher.noise.draw(rng, size)
     return x, y

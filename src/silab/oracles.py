@@ -693,18 +693,23 @@ class StepResult(NamedTuple):
 _FLOAT64 = np.dtype(float)
 
 
-def _as_batch(x, y):
-    """x as a (B, d) float array and y as a (B,) one, with B >= 1.
+def _as_step_input(x, y):
+    """One sample as a 1-D float row and a float label, or a batch of B >= 2
+    samples as a (B, d) float array and (B,) labels.
 
-    A 2-D float64 ndarray x with a 1-D float64 ndarray y, which is what run()
-    passes (a row block of the drawn data and its label slice), comes back as
-    the very same objects: np.asarray(..., dtype=float) would return them
-    unchanged too, so skipping it cannot change a bit. Anything else (lists,
-    other dtypes, ndarray subclasses, a single sample) goes through np.asarray.
-    There a scalar label is lifted to one sample, and labels that are not
-    1-D raise ValueError. Either way, a batch with no samples or with a label
-    count other than its sample count raises ValueError.
+    What run() passes comes back as the very same objects: at B = 1 a 1-D
+    float64 ndarray row of the drawn data with a Python float label, and
+    otherwise a 2-D float64 ndarray block with a 1-D float64 ndarray of
+    labels (np.asarray(..., dtype=float) would return those unchanged too,
+    so skipping it cannot change a bit). Anything else (lists, other dtypes,
+    ndarray subclasses, a (1, d) block) goes through np.asarray, and one
+    sample found there comes back as its row and a float label. There a
+    scalar label is lifted to one sample, and labels that are not 1-D raise
+    ValueError. Either way, a batch with no samples or with a label count
+    other than its sample count raises ValueError.
     """
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1 and type(y) is float:
+        return x, y
     if (
         type(x) is np.ndarray
         and type(y) is np.ndarray
@@ -729,6 +734,8 @@ def _as_batch(x, y):
             f"a step needs one label per sample and at least one sample, "
             f"got {n} samples and {len(yb)} labels"
         )
+    if n == 1:
+        return xb[0], yb.item(0)
     return xb, yb
 
 
@@ -793,31 +800,36 @@ def apply_step(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
     their projected mean, and the normalization. Batches average the raw
     updates.
 
-    With one sample the coefficient is scalar arithmetic on Python floats,
-    and the mean update is x c; with a batch it is the same arithmetic on
-    arrays. Both give the bits of the batched array formulas. The update
-    w + gamma v is formed in place as (v gamma) + w, the same products and
-    sums, and divided by its norm in place.
+    One sample steps as a row: a 1-D x with a float label, which is what
+    run() passes at B = 1, or a (1, d) block with one label, which
+    _as_step_input turns into its row. z = x w is a ddot and |x|^2 (batch_reuse
+    only) the einsum "i,i->", the bits that a (1, d) block gives through
+    numpy's dot and the einsum "ij,ij->i" (x.dot(x) would not: it differs in
+    the last bit on about half of all draws at d = 25). The coefficient is
+    then scalar arithmetic on Python floats, and the mean update is x c. A
+    batch runs the same coefficient on arrays, and its mean update is x^T c,
+    divided by B in place. Both give the bits of the batched array formulas.
+    The update w + gamma v is formed in place as (v gamma) + w, the same
+    products and sums, and divided by its norm in place.
 
-    The bits of a step depend on the memory layout of x. xb w and w v are
-    taken with ndarray.dot, which costs less dispatch than @. On a block
+    The bits of a step depend on the memory layout of x. x w, x^T c and w v
+    are taken with ndarray.dot, which costs less dispatch than @. On a block
     whose rows BLAS can address, which includes every C-order float64 block
-    and so everything run() passes (row slices of its drawn data), both make
-    the same BLAS call (gemv for xb w, ddot for w v), so the bits are those
-    of @ and of run(). A strided view that BLAS cannot address as it is, such
-    as X[::2, 1::2], takes a different product loop and may differ in the
-    last bit; pass np.ascontiguousarray(x) to replay a run from such a view.
+    and so everything run() passes (rows and row slices of its drawn data),
+    both make the same BLAS call, so the bits are those of @ and of run().
+    A strided view that BLAS cannot address as it is, such as X[::2, 1::2],
+    takes a different product loop and may differ in the last bit; pass
+    np.ascontiguousarray(x) to replay a run from such a view.
     """
-    xb, yb = _as_batch(x, y)
+    x, y = _as_step_input(x, y)
     coef = spec._coefficient
-    z = xb.dot(w)
-    xsq = np.einsum("ij,ij->i", xb, xb) if spec.kind == "batch_reuse" else None
-    if len(xb) == 1:
-        c = coef(yb.item(0), z.item(0), None if xsq is None else xsq.item(0))
-        v = xb[0] * c
+    if x.ndim == 1:
+        xsq = float(np.einsum("i,i->", x, x)) if spec.kind == "batch_reuse" else None
+        v = x * coef(y, float(x.dot(w)), xsq)
     else:
-        c = coef(yb, z, xsq)
-        v = xb.T @ c / c.shape[0]
+        xsq = np.einsum("ij,ij->i", x, x) if spec.kind == "batch_reuse" else None
+        v = x.T.dot(coef(y, x.dot(w), xsq))
+        v /= len(x)
     # Projection is linear, so projecting the batch mean equals the mean of
     # per-sample projected updates. v is fresh, so it is projected in place.
     v -= w * w.dot(v)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -142,7 +143,7 @@ class TestGoldenRun:
             kind="alternating", d=50, eta=1.0, gamma=1.0 / 50,
             n=200_000, batch=128, seed=0, record_every=100,
         )
-        cfg.seed = SeedTree(20260808, (99,))
+        cfg = replace(cfg, seed=SeedTree(20260808, (99,)))
         traj = run(cfg)
         assert traj.weak_recovery_step == 800
         assert traj.samples_seen[-1] == 199_936
@@ -315,6 +316,16 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match="init_mode"):
             make_config(init_mode="pinned_alignment")
 
+    def test_frozen(self):
+        # an assignment used to skip every check: batch_size = 0 passed, and
+        # run() then died in n_steps with ZeroDivisionError
+        cfg = make_config(n=256, batch=128)
+        with pytest.raises(FrozenInstanceError):
+            cfg.batch_size = 0
+        with pytest.raises(ValueError, match="batch_size"):
+            replace(cfg, batch_size=0)
+        assert replace(cfg, batch_size=64).n_steps == 4
+
     def test_equal_by_value(self):
         # used to raise: the teacher's theta_star array was compared
         assert make_config() == make_config()
@@ -460,18 +471,131 @@ class TestRunMatchesHandReplay:
     @pytest.mark.parametrize("batch", [1, 4])
     def test_run_steps_through_the_module_global(self, batch, monkeypatch):
         """Tracers rebind dynamics.apply_step; run() must call it once per
-        step and neuron."""
+        step and neuron, with one sample as a 1-D row and a float label."""
         calls = []
 
         def spy(w, x, y, spec):
-            calls.append(len(x))
+            calls.append((x.shape, type(y)))
             return apply_step(w, x, y, spec)
 
         monkeypatch.setattr(dynamics, "apply_step", spy)
         cfg = make_config(kind="online", gamma=0.01, n=50 * batch, batch=batch, seed=1,
                           n_neurons=3, record_every=10)
         run(cfg)
-        assert calls == [batch] * (cfg.n_steps * cfg.n_neurons)
+        d = cfg.teacher.d
+        want = ((d,), float) if batch == 1 else ((batch, d), np.ndarray)
+        assert calls == [want] * (cfg.n_steps * cfg.n_neurons)
+
+
+class TestCoordinateReads:
+    """run() reads an alignment with theta = e_1 as a first coordinate plus
+    0.0 and falls back to the products where a vector may not be finite.
+    Either way every record has the bits of theta.dot and W.dot(theta),
+    replayed here step by step from what apply_step took and returned."""
+
+    @staticmethod
+    def _spied_run(cfg, monkeypatch, inject=None):
+        """run(cfg) and every (w taken, StepResult returned) of its steps;
+        inject = (call index, function of w and the result) swaps one result."""
+        calls = []
+
+        def spy(w, x, y, spec):
+            res = apply_step(w, x, y, spec)
+            if inject is not None and len(calls) == inject[0]:
+                res = inject[1](w, res)
+            calls.append((w.copy(), res))
+            return res
+
+        monkeypatch.setattr(dynamics, "apply_step", spy)
+        return run(cfg), calls
+
+    @staticmethod
+    def _assert_records_the_products(cfg, traj, calls):
+        theta, n = cfg.teacher.theta_star, cfg.n_neurons
+        taken = len(calls) // n  # the last step taken is recorded, on the grid or not
+        steps = [0] + [s for s in range(1, taken + 1) if s % cfg.record_every == 0 or s == taken]
+        W = np.array([w for w, _ in calls[:n]])
+        kappas, rows = [W.dot(theta)], []
+        for step in range(1, taken + 1):
+            row = []
+            for j in range(n):
+                w, res = calls[(step - 1) * n + j]
+                g = res.raw_update
+                row.append((theta.dot(w), theta.dot(res.w), theta.dot(g), g.dot(g)))
+                W[j] = res.w
+            rows.append(row)
+            if step in steps:
+                kappas.append(W.dot(theta))
+        assert traj.steps.tolist() == steps
+        assert np.asarray(kappas).tobytes() == traj.alignments.tobytes()
+        assert W.tobytes() == traj.final_network.W.tobytes()
+        if cfg.audit:
+            t = traj.audit_trace
+            want = np.asarray(rows)
+            for k, arr in enumerate((t.kappa_before, t.kappa_after, t.theta_dot_g, t.g_norm_sq)):
+                assert arr.tobytes() == np.ascontiguousarray(want[:, :, k]).tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("kind", list(TestRunMatchesHandReplay.KINDS))
+    def test_audited_run(self, kind, batch, monkeypatch):
+        cfg = make_config(gamma=0.01, n=60 * batch, batch=batch, seed=8, n_neurons=2,
+                          record_every=4, audit=True, **TestRunMatchesHandReplay.KINDS[kind])
+        traj, calls = self._spied_run(cfg, monkeypatch)
+        assert not traj.diverged and len(calls) == 120
+        self._assert_records_the_products(cfg, traj, calls)
+
+    def test_overflowing_step(self, monkeypatch):
+        """gamma = 1e308 overflows the first step: one new row is nan but for
+        its first coordinate, 0.0, so a bare read would record 0.0 where the
+        product records nan."""
+        cfg = make_config(kind="alternating", d=10, eta=1.0, gamma=1e308, n=50, batch=1,
+                          seed=2, n_neurons=2, record_every=3, audit=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj, calls = self._spied_run(cfg, monkeypatch)
+            self._assert_records_the_products(cfg, traj, calls)
+        assert traj.diverged and traj.steps.tolist() == [0, 1]
+        W = traj.final_network.W
+        assert np.isnan(traj.alignments[-1, 0]) and W[0, 0] == 0.0
+        assert np.isnan(traj.audit_trace.kappa_after[0, 0])
+
+    @pytest.mark.parametrize("case", ["bad-step", "non-finite-g", "signed-zeros"])
+    def test_injected_vectors(self, case, monkeypatch):
+        """One injected step result, on the second neuron of step 3:
+        bad-step: a new row with a nan (prenorm inf) and g with an inf entry
+          (g.g = inf), each with a finite first coordinate;
+        non-finite-g: the same g on a step that keeps the row (prenorm 1);
+        signed-zeros: a finite new row and g whose first coordinates are -0.0.
+        A bare first-coordinate read would record 0.25, 1.0 or -0.0 where the
+        products record nan, nan or 0.0."""
+        nan, inf = math.nan, math.inf
+
+        def inject(w, res):
+            row, g = np.zeros_like(w), np.zeros_like(w)
+            if case == "signed-zeros":
+                row[:2] = g[:2] = -0.0, 1.0
+                return res._replace(w=row, raw_update=g, prenorm=1.0)
+            g[:2] = 1.0, inf
+            if case == "bad-step":
+                row[:2] = 0.25, nan
+                return res._replace(w=row, raw_update=g, prenorm=inf)
+            return res._replace(w=w, raw_update=g, prenorm=1.0)
+
+        cfg = make_config(kind="online", d=6, gamma=0.01, n=12, batch=1, seed=3,
+                          n_neurons=2, record_every=1, audit=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj, calls = self._spied_run(cfg, monkeypatch, inject=(5, inject))
+            self._assert_records_the_products(cfg, traj, calls)
+        t = traj.audit_trace
+        assert traj.diverged == (case == "bad-step")
+        if case == "signed-zeros":
+            for got in (t.kappa_after[2, 1], t.theta_dot_g[2, 1], t.kappa_before[3, 1],
+                        traj.alignments[3, 1]):
+                assert got == 0.0 and not np.signbit(got)
+        else:
+            assert np.isnan(t.theta_dot_g[2, 1]) and t.g_norm_sq[2, 1] == inf
+        if case == "bad-step":
+            assert traj.steps.tolist() == [0, 1, 2, 3]
+            assert np.isnan(t.kappa_after[2, 1]) and np.isnan(traj.alignments[-1, 1])
 
 
 class TestDataBuffer:

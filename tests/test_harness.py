@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -134,9 +134,7 @@ class TestSweep:
 
     def test_diverged_cell_never_recovered(self, tmp_path):
         spec = tiny_spec(replicates=6)
-        spec.eta_grid = (1.0,)
-        spec.n_grid = (64, 1024)
-        spec.gamma_mode = 1e9
+        spec = replace(spec, eta_grid=(1.0,), n_grid=(64, 1024), gamma_mode=1e9)
         res = sweep(spec)
         diverged = [c for c in res.cells if c.diverged]
         # the rule is exercised: a diverged run ends above the threshold
@@ -159,14 +157,13 @@ class TestSweep:
 
     def test_gamma_override(self):
         spec = tiny_spec()
-        spec.gamma_mode = 0.123
+        spec = replace(spec, gamma_mode=0.123)
         res = sweep(spec)
         assert all(g == 0.123 for g in res.gammas)
 
     def test_single_cell(self):
         spec = tiny_spec(replicates=1)
-        spec.eta_grid = (0.1,)
-        spec.n_grid = (64,)
+        spec = replace(spec, eta_grid=(0.1,), n_grid=(64,))
         res = sweep(spec)
         assert len(res.cells) == 1
 
@@ -220,7 +217,7 @@ class TestOneGroupRule:
         monkeypatch.setattr(dynamics, "recovers", rule)
         monkeypatch.setattr(harness, "recovers", rule)
         spec = tiny_spec(replicates=2)
-        spec.eta_grid, spec.n_grid = (0.01, 0.1), (64, 128)
+        spec = replace(spec, eta_grid=(0.01, 0.1), n_grid=(64, 128))
         result = sweep(spec)
         # each of the 8 cells is a group of one
         assert calls[:8] == [(1, 0.5)] * 8
@@ -282,7 +279,7 @@ class TestRows:
 
     def test_eta_as_gamma_row_runs_eta_zero(self):
         spec = tiny_spec(replicates=1)
-        spec.gamma_mode = "eta_as_gamma"
+        spec = replace(spec, gamma_mode="eta_as_gamma")
         for eta in spec.eta_grid:
             assert harness._row_oracle(spec, eta) == replace(spec.base.oracle, eta=0.0, gamma=eta)
 
@@ -378,10 +375,10 @@ class TestEmit:
         """The grid is the step size and every cell runs at eta = 0, so no
         eta boundary applies; the same grid under gamma auto has some."""
         spec = tiny_spec(replicates=1)
-        spec.n_grid = (64,)
+        spec = replace(spec, n_grid=(64,))
         phase = {}
         for mode in ("auto", "eta_as_gamma"):
-            spec.gamma_mode = mode
+            spec = replace(spec, gamma_mode=mode)
             emit(sweep(spec), str(tmp_path / mode))
             with open(tmp_path / mode / "phase.csv") as fh:
                 phase[mode] = fh.read().splitlines()
@@ -395,18 +392,17 @@ class TestEmit:
     def test_no_boundary_on_the_grid_writes_only_the_phase_header(
             self, tmp_path, kind, act, link, etas):
         spec = tiny_spec(replicates=1)
-        spec.base.teacher = TeacherSpec(d=50, link=link)
-        spec.base.oracle = OracleSpec(kind=kind, activation=act)
-        spec.eta_grid = log_grid(2, *etas)
-        spec.n_grid = (64,)
+        base = replace(spec.base, teacher=TeacherSpec(d=50, link=link),
+                       oracle=OracleSpec(kind=kind, activation=act))
+        spec = replace(spec, base=base, eta_grid=log_grid(2, *etas), n_grid=(64,))
         emit(sweep(spec), str(tmp_path))
         with open(tmp_path / "phase.csv") as fh:
             assert fh.read() == "i,j,eta_star,exponent\n"
 
     def test_empty_recovery_still_writes_sidecar(self, tmp_path):
         spec = tiny_spec(kind="online")
-        spec.base.oracle = replace(spec.base.oracle, gamma=0.0)
-        spec.gamma_mode = 0.0
+        oracle = replace(spec.base.oracle, gamma=0.0)
+        spec = replace(spec, base=replace(spec.base, oracle=oracle), gamma_mode=0.0)
         res = sweep(spec)
         assert all(c.recovered == 0 for c in res.cells)
         emit(res, str(tmp_path))
@@ -469,6 +465,15 @@ class TestConfig:
         # sweep() used to die with a TypeError from range or from the pool
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             tiny_spec(**{field: value})
+
+    def test_spec_is_frozen(self):
+        # an assignment used to skip every check of __post_init__
+        spec = tiny_spec()
+        with pytest.raises(FrozenInstanceError):
+            spec.replicates = 0
+        with pytest.raises(ValueError, match="at least one replicate"):
+            replace(spec, replicates=0)
+        assert replace(spec, replicates=3).replicates == 3
 
     @pytest.mark.parametrize("key", ["window_min", "window_max"])
     def test_lone_window_bound_rejected(self, key):

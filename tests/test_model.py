@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -86,6 +86,37 @@ class TestDrawSample:
         x, y = draw_batch(t, 1, SeedTree(1).rng())
         z = float(x[0] @ t.theta_star)
         assert y[0] == pytest.approx(z**3 - 3 * z, rel=1e-12)
+
+    def test_labels_read_the_first_coordinate_exactly(self):
+        """The labels read x's first column plus 0.0, bit for bit link(x @ e_1)
+        with or without out, also where that column holds -0.0 and +0.0. The
+        link keeps the sign of a zero (its constant is -0.0), so without the
+        + 0.0 the -0.0 rows would be labelled -0.0; the product gives 0.0."""
+        link = MonomialPoly((-0.0, 1.0, 0.5))
+        t = TeacherSpec(d=4, link=link)
+        block = np.array([
+            [-0.0, -1.0, -2.0, -3.0],
+            [0.0, -1.0, 2.0, 3.0],
+            [-0.0, 1.0, 1.0, 1.0],
+            [1.5, -0.0, 0.0, -7.0],
+            [-0.75, -0.0, -0.0, -0.0],
+        ])
+
+        class Replay:
+            """An rng whose one draw is the block."""
+
+            def standard_normal(self, size=None, out=None):
+                if out is None:
+                    return block.copy()
+                out[...] = block
+                return out
+
+        for out in (None, np.empty((6, 4))):
+            x, y = draw_batch(t, 5, Replay(), out=out)
+            assert x.tobytes() == block.tobytes()
+            assert y.tobytes() == link(block @ t.theta_star).tobytes()
+        assert np.signbit(link(block[:, 0])).tolist() == [True, False, True, False, True]
+        assert not np.signbit(y[:3]).any()
 
     def test_pinned_projection_value(self):
         # He_3 at z = 2 gives 8 - 6 = 2
@@ -178,6 +209,15 @@ class TestTeacherValidation:
         assert he3_teacher(d=3) == he3_teacher(d=3)
         assert he3_teacher(d=3) != he3_teacher(d=4)
         assert he3_teacher(d=3) != he3_teacher(d=3, noise=NoiseSpec("gaussian", 0.1))
+
+    def test_frozen(self):
+        # d = 5 after construction used to leave theta_star of length 3
+        t = he3_teacher(d=3)
+        with pytest.raises(FrozenInstanceError):
+            t.d = 5
+        with pytest.raises(FrozenInstanceError):
+            t.theta_star = unit_vector(5)
+        assert np.array_equal(replace(t, d=5).theta_star, unit_vector(5))
 
     @pytest.mark.parametrize("d", [True, 3.0, np.float64(3.0), "3", 0, -2])
     def test_bad_dimension_rejected(self, d):

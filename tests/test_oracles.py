@@ -28,7 +28,7 @@ from silab.hermite import (
 from silab.oracles import (
     ORACLE_KINDS,
     MuTable,
-    _as_batch,
+    _as_step_input,
     _bivariate_product,
     _corr_moment,
     _istar_set,
@@ -547,9 +547,9 @@ class TestBatchCounts:
 
     def test_conversion_path_checks_too(self):
         with pytest.raises(ValueError, match="3 samples and 1 labels"):
-            _as_batch(self.x.tolist(), 1.0)
+            _as_step_input(self.x.tolist(), 1.0)
         with pytest.raises(ValueError, match="1 samples and 2 labels"):
-            _as_batch(self.x[0], [1.0, 2.0])
+            _as_step_input(self.x[0], [1.0, 2.0])
 
     @pytest.mark.parametrize("rows", [3, 1])
     def test_labels_must_be_one_dimensional(self, rows):
@@ -641,15 +641,43 @@ class TestStepCoreBitIdentity:
                 assert np.array_equal(single.w, w_ref)
                 assert single.prenorm == prenorm_ref
 
+    @pytest.mark.parametrize("spec", [
+        OracleSpec(kind="online", activation=HE3, gamma=0.05),
+        OracleSpec(kind="batch_reuse", activation=HE3, gamma=0.05, eta=0.5),
+        OracleSpec(kind="alternating", activation=HE3, gamma=0.05, eta=0.5),
+        OracleSpec(kind="deep_alternating", activation=MonomialPoly.monomial(2),
+                   gamma=0.05, eta=0.5, depth=3),
+    ], ids=lambda s: s.kind)
+    def test_one_sample_same_bits_however_passed(self, spec):
+        """A 1-D row with a float label and a (1, d) block with (1,) labels
+        step alike, with the bits of the array formulas on the block. For
+        batch_reuse that needs |x|^2 as an einsum: x.dot(x) differs from it in
+        the last bit on about half of all draws at d = 25."""
+        rng = np.random.default_rng(4242)
+        d = 25
+        for trial in range(200):
+            w = unit(rng.standard_normal(d))
+            x = rng.standard_normal(d)
+            y = float(HE3(x[0]))
+            w_ref, g_ref, prenorm_ref = _array_reference_step(w, x[None, :], [y], spec)
+            for xs, ys in ((x, y), (x[None, :], np.array([y]))):
+                res = apply_step(w, xs, ys, spec)
+                assert res.w.tobytes() == w_ref.tobytes(), trial
+                assert res.raw_update.tobytes() == g_ref.tobytes(), trial
+                assert res.prenorm == prenorm_ref and not res.rejected
+
     @staticmethod
     def _conversion_path(x, y):
-        """What _as_batch does for inputs that are not already float arrays."""
+        """What _as_step_input does for inputs that are not already float
+        arrays: one sample comes back as its row and a float label."""
         xb = np.asarray(x, dtype=float)
         if xb.ndim == 1:
             xb = xb[None, :]
         yb = np.asarray(y, dtype=float)
         if yb.ndim == 0:
             yb = yb[None]
+        if len(xb) == 1:
+            return xb[0], yb.item(0)
         return xb, yb
 
     def test_as_batch_inputs_give_the_conversion_bits(self):
@@ -671,22 +699,30 @@ class TestStepCoreBitIdentity:
         spec = OracleSpec(kind="alternating", activation=HE3, gamma=0.05, eta=0.5)
         w = unit(rng.standard_normal(d))
         for name, (x, y) in inputs.items():
-            xb, yb = _as_batch(x, y)
+            xb, yb = _as_step_input(x, y)
             x_ref, y_ref = self._conversion_path(x, y)
-            assert xb.dtype == yb.dtype == np.float64, name
-            assert xb.ndim == 2 and yb.ndim == 1, name
+            assert xb.dtype == np.float64, name
+            if name in ("one-row slice", "vector and scalar"):
+                assert xb.ndim == 1 and type(yb) is float, name
+            else:
+                assert xb.ndim == 2 and yb.ndim == 1 and yb.dtype == np.float64, name
             assert np.array_equal(xb, x_ref) and np.array_equal(yb, y_ref), name
             res = apply_step(w, x, y, spec)
             ref = apply_step(w, x_ref, y_ref, spec)
             assert np.array_equal(res.w, ref.w), name
             assert np.array_equal(res.raw_update, ref.raw_update), name
             assert res.prenorm == ref.prenorm, name
-        # float64 arrays pass through as the very objects np.asarray returns
-        for name in ("row slice", "one-row slice", "strided view"):
+        # float64 arrays pass through as the very objects np.asarray returns,
+        # and so does a float64 row with a float label
+        for name in ("row slice", "strided view", "vector and scalar"):
             x, y = inputs[name]
-            xb, yb = _as_batch(x, y)
+            xb, yb = _as_step_input(x, y)
             assert xb is x and yb is y
-            assert xb is np.asarray(x, dtype=float) and yb is np.asarray(y, dtype=float)
+            assert xb is np.asarray(x, dtype=float)
+        # a one-row block comes back as a view of its row and a float label
+        x, y = inputs["one-row slice"]
+        xb, yb = _as_step_input(x, y)
+        assert xb.base is x.base and np.array_equal(xb, x[0]) and yb == y[0]
         # a contiguous view steps with the bits of its copy
         for name in ("row slice", "one-row slice"):
             x, y = inputs[name]
@@ -696,7 +732,7 @@ class TestStepCoreBitIdentity:
         # other dtypes are converted, never passed through
         for name in ("int", "float32"):
             x, y = inputs[name]
-            xb, yb = _as_batch(x, y)
+            xb, yb = _as_step_input(x, y)
             assert xb is not x and yb is not y
 
     @pytest.mark.parametrize(
