@@ -3,7 +3,7 @@
 A run executes exactly floor(n / B) sequential updates in a single pass over
 fresh samples, recording per-neuron alignments at checkpoints. Divergence
 (non-finite alignment or a pre-normalization norm blowup) is a flagged
-outcome, never an exception.
+outcome, never an exception or a warning.
 """
 
 from __future__ import annotations
@@ -199,6 +199,12 @@ def run(config: RunConfig) -> Trajectory:
     step only, since the next block overwrites them. Nothing keeps them past
     it: apply_step returns fresh w and v, the audit stores numbers, and
     Trajectory holds no data.
+
+    The step loop runs under one np.errstate that ignores overflow and
+    invalid values, entered once per run: a step that overflows gives an inf
+    or nan prenorm, which flags the run as diverged, so numpy's
+    RuntimeWarnings would only repeat the flag. The error state decides
+    whether numpy warns, never what it computes.
     """
     teacher = config.teacher
     oracle = config.oracle
@@ -234,46 +240,45 @@ def run(config: RunConfig) -> Trajectory:
     x_buf = np.empty((min(block, n_steps) * bsz, teacher.d))
     rows = list(W)  # each neuron's current row; W holds them only when written back
     step = 0
-    while step < n_steps:
-        n_block = min(block, n_steps - step)
-        x_all, y_all = draw_batch(teacher, n_block * bsz, data_rng, out=x_buf)
-        if bsz == 1:
-            samples = zip(x_all, y_all.tolist())
-        else:
-            samples = zip(x_all.reshape(n_block, bsz, teacher.d), y_all.reshape(n_block, bsz))
-        for x, y in samples:
-            bad = False
-            for j in range(n_neurons):
-                w_before = rows[j]
-                w_new, g, prenorm, step_rejected = apply_step(w_before, x, y, oracle)
-                if step_rejected:
-                    rejected += 1
-                if not math.isfinite(prenorm) or prenorm >= DIVERGENCE_NORM:
-                    bad = True
-                if audit:
-                    # every row taken into a step is finite; the new row is
-                    # when its prenorm is, and g is when g.g is
-                    gg = g.dot(g)
-                    kb_rows[step, j] = w_before.item(0) + 0.0
-                    ka_rows[step, j] = (
-                        w_new.item(0) + 0.0 if math.isfinite(prenorm) else theta.dot(w_new)
-                    )
-                    tg_rows[step, j] = g.item(0) + 0.0 if math.isfinite(gg) else theta.dot(g)
-                    gg_rows[step, j] = gg
-                rows[j] = w_new
-            step += 1
-            if bad or step % record_every == 0 or step == n_steps:
-                rec_steps[n_rec] = step
-                kappa = rec_kappa[n_rec]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < n_steps and not diverged:
+            n_block = min(block, n_steps - step)
+            x_all, y_all = draw_batch(teacher, n_block * bsz, data_rng, out=x_buf)
+            if bsz == 1:
+                samples = zip(x_all, y_all.tolist())
+            else:
+                samples = zip(x_all.reshape(n_block, bsz, teacher.d), y_all.reshape(n_block, bsz))
+            for x, y in samples:
+                bad = False
                 for j in range(n_neurons):
-                    # a bad step's new rows may not be finite
-                    kappa[j] = theta.dot(rows[j]) if bad else rows[j].item(0) + 0.0
-                n_rec += 1
-            if bad:
-                diverged = True
-                break
-        if diverged:
-            break
+                    w_before = rows[j]
+                    w_new, g, prenorm, step_rejected = apply_step(w_before, x, y, oracle)
+                    if step_rejected:
+                        rejected += 1
+                    if not math.isfinite(prenorm) or prenorm >= DIVERGENCE_NORM:
+                        bad = True
+                    if audit:
+                        # every row taken into a step is finite; the new row is
+                        # when its prenorm is, and g is when g.g is
+                        gg = g.dot(g)
+                        kb_rows[step, j] = w_before.item(0) + 0.0
+                        ka_rows[step, j] = (
+                            w_new.item(0) + 0.0 if math.isfinite(prenorm) else theta.dot(w_new)
+                        )
+                        tg_rows[step, j] = g.item(0) + 0.0 if math.isfinite(gg) else theta.dot(g)
+                        gg_rows[step, j] = gg
+                    rows[j] = w_new
+                step += 1
+                if bad or step % record_every == 0 or step == n_steps:
+                    rec_steps[n_rec] = step
+                    kappa = rec_kappa[n_rec]
+                    for j in range(n_neurons):
+                        # a bad step's new rows may not be finite
+                        kappa[j] = theta.dot(rows[j]) if bad else rows[j].item(0) + 0.0
+                    n_rec += 1
+                if bad:
+                    diverged = True
+                    break
     W[:] = rows
 
     steps_arr = rec_steps[:n_rec]
@@ -326,24 +331,31 @@ class AuditReport:
 
 
 def normalization_error_audit(traj: Trajectory, tol: float = 1e-10) -> AuditReport:
-    """Replay the per-step normalization bound from an audited trajectory."""
+    """Replay the per-step normalization bound from an audited trajectory.
+
+    gamma is read as a float64, so a power of gamma that leaves the float
+    range is inf, with no warning and no OverflowError, and the bound is
+    -inf or nan there; where the powers are finite they have the bits of
+    Python float powers. A nan gap, as at a step that diverged, counts as
+    no violation but makes max_violation nan.
+    """
     if traj.audit_trace is None:
         raise ValueError("run the trajectory with audit=True first")
     t = traj.audit_trace
-    gamma = traj.config.oracle.gamma
+    gamma = np.float64(traj.config.oracle.gamma)
     applicable = t.kappa_before >= 0.0
-    bound = (
-        t.kappa_before
-        + gamma * t.theta_dot_g
-        - gamma**2 * t.kappa_before * t.g_norm_sq
-        - gamma**3 * np.abs(t.theta_dot_g) * t.g_norm_sq
-    )
-    gap = np.where(applicable, bound - t.kappa_after, -np.inf)
-    max_violation = float(np.max(gap)) if gap.size else -math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (
+            t.kappa_before
+            + gamma * t.theta_dot_g
+            - gamma**2 * t.kappa_before * t.g_norm_sq
+            - gamma**3 * np.abs(t.theta_dot_g) * t.g_norm_sq
+        )
+        gap = np.where(applicable, bound - t.kappa_after, -np.inf)
     return AuditReport(
         n_steps_checked=int(applicable.sum()),
         n_skipped=int((~applicable).sum()),
-        max_violation=max_violation,
+        max_violation=float(np.max(gap, initial=-np.inf)),
         n_violations=int((gap > tol).sum()),
     )
 

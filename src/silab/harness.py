@@ -24,8 +24,8 @@ name on another subcommand takes the same type and default, see ``resolve``):
     master_seed  sweep seed
     threshold    weak-recovery alignment threshold
     record_every checkpoint stride
-    gamma        'auto', a number, or 'eta_as_gamma' (sweeps only: the eta
-                 grid is the step size and every cell runs at eta = 0)
+    gamma        the step size: 'auto' (theory.gamma_auto at each eta row)
+                 or a finite number >= 0
     jobs         worker processes
     out          output directory
     window_min, window_max         eta window of the '# slope=' line
@@ -75,9 +75,8 @@ class SweepSpec:
     """Grid sweep over learning rates and sample sizes.
 
     gamma_mode: 'auto' derives gamma per eta row from the oracle-specific
-    prescription; a float pins it; 'eta_as_gamma' reuses the swept grid as
-    the gamma axis with eta forced to zero (how an online-SGD step-size
-    sweep is expressed, since that oracle has no eta). Each cell and each
+    prescription; a number pins it. _gamma_setting reads the field, so it
+    holds 'auto' or a float. Each cell and each
     (eta, n) group of replicates is judged by dynamics.recovers, the median
     rule, against base.weak_threshold. A spec is a frozen value; derive
     others with dataclasses.replace, which checks them again.
@@ -104,6 +103,7 @@ class SweepSpec:
             raise ValueError("need at least one replicate")
         if self.jobs < 1:
             raise ValueError("jobs must be a positive integer")
+        object.__setattr__(self, "gamma_mode", _gamma_setting(self.gamma_mode))
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,6 @@ class SweepResult:
 
 def _row_oracle(spec: SweepSpec, eta: float) -> OracleSpec:
     """The oracle that every cell of the eta row runs."""
-    if spec.gamma_mode == "eta_as_gamma":
-        return replace(spec.base.oracle, eta=0.0, gamma=eta)
     oracle = replace(spec.base.oracle, eta=eta)
     return replace(oracle, gamma=resolve_gamma(spec.gamma_mode, oracle, spec.base.teacher))
 
@@ -281,10 +279,8 @@ def emit(result: SweepResult, out_dir: str):
     cells.csv has one row per cell and summary.csv the pairs (eta, n_star).
     grid.plotdata is a text matrix of 0/1 recovery indicators (rows eta,
     columns n, each the verdict of recovers on the cell's replicates), and
-    phase.csv holds the predicted boundary markers over the eta grid: only
-    its header for gamma_mode 'eta_as_gamma', where every cell runs at
-    eta = 0 and the grid is the step size. (An online table does not depend
-    on eta, so its scan finds no boundary.)
+    phase.csv holds the predicted boundary markers over the eta grid. (An
+    online table does not depend on eta, so its scan finds no boundary.)
     """
     os.makedirs(out_dir, exist_ok=True)
     spec, base = result.spec, result.spec.base
@@ -308,7 +304,7 @@ def emit(result: SweepResult, out_dir: str):
             fh.write(f"{eta:.10g} " + " ".join(row) + "\n")
     eta_range = (spec.eta_grid[0], spec.eta_grid[-1])
     bounds = ()
-    if spec.gamma_mode != "eta_as_gamma" and eta_range[0] < eta_range[1]:
+    if eta_range[0] < eta_range[1]:
         bounds = phase_boundaries(mu_of_eta(base.oracle, base.teacher), base.teacher.d, eta_range,
                                   spec=base.oracle)
     phase_path = os.path.join(out_dir, "phase.csv")
@@ -415,27 +411,31 @@ def run_config(
     )
 
 
-def _gamma_setting(gamma: float | str) -> float | str:
-    """A gamma setting as 'auto', 'eta_as_gamma' or a float; ValueError otherwise."""
-    if gamma in ("auto", "eta_as_gamma"):
+def _gamma_setting(gamma) -> float | str:
+    """A gamma setting: 'auto', or a number (not a bool, as in
+    model.is_integer) read as a float that is finite and >= 0; ValueError
+    naming gamma otherwise. SweepSpec and resolve_gamma read every gamma
+    through it, so a bad config line or flag exits before any gamma is
+    computed or any run starts."""
+    if gamma == "auto":
         return gamma
     try:
-        return float(gamma)
-    except ValueError:
-        raise ValueError(
-            f"gamma must be 'auto', 'eta_as_gamma' or a number, got {gamma!r}"
-        ) from None
+        value = float(gamma)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or isinstance(gamma, (bool, np.bool_)):
+        raise ValueError(f"gamma must be 'auto' or a number, got {gamma!r}")
+    if not 0.0 <= value < math.inf:  # also false for nan
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
+    return value
 
 
 def resolve_gamma(
     gamma: float | str, oracle: OracleSpec, teacher: TeacherSpec, mu=None
 ) -> float:
     """'auto' is gamma_auto on the mu table of oracle against teacher (computed
-    here unless given); a number is read as a float. 'eta_as_gamma' names a
-    sweep axis, so it raises ValueError here, as any other word does."""
+    here unless given); a number is read by _gamma_setting."""
     gamma = _gamma_setting(gamma)
-    if gamma == "eta_as_gamma":
-        raise ValueError("gamma 'eta_as_gamma' applies to a sweep only")
     if gamma != "auto":
         return gamma
     if mu is None:
@@ -464,5 +464,5 @@ def spec_from_config(cfg: dict) -> SweepSpec:
         n_grid=int_log_grid(merged["n_count"], merged["n_min"], merged["n_max"]),
         replicates=merged["replicates"],
         jobs=merged["jobs"],
-        gamma_mode=_gamma_setting(merged["gamma"]),
+        gamma_mode=merged["gamma"],
     )

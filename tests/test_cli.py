@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -444,12 +445,11 @@ BAD_VALUES = [  # (command, bad flags and values, message)
       for c in ("mu", "simulate", "predict", "phase")],
     *[(c, ("--noise", "bogus"), "unknown noise family 'bogus'")
       for c in ("gen-data", "mu", "simulate", "predict", "phase")],
-    ("simulate", ("--gamma", "-1"), "gamma must be nonnegative"),
-    ("simulate", ("--gamma", "nan"), "eta and gamma must be finite, got eta=0.0, gamma=nan"),
+    *[(c, ("--gamma", v), f"gamma must be finite and >= 0, got '{v}'")
+      for c in ("simulate", "predict", "sweep") for v in ("-1", "nan", "inf")],
     ("mu", ("--eta", "nan"), "eta and gamma must be finite, got eta=nan, gamma=0.0"),
     ("mu", ("--eta", "inf"), "eta and gamma must be finite, got eta=inf, gamma=0.0"),
     ("gen-data", ("--noise", "gaussian", "--tau", "nan"), "noise scale must be finite, got nan"),
-    ("predict", ("--gamma", "nan"), "gamma must be finite, got nan"),
     ("phase", ("--eta-max", "inf"), "eta_range must satisfy 0 < lo < hi < inf, got (0.001, inf)"),
     ("hermite", ("--tol", "nan"), "tolerance must be finite and positive, got nan"),
     ("sweep", ("--eta-max", "inf"),
@@ -511,16 +511,16 @@ class TestLineEnds:
 class TestBadGamma:
     @pytest.mark.parametrize("argv", [
         (*QUICK_SWEEP, "--gamma", "abc"),
+        (*QUICK_SWEEP, "--gamma", "eta_as_gamma"),
         ("simulate", *MINIMAL["simulate"], "--gamma", "abc"),
-        ("simulate", *MINIMAL["simulate"], "--gamma", "eta_as_gamma"),
-        ("predict", *MINIMAL["predict"], "--gamma", "eta_as_gamma"),
-    ], ids=["sweep-abc", "simulate-abc", "simulate-eta_as_gamma", "predict-eta_as_gamma"])
+        ("predict", *MINIMAL["predict"], "--gamma", "abc"),
+    ], ids=["sweep-abc", "sweep-eta_as_gamma", "simulate-abc", "predict-abc"])
     def test_exits_1_naming_gamma_before_any_run(self, capsys, tmp_path, monkeypatch, argv):
         runs = _spy(monkeypatch, cli, "run") + _spy(monkeypatch, harness, "run")
         code, _, err = run_cli(capsys, *argv, *(("--out", str(tmp_path / "out"))
                                                 if argv[0] == "sweep" else ()))
         assert code == 1
-        assert err.startswith("error: gamma ")
+        assert err == f"error: gamma must be 'auto' or a number, got {argv[-1]!r}\n"
         assert runs == []
 
     def test_config_line_exits_1_naming_gamma(self, capsys, tmp_path):
@@ -528,4 +528,18 @@ class TestBadGamma:
         cfg.write_text("gamma = abc\n")
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 1
-        assert err == "error: gamma must be 'auto', 'eta_as_gamma' or a number, got 'abc'\n"
+        assert err == "error: gamma must be 'auto' or a number, got 'abc'\n"
+
+    def test_overflowing_run_exits_0_without_warnings(self, capsys):
+        """gamma = 1e308 overflows the first step and the audit's powers of
+        gamma: the run is flagged diverged, and the audit line is printed."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "simulate", "--oracle", "alternating", "--link", "He3", "--act", "He3",
+                "--d", "10", "--eta", "1.0", "--gamma", "1e308", "--n", "64", "--batch", "1",
+                "--seed", "2", "--audit")
+        assert code == 0
+        assert out == "step,samples_seen,kappa\n0,0,0.316227766017\n1,1,nan\n"
+        assert err == ("weak_step=None strong_step=None diverged=1 gamma=1e+308\n"
+                       "audit: checked=1 violations=0 max_violation=nan\n")

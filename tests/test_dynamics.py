@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
@@ -198,6 +199,61 @@ class TestNormalizationAudit:
         cfg = make_config(n=1280)
         with pytest.raises(ValueError, match="audit"):
             normalization_error_audit(run(cfg))
+
+    # alternating He3 at d = 10, eta = 1 and B = 1: a large gamma diverges at
+    # the first step
+    FIRST_STEP = dict(kind="alternating", d=10, eta=1.0, n=64, batch=1, seed=2, audit=True)
+
+    def test_overflowing_run_flags_without_warnings(self):
+        """gamma = 1e308 overflows the first step's products: the run is
+        flagged diverged, and neither it nor its audit warns. The recorded
+        numbers are those the run gave before its step loop ignored numpy's
+        overflow and invalid-value warnings."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run(make_config(gamma=1e308, **self.FIRST_STEP))
+            report = normalization_error_audit(traj)
+        assert traj.diverged and traj.steps.tolist() == [0, 1]
+        assert traj.alignments[0, 0] == 10**-0.5 and math.isnan(traj.alignments[1, 0])
+        trace = traj.audit_trace
+        assert trace.kappa_before.tolist() == [[10**-0.5]]
+        assert math.isnan(trace.kappa_after[0, 0])
+        assert trace.theta_dot_g.tolist() == [[0.8477605685077145]]
+        assert trace.g_norm_sq.tolist() == [[105.44577123701742]]
+        w = traj.final_network.W[0]
+        assert np.flatnonzero(w == 0.0).tolist() == [0, 5, 8] and not np.signbit(w[0])
+        assert np.isnan(np.delete(w, [0, 5, 8])).all()
+        # the bound is -inf and kappa' is nan: a nan gap, no violation
+        assert (report.n_steps_checked, report.n_violations) == (1, 0)
+        assert math.isnan(report.max_violation)
+
+    def test_bound_overflows_to_minus_inf(self):
+        """gamma^3 leaves the float range above about 5.6e102 (and gamma^2
+        above about 1.3e154). The bound is then -inf, with no OverflowError
+        and no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run(make_config(gamma=1e103, **self.FIRST_STEP))
+            report = normalization_error_audit(traj)
+        assert traj.diverged and traj.audit_trace.kappa_after[0, 0] == 0.08255789835513253
+        assert report == dynamics.AuditReport(1, 0, -math.inf, 0)
+
+    @pytest.mark.parametrize("gamma, n", [(0.0, 640), (2e-3, 640), (0.05, 640), (3.7, 640),
+                                          (1e30, 64), (5e102, 64)])
+    def test_bound_has_the_bits_of_python_float_powers(self, gamma, n):
+        """Wherever gamma^3 is finite, the bound is the one Python floats
+        give: the same powers, products and sums in the same order."""
+        traj = run(make_config(gamma=gamma, **{**self.FIRST_STEP, "n": n}))
+        t = traj.audit_trace
+        with np.errstate(over="ignore"):  # 5e102's last product overflows
+            bound = (t.kappa_before + gamma * t.theta_dot_g
+                     - gamma**2 * t.kappa_before * t.g_norm_sq
+                     - gamma**3 * np.abs(t.theta_dot_g) * t.g_norm_sq)
+        gap = np.where(t.kappa_before >= 0.0, bound - t.kappa_after, -np.inf)
+        report = normalization_error_audit(traj)
+        assert report.max_violation == float(np.max(gap))
+        assert report.n_violations == int((gap > 1e-10).sum())
+        assert report.n_steps_checked == int((t.kappa_before >= 0.0).sum())
 
 
 class TestWeakRecoverySampleSize:

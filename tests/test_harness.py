@@ -168,8 +168,8 @@ class TestSweep:
         assert len(res.cells) == 1
 
     def test_online_gamma_grid_sample_complexity_decreases(self):
-        # step-size sweep for the eta-free oracle: larger stable gamma needs
-        # fewer samples
+        # a step-size sweep for the eta-free oracle (its step reads no eta),
+        # one sweep per gamma: a larger stable gamma needs fewer samples
         base = RunConfig(
             teacher=TeacherSpec(d=25, link=HE3),
             oracle=OracleSpec(kind="online", activation=HE3),
@@ -178,16 +178,13 @@ class TestSweep:
             batch_size=128,
             record_every=10,
         )
-        spec = SweepSpec(
-            base=base,
-            eta_grid=(0.002, 0.008, 0.032),
-            n_grid=int_log_grid(10, 128, 200_000),
-            replicates=3,
-            gamma_mode="eta_as_gamma",
-        )
-        res = sweep(spec)
-        assert res.gammas == spec.eta_grid
-        n_stars = [n for _, n in res.summary]
+        n_stars = []
+        for gamma in (0.002, 0.008, 0.032):
+            spec = SweepSpec(base=base, eta_grid=(1.0,), n_grid=int_log_grid(10, 128, 200_000),
+                             replicates=3, gamma_mode=gamma)
+            res = sweep(spec)
+            assert res.gammas == (gamma,)
+            n_stars.append(res.summary[0][1])
         assert None not in n_stars
         assert n_stars[-1] < n_stars[0] / 2
 
@@ -277,38 +274,54 @@ class TestRows:
         for ei, eta in enumerate(spec.eta_grid):
             assert rows[ei] == replace(spec.base.oracle, eta=eta, gamma=res.gammas[ei])
 
-    def test_eta_as_gamma_row_runs_eta_zero(self):
-        spec = tiny_spec(replicates=1)
-        spec = replace(spec, gamma_mode="eta_as_gamma")
-        for eta in spec.eta_grid:
-            assert harness._row_oracle(spec, eta) == replace(spec.base.oracle, eta=0.0, gamma=eta)
+
+BAD_GAMMAS = [  # (value, message)
+    *[(v, f"gamma must be 'auto' or a number, got {v!r}")
+      for v in (True, False, np.True_, None, "abc", "eta_as_gamma", [0.1])],
+    *[(v, f"gamma must be finite and >= 0, got {v!r}")
+      for v in (math.nan, math.inf, -math.inf, -1.0, -1, "nan", "inf", "-1", "1e400")],
+]
 
 
 class TestGammaSetting:
-    @pytest.mark.parametrize("text", ["abc", "", "Auto", "eta as gamma"])
+    @pytest.mark.parametrize("text", ["abc", "", "Auto", "eta as gamma", "eta_as_gamma"])
     def test_bad_setting_names_gamma(self, text):
         with pytest.raises(ValueError) as err:
             spec_from_config({"gamma": text})
-        assert str(err.value) == (
-            f"gamma must be 'auto', 'eta_as_gamma' or a number, got {text!r}")
+        assert str(err.value) == f"gamma must be 'auto' or a number, got {text!r}"
 
     def test_bad_config_line_names_gamma(self):
         with pytest.raises(ValueError, match="^gamma must be"):
             spec_from_config(parse_config("gamma = abc"))
 
     @pytest.mark.parametrize("text, mode", [
-        ("auto", "auto"), ("eta_as_gamma", "eta_as_gamma"), ("0.25", 0.25), ("1e-3", 1e-3),
+        ("auto", "auto"), ("0.25", 0.25), ("1e-3", 1e-3), ("0", 0.0),
     ])
     def test_accepted_settings(self, text, mode):
         assert spec_from_config({"gamma": text}).gamma_mode == mode
+
+    @pytest.mark.parametrize("value", [0.25, "0.25", 1, np.float64(0.25), np.int64(1)])
+    def test_spec_holds_a_float(self, value):
+        mode = replace(tiny_spec(), gamma_mode=value).gamma_mode
+        assert type(mode) is float and mode == float(value)
+
+    @pytest.mark.parametrize("value, message", BAD_GAMMAS, ids=[repr(v) for v, _ in BAD_GAMMAS])
+    def test_refused_where_it_enters(self, value, message):
+        """A bool is no number, and a number must be finite and >= 0: the
+        spec and resolve_gamma refuse both, with the same message."""
+        with pytest.raises(ValueError) as err:
+            replace(tiny_spec(), gamma_mode=value)
+        assert str(err.value) == message
+        oracle = OracleSpec(kind="online", activation=HE3)
+        with pytest.raises(ValueError) as err:
+            harness.resolve_gamma(value, oracle, TeacherSpec(d=10, link=HE3))
+        assert str(err.value) == message
 
     def test_resolve_gamma(self):
         oracle = OracleSpec(kind="online", activation=HE3)
         teacher = TeacherSpec(d=10, link=HE3)
         assert harness.resolve_gamma("0.25", oracle, teacher) == 0.25
         assert harness.resolve_gamma(0.25, oracle, teacher) == 0.25
-        with pytest.raises(ValueError, match="^gamma 'eta_as_gamma' applies to a sweep only$"):
-            harness.resolve_gamma("eta_as_gamma", oracle, teacher)
         with pytest.raises(ValueError, match="^gamma must be"):
             harness.resolve_gamma("abc", oracle, teacher)
 
@@ -370,20 +383,6 @@ class TestEmit:
         assert os.path.exists(os.path.join(tmp_path, "phase.csv"))
         assert os.path.exists(os.path.join(tmp_path, "summary.csv"))
         assert len(paths) == 4
-
-    def test_eta_as_gamma_writes_only_the_phase_header(self, tmp_path):
-        """The grid is the step size and every cell runs at eta = 0, so no
-        eta boundary applies; the same grid under gamma auto has some."""
-        spec = tiny_spec(replicates=1)
-        spec = replace(spec, n_grid=(64,))
-        phase = {}
-        for mode in ("auto", "eta_as_gamma"):
-            spec = replace(spec, gamma_mode=mode)
-            emit(sweep(spec), str(tmp_path / mode))
-            with open(tmp_path / mode / "phase.csv") as fh:
-                phase[mode] = fh.read().splitlines()
-        assert phase["eta_as_gamma"] == ["i,j,eta_star,exponent"]
-        assert len(phase["auto"]) > 1
 
     @pytest.mark.parametrize("kind, act, link, etas", [
         ("online", HE3, HE3, (0.01, 1.0)),
