@@ -169,10 +169,11 @@ def run(config: RunConfig) -> Trajectory:
     draws a block's noise after its x, so its bits depend on the block.
 
     Each step hands apply_step, called through this module's global once per
-    neuron, its samples in the form the step core takes without converting
-    them: at B = 1 a 1-D float64 row view of the drawn data and its label as
-    a Python float (from the block's labels.tolist()), and otherwise a
-    C-contiguous (B, d) row block and its 1-D labels, both float64 views.
+    neuron, its samples in one of the two forms it takes, neither of them
+    converted: at B = 1 a 1-D float64 ndarray row view of the drawn data and
+    its label as a Python float (from the block's labels.tolist()), and
+    otherwise a C-contiguous (B, d) float64 ndarray row block and its 1-D
+    float64 ndarray labels, both views.
     The loop keeps each neuron's current row in a list, not in W, and W
     gets the rows back once, at the end of the run. It reads the config
     once, unpacks each step's result, and records into arrays sized for
@@ -315,13 +316,16 @@ def run(config: RunConfig) -> Trajectory:
 class AuditReport:
     """Pathwise check of the normalization lower bound.
 
-    For every audited step with kappa >= 0 the recorded update must satisfy
+    Every audited step with kappa >= 0 and a gap that is not nan is checked:
+    its recorded update must satisfy
 
         kappa' >= kappa + gamma <theta, g> - gamma^2 kappa |g|^2
                   - gamma^3 |<theta, g>| |g|^2.
 
-    max_violation is the largest amount by which the bound exceeded kappa'
-    (<= 0 means the bound held everywhere it applies).
+    Every other step is skipped, so checked plus skipped is the number of
+    steps traced. max_violation is the largest amount by which the bound
+    exceeded kappa' on a checked step (<= 0 means the bound held everywhere
+    it was checked, and -inf that no step was checked).
     """
 
     n_steps_checked: int
@@ -336,14 +340,16 @@ def normalization_error_audit(traj: Trajectory, tol: float = 1e-10) -> AuditRepo
     gamma is read as a float64, so a power of gamma that leaves the float
     range is inf, with no warning and no OverflowError, and the bound is
     -inf or nan there; where the powers are finite they have the bits of
-    Python float powers. A nan gap, as at a step that diverged, counts as
-    no violation but makes max_violation nan.
+    Python float powers. A nan gap (bound - kappa'), as at a step that
+    overflowed, has nothing to check, and the step is skipped. Raises
+    ValueError unless tol is finite and >= 0.
     """
     if traj.audit_trace is None:
         raise ValueError("run the trajectory with audit=True first")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     t = traj.audit_trace
     gamma = np.float64(traj.config.oracle.gamma)
-    applicable = t.kappa_before >= 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         bound = (
             t.kappa_before
@@ -351,10 +357,12 @@ def normalization_error_audit(traj: Trajectory, tol: float = 1e-10) -> AuditRepo
             - gamma**2 * t.kappa_before * t.g_norm_sq
             - gamma**3 * np.abs(t.theta_dot_g) * t.g_norm_sq
         )
-        gap = np.where(applicable, bound - t.kappa_after, -np.inf)
+        gap = bound - t.kappa_after
+    checked = (t.kappa_before >= 0.0) & ~np.isnan(gap)
+    gap = gap[checked]
     return AuditReport(
-        n_steps_checked=int(applicable.sum()),
-        n_skipped=int((~applicable).sum()),
+        n_steps_checked=gap.size,
+        n_skipped=checked.size - gap.size,
         max_violation=float(np.max(gap, initial=-np.inf)),
         n_violations=int((gap > tol).sum()),
     )
@@ -368,8 +376,14 @@ def weak_recovery_sample_size(config: RunConfig, n_grid, replicates: int) -> int
     The search runs the levels in increasing n and stops at the first level
     that recovers; replicate rep of level idx runs on seed child(idx, rep).
     """
+    if not is_integer(replicates):
+        raise ValueError(f"replicates must be an integer, got {replicates!r}")
     if replicates < 1:
         raise ValueError(f"need at least one replicate, got {replicates}")
+    n_grid = list(n_grid)
+    for n in n_grid:
+        if not is_integer(n):
+            raise ValueError(f"n_grid entries must be integers, got {n!r}")
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid:
         raise ValueError("n_grid must be nonempty")

@@ -26,6 +26,12 @@ def is_integer(value) -> bool:
     return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
+def _check_path(indices) -> None:
+    for i in indices:
+        if not is_integer(i):
+            raise ValueError(f"a SeedTree path index must be an integer, got {i!r}")
+
+
 # SeedTree stream roles, appended as the last path element.
 ROLE_INIT = 0
 ROLE_DATA = 1
@@ -44,10 +50,14 @@ class SeedTree:
     path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if not is_integer(self.master_seed):
+            raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
         if self.master_seed < 0:
             raise ValueError(f"the master seed must be nonnegative, got {self.master_seed}")
+        _check_path(self.path)
 
     def child(self, *indices: int) -> "SeedTree":
+        _check_path(indices)
         return SeedTree(self.master_seed, self.path + tuple(int(i) for i in indices))
 
     def _sequence(self) -> np.random.SeedSequence:

@@ -95,6 +95,8 @@ class OracleSpec:
             raise ValueError("eta must be nonnegative")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
+        if not is_integer(self.depth):
+            raise ValueError(f"depth must be an integer, got {self.depth!r}")
         if self.kind == "deep_alternating" and self.depth < 2:
             raise ValueError("deep_alternating needs depth >= 2")
 
@@ -690,55 +692,6 @@ class StepResult(NamedTuple):
     rejected: bool
 
 
-_FLOAT64 = np.dtype(float)
-
-
-def _as_step_input(x, y):
-    """One sample as a 1-D float row and a float label, or a batch of B >= 2
-    samples as a (B, d) float array and (B,) labels.
-
-    What run() passes comes back as the very same objects: at B = 1 a 1-D
-    float64 ndarray row of the drawn data with a Python float label, and
-    otherwise a 2-D float64 ndarray block with a 1-D float64 ndarray of
-    labels (np.asarray(..., dtype=float) would return those unchanged too,
-    so skipping it cannot change a bit). Anything else (lists, other dtypes,
-    ndarray subclasses, a (1, d) block) goes through np.asarray, and one
-    sample found there comes back as its row and a float label. There a
-    scalar label is lifted to one sample, and labels that are not 1-D raise
-    ValueError. Either way, a batch with no samples or with a label count
-    other than its sample count raises ValueError.
-    """
-    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1 and type(y) is float:
-        return x, y
-    if (
-        type(x) is np.ndarray
-        and type(y) is np.ndarray
-        and x.dtype is _FLOAT64
-        and y.dtype is _FLOAT64
-        and x.ndim == 2
-        and y.ndim == 1
-    ):
-        xb, yb = x, y
-    else:
-        xb = np.asarray(x, dtype=float)
-        if xb.ndim == 1:
-            xb = xb[None, :]
-        yb = np.asarray(y, dtype=float)
-        if yb.ndim == 0:
-            yb = yb[None]
-        elif yb.ndim != 1:
-            raise ValueError(f"a step needs 1-D labels, got labels of shape {yb.shape}")
-    n = len(xb)
-    if n != len(yb) or not n:
-        raise ValueError(
-            f"a step needs one label per sample and at least one sample, "
-            f"got {n} samples and {len(yb)} labels"
-        )
-    if n == 1:
-        return xb[0], yb.item(0)
-    return xb, yb
-
-
 def _step_coefficient(spec: OracleSpec) -> Callable:
     """The per-sample step coefficient c(y, z, xsq) of spec's oracle.
 
@@ -795,21 +748,26 @@ def _step_coefficient(spec: OracleSpec) -> Callable:
     return coef
 
 
-def apply_step(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
+def apply_step(w: np.ndarray, x: np.ndarray, y, spec: OracleSpec) -> StepResult:
     """One update of the configured oracle: its per-sample coefficients,
     their projected mean, and the normalization. Batches average the raw
     updates.
 
-    One sample steps as a row: a 1-D x with a float label, which is what
-    run() passes at B = 1, or a (1, d) block with one label, which
-    _as_step_input turns into its row. z = x w is a ddot and |x|^2 (batch_reuse
-    only) the einsum "i,i->", the bits that a (1, d) block gives through
-    numpy's dot and the einsum "ij,ij->i" (x.dot(x) would not: it differs in
-    the last bit on about half of all draws at d = 25). The coefficient is
-    then scalar arithmetic on Python floats, and the mean update is x c. A
-    batch runs the same coefficient on arrays, and its mean update is x^T c,
-    divided by B in place. Both give the bits of the batched array formulas.
-    The update w + gamma v is formed in place as (v gamma) + w, the same
+    x and y come in one of two forms, the two that run() passes, and
+    nothing is converted: one sample as a 1-D float64 ndarray row with a
+    float label, or B >= 1 samples as a (B, d) float64 ndarray block with
+    1-D float64 ndarray labels. A block refuses, with ValueError, labels
+    that are not 1-D and a label count other than its sample count, which
+    numpy would otherwise broadcast, and a block with no samples.
+
+    A row's z = x w is a ddot and |x|^2 (batch_reuse only) the einsum
+    "i,i->", the bits that its (1, d) block gives through numpy's dot and
+    the einsum "ij,ij->i" (x.dot(x) would not: it differs in the last bit
+    on about half of all draws at d = 25). The coefficient is then scalar
+    arithmetic on Python floats, and the mean update is x c. A block runs
+    the same coefficient on arrays, and its mean update is x^T c, divided
+    by B in place. Both give the bits of the batched array formulas. The
+    update w + gamma v is formed in place as (v gamma) + w, the same
     products and sums, and divided by its norm in place.
 
     The bits of a step depend on the memory layout of x. x w, x^T c and w v
@@ -821,15 +779,22 @@ def apply_step(w: np.ndarray, x, y, spec: OracleSpec) -> StepResult:
     takes a different product loop and may differ in the last bit; pass
     np.ascontiguousarray(x) to replay a run from such a view.
     """
-    x, y = _as_step_input(x, y)
     coef = spec._coefficient
     if x.ndim == 1:
         xsq = float(np.einsum("i,i->", x, x)) if spec.kind == "batch_reuse" else None
         v = x * coef(y, float(x.dot(w)), xsq)
     else:
+        n = len(x)
+        if y.shape != (n,) or not n:
+            raise ValueError(
+                f"a step needs 1-D labels, got labels of shape {y.shape}"
+                if y.ndim != 1
+                else f"a step needs one label per sample and at least one sample, "
+                f"got {n} samples and {len(y)} labels"
+            )
         xsq = np.einsum("ij,ij->i", x, x) if spec.kind == "batch_reuse" else None
         v = x.T.dot(coef(y, x.dot(w), xsq))
-        v /= len(x)
+        v /= n
     # Projection is linear, so projecting the batch mean equals the mean of
     # per-sample projected updates. v is fresh, so it is projected in place.
     v -= w * w.dot(v)

@@ -532,7 +532,8 @@ class TestBadGamma:
 
     def test_overflowing_run_exits_0_without_warnings(self, capsys):
         """gamma = 1e308 overflows the first step and the audit's powers of
-        gamma: the run is flagged diverged, and the audit line is printed."""
+        gamma: the run is flagged diverged, and the audit line is printed.
+        The step's gap is nan, so the audit skips it and checks nothing."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(
@@ -542,4 +543,4 @@ class TestBadGamma:
         assert code == 0
         assert out == "step,samples_seen,kappa\n0,0,0.316227766017\n1,1,nan\n"
         assert err == ("weak_step=None strong_step=None diverged=1 gamma=1e+308\n"
-                       "audit: checked=1 violations=0 max_violation=nan\n")
+                       "audit: checked=0 violations=0 max_violation=-inf\n")

@@ -223,9 +223,8 @@ class TestNormalizationAudit:
         w = traj.final_network.W[0]
         assert np.flatnonzero(w == 0.0).tolist() == [0, 5, 8] and not np.signbit(w[0])
         assert np.isnan(np.delete(w, [0, 5, 8])).all()
-        # the bound is -inf and kappa' is nan: a nan gap, no violation
-        assert (report.n_steps_checked, report.n_violations) == (1, 0)
-        assert math.isnan(report.max_violation)
+        # the bound is -inf and kappa' is nan: a nan gap, so the step is skipped
+        assert report == dynamics.AuditReport(0, 1, -math.inf, 0)
 
     def test_bound_overflows_to_minus_inf(self):
         """gamma^3 leaves the float range above about 5.6e102 (and gamma^2
@@ -249,11 +248,32 @@ class TestNormalizationAudit:
             bound = (t.kappa_before + gamma * t.theta_dot_g
                      - gamma**2 * t.kappa_before * t.g_norm_sq
                      - gamma**3 * np.abs(t.theta_dot_g) * t.g_norm_sq)
-        gap = np.where(t.kappa_before >= 0.0, bound - t.kappa_after, -np.inf)
+        checked = (t.kappa_before >= 0.0) & ~np.isnan(bound - t.kappa_after)
+        gap = np.where(checked, bound - t.kappa_after, -np.inf)
         report = normalization_error_audit(traj)
         assert report.max_violation == float(np.max(gap))
         assert report.n_violations == int((gap > 1e-10).sum())
-        assert report.n_steps_checked == int((t.kappa_before >= 0.0).sum())
+        assert report.n_steps_checked == int(checked.sum())
+        assert report.n_steps_checked + report.n_skipped == t.kappa_before.size
+
+    def test_nan_gap_is_skipped(self):
+        """A hand-built trace: a finite step that breaks the bound by 0.25,
+        then a step whose kappa' is nan. Only the first is checked."""
+        traj = run(make_config(gamma=0.5, **{**self.FIRST_STEP, "kind": "online", "n": 2}))
+        traj.audit_trace = dynamics.AuditTrace(
+            kappa_before=np.array([[0.5], [0.5]]),
+            kappa_after=np.array([[0.25], [math.nan]]),
+            theta_dot_g=np.array([[0.0], [0.0]]),
+            g_norm_sq=np.array([[0.0], [0.0]]),
+        )
+        assert normalization_error_audit(traj) == dynamics.AuditReport(1, 1, 0.25, 1)
+        assert normalization_error_audit(traj, tol=0.5) == dynamics.AuditReport(1, 1, 0.25, 0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_bad_tol_rejected(self, tol):
+        traj = run(make_config(gamma=0.5, **{**self.FIRST_STEP, "kind": "online", "n": 2}))
+        with pytest.raises(ValueError, match="^tol must be finite and >= 0, got "):
+            normalization_error_audit(traj, tol=tol)
 
 
 class TestWeakRecoverySampleSize:
@@ -266,6 +286,24 @@ class TestWeakRecoverySampleSize:
         cfg = make_config(gamma=0.0, n=1280)
         with pytest.raises(ValueError, match="at least one replicate"):
             weak_recovery_sample_size(cfg, [256, 512], replicates=replicates)
+
+    @pytest.mark.parametrize("field, grid, replicates", [
+        ("replicates", [256, 512], 1.5),
+        ("replicates", [256, 512], 2.0),
+        ("replicates", [256, 512], True),
+        ("n_grid", [256, 64.9], 1),
+        ("n_grid", [256.0], 1),
+        ("n_grid", np.array([256.0, 512.0]), 1),
+    ])
+    def test_non_integer_count_rejected(self, field, grid, replicates):
+        # replicates=1.5 used to die inside range, and an n of 64.9 ran at 64
+        cfg = make_config(gamma=0.0, n=1280)
+        with pytest.raises(ValueError, match=f"^{field}.* must be .*integer"):
+            weak_recovery_sample_size(cfg, grid, replicates=replicates)
+
+    def test_numpy_integer_grid_accepted(self):
+        cfg = make_config(gamma=0.0, n=1280)
+        assert weak_recovery_sample_size(cfg, np.array([512, 256]), np.int64(1)) is None
 
     def test_trivial_target_finite(self):
         cfg = make_config(
@@ -524,23 +562,36 @@ class TestRunMatchesHandReplay:
         assert traj.steps.tolist() == [0, 1]
         assert traj.alignments.shape == (2, 2)
 
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec("gaussian", 0.1)],
+                             ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("batch", [1, 4])
-    def test_run_steps_through_the_module_global(self, batch, monkeypatch):
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_run_steps_through_the_module_global(self, kind, batch, noise, monkeypatch):
         """Tracers rebind dynamics.apply_step; run() must call it once per
-        step and neuron, with one sample as a 1-D row and a float label."""
-        calls = []
+        step and neuron. apply_step converts nothing, so each call must take
+        a 1-D float64 ndarray row with a Python float label, or a
+        C-contiguous (B, d) float64 ndarray block with 1-D float64 ndarray
+        labels of length B."""
+        forms = []
 
         def spy(w, x, y, spec):
-            calls.append((x.shape, type(y)))
+            if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1:
+                forms.append(("row", x.shape, type(y)))
+            elif (type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 2
+                  and x.flags.c_contiguous and type(y) is np.ndarray
+                  and y.dtype == np.float64 and y.ndim == 1 and len(y) == len(x)):
+                forms.append(("block", x.shape, type(y)))
+            else:
+                forms.append(("other", type(x), type(y)))
             return apply_step(w, x, y, spec)
 
         monkeypatch.setattr(dynamics, "apply_step", spy)
-        cfg = make_config(kind="online", gamma=0.01, n=50 * batch, batch=batch, seed=1,
-                          n_neurons=3, record_every=10)
+        cfg = make_config(gamma=0.01, n=20 * batch, batch=batch, seed=4, n_neurons=2,
+                          record_every=3, audit=True, noise=noise, **self.KINDS[kind])
         run(cfg)
         d = cfg.teacher.d
-        want = ((d,), float) if batch == 1 else ((batch, d), np.ndarray)
-        assert calls == [want] * (cfg.n_steps * cfg.n_neurons)
+        want = ("row", (d,), float) if batch == 1 else ("block", (batch, d), np.ndarray)
+        assert forms == [want] * (cfg.n_steps * cfg.n_neurons)
 
 
 class TestCoordinateReads:

@@ -51,6 +51,24 @@ class TestSeedTree:
             SeedTree(-1)
         assert SeedTree(0).child(3).path == (3,)
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: SeedTree(1.5), "master_seed"),
+        (lambda: SeedTree(True), "master_seed"),
+        (lambda: SeedTree(np.float64(3)), "master_seed"),
+        (lambda: SeedTree(1).child(1.7), "path"),
+        (lambda: SeedTree(1).child(2, False), "path"),
+        (lambda: SeedTree(1, (0, 2.0)), "path"),
+    ])
+    def test_non_integer_count_rejected(self, make, field):
+        # SeedTree(1).child(1.7) used to run as path (1,), and SeedTree(True) as seed 1
+        with pytest.raises(ValueError, match=f"{field}.* must be an integer, got "):
+            make()
+
+    def test_numpy_integer_indices_accepted(self):
+        tree = SeedTree(np.int64(4)).child(np.int32(2), np.uint8(7))
+        assert tree.path == (2, 7) and all(type(i) is int for i in tree.path)
+        assert tree.digest() == SeedTree(4, (2, 7)).digest()
+
 
 class TestNoise:
     def test_moments_gaussian(self):

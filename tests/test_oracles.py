@@ -28,7 +28,6 @@ from silab.hermite import (
 from silab.oracles import (
     ORACLE_KINDS,
     MuTable,
-    _as_step_input,
     _bivariate_product,
     _corr_moment,
     _istar_set,
@@ -523,6 +522,20 @@ class TestSteps:
         assert not np.array_equal(got.w, before.w)
 
 
+class TestOracleSpecDepth:
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    @pytest.mark.parametrize("depth", [3.0, 2.5, True, np.float64(3)], ids=repr)
+    def test_non_integer_count_rejected(self, kind, depth):
+        # depth=3.0 used to build, and mu_table then died inside range
+        with pytest.raises(ValueError, match="^depth must be an integer, got "):
+            OracleSpec(kind=kind, activation=HE3, eta=0.5, depth=depth)
+
+    def test_numpy_integer_depth_accepted(self):
+        spec = OracleSpec(kind="deep_alternating", activation=HE3, eta=0.5, depth=np.int64(3))
+        want = OracleSpec(kind="deep_alternating", activation=HE3, eta=0.5, depth=3)
+        assert mu_table(spec, HE3, NOISELESS, 50).mus == mu_table(want, HE3, NOISELESS, 50).mus
+
+
 class TestBatchCounts:
     """A step needs one label per sample and at least one sample."""
 
@@ -544,12 +557,6 @@ class TestBatchCounts:
     def test_empty_batch(self):
         with pytest.raises(ValueError, match="0 samples and 0 labels"):
             apply_step(self.w, self.x[:0], np.empty(0), self.SPEC)
-
-    def test_conversion_path_checks_too(self):
-        with pytest.raises(ValueError, match="3 samples and 1 labels"):
-            _as_step_input(self.x.tolist(), 1.0)
-        with pytest.raises(ValueError, match="1 samples and 2 labels"):
-            _as_step_input(self.x[0], [1.0, 2.0])
 
     @pytest.mark.parametrize("rows", [3, 1])
     def test_labels_must_be_one_dimensional(self, rows):
@@ -666,74 +673,22 @@ class TestStepCoreBitIdentity:
                 assert res.raw_update.tobytes() == g_ref.tobytes(), trial
                 assert res.prenorm == prenorm_ref and not res.rejected
 
-    @staticmethod
-    def _conversion_path(x, y):
-        """What _as_step_input does for inputs that are not already float
-        arrays: one sample comes back as its row and a float label."""
-        xb = np.asarray(x, dtype=float)
-        if xb.ndim == 1:
-            xb = xb[None, :]
-        yb = np.asarray(y, dtype=float)
-        if yb.ndim == 0:
-            yb = yb[None]
-        if len(xb) == 1:
-            return xb[0], yb.item(0)
-        return xb, yb
-
-    def test_as_batch_inputs_give_the_conversion_bits(self):
+    def test_row_views_step_with_the_bits_of_their_copies(self):
+        """run() passes rows and row slices of its drawn data; a view steps
+        as its contiguous copy does."""
         rng = np.random.default_rng(31)
         d = 25
         block = rng.standard_normal((16, d))
         labels = rng.standard_normal(16)
-        wide = rng.standard_normal((8, 2 * d))
-        ints = rng.integers(-3, 4, size=(4, d))
-        inputs = {
-            "row slice": (block[4:8], labels[4:8]),  # views, as run() passes
-            "one-row slice": (block[5:6], labels[5:6]),
-            "strided view": (wide[::2, 1::2], labels[::4]),
-            "int": (ints, ints[:, 0]),
-            "float32": (block[:4].astype(np.float32), labels[:4].astype(np.float32)),
-            "vector and scalar": (block[0], float(labels[0])),
-            "lists": (block[:4].tolist(), labels[:4].tolist()),
-        }
         spec = OracleSpec(kind="alternating", activation=HE3, gamma=0.05, eta=0.5)
         w = unit(rng.standard_normal(d))
-        for name, (x, y) in inputs.items():
-            xb, yb = _as_step_input(x, y)
-            x_ref, y_ref = self._conversion_path(x, y)
-            assert xb.dtype == np.float64, name
-            if name in ("one-row slice", "vector and scalar"):
-                assert xb.ndim == 1 and type(yb) is float, name
-            else:
-                assert xb.ndim == 2 and yb.ndim == 1 and yb.dtype == np.float64, name
-            assert np.array_equal(xb, x_ref) and np.array_equal(yb, y_ref), name
-            res = apply_step(w, x, y, spec)
-            ref = apply_step(w, x_ref, y_ref, spec)
-            assert np.array_equal(res.w, ref.w), name
-            assert np.array_equal(res.raw_update, ref.raw_update), name
-            assert res.prenorm == ref.prenorm, name
-        # float64 arrays pass through as the very objects np.asarray returns,
-        # and so does a float64 row with a float label
-        for name in ("row slice", "strided view", "vector and scalar"):
-            x, y = inputs[name]
-            xb, yb = _as_step_input(x, y)
-            assert xb is x and yb is y
-            assert xb is np.asarray(x, dtype=float)
-        # a one-row block comes back as a view of its row and a float label
-        x, y = inputs["one-row slice"]
-        xb, yb = _as_step_input(x, y)
-        assert xb.base is x.base and np.array_equal(xb, x[0]) and yb == y[0]
-        # a contiguous view steps with the bits of its copy
-        for name in ("row slice", "one-row slice"):
-            x, y = inputs[name]
+        for x, y in ((block[4:8], labels[4:8]), (block[5:6], labels[5:6])):
             res = apply_step(w, x, y, spec)
             ref = apply_step(w, x.copy(), y.copy(), spec)
-            assert np.array_equal(res.w, ref.w) and res.prenorm == ref.prenorm
-        # other dtypes are converted, never passed through
-        for name in ("int", "float32"):
-            x, y = inputs[name]
-            xb, yb = _as_step_input(x, y)
-            assert xb is not x and yb is not y
+            assert res.w.tobytes() == ref.w.tobytes() and res.prenorm == ref.prenorm
+        res = apply_step(w, block[5], float(labels[5]), spec)
+        ref = apply_step(w, block[5].copy(), float(labels[5]), spec)
+        assert res.w.tobytes() == ref.w.tobytes() and res.prenorm == ref.prenorm
 
     @pytest.mark.parametrize(
         "poly",
